@@ -27,11 +27,10 @@ from .estimator import (
     hoeffding_margin,
     plan_trials,
     run,
-    run_restricted,
 )
 from .interp import StepBudgetExceeded, TrialConfig, TrialOutcome, analyze_trial
-from .intervals import AbstractEnv, DomainError, Interval, arith, eval_range, filter_env
-from .lang import Kind, LangError, Program, parse, to_source, validate
+from .intervals import AbstractEnv, DomainError, Interval, eval_range, filter_env
+from .lang import Kind, LangError, Program, parse, to_source
 
 __version__ = "0.1.0"
 
@@ -54,7 +53,6 @@ __all__ = [
     "TrialConfig",
     "TrialOutcome",
     "analyze_trial",
-    "arith",
     "bound",
     "derive_seed",
     "eval_range",
@@ -65,7 +63,5 @@ __all__ = [
     "plan_trials",
     "run",
     "run_concrete",
-    "run_restricted",
     "to_source",
-    "validate",
 ]

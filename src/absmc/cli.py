@@ -6,7 +6,8 @@ Subcommands:
   plan     trial count for a target margin and confidence
   curves   CSV tables relating margin, confidence and trial count
 
-Exit codes: 0 success, 1 usage or domain error, 2 parse/validation error.
+Exit codes: 0 success; 1 usage, argument, restriction, oracle, domain or
+overflow error; 2 parse error or unreadable input file.
 The default worker count honors the ABSMC_JOBS environment variable.
 """
 
@@ -17,8 +18,9 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
-from . import concrete, estimator, interp, lang
+from . import concrete, estimator, interp, intervals, lang
 
 
 class _UsageError(Exception):
@@ -92,11 +94,26 @@ def _load_program(args) -> lang.Program:
 def _load_restriction(program: lang.Program, path: str) -> estimator.RestrictionSpec:
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
-    generators = raw.get("generators", raw)
+    generators = raw.get("generators", raw) if isinstance(raw, dict) else raw
+    shape = 'must map generator ordinals to {"lo": number, "hi": number}'
+    if not isinstance(generators, dict):
+        raise estimator.RestrictionError(f"restriction file {path}: 'generators' {shape}")
     entries: dict[int, tuple[float, float]] = {}
     for key, value in generators.items():
+        if not (
+            key.isdigit()
+            and isinstance(value, dict)
+            and all(_is_number(value.get(bound)) for bound in ("lo", "hi"))
+        ):
+            raise estimator.RestrictionError(
+                f"restriction file {path}: entry {key!r} is malformed; 'generators' {shape}"
+            )
         entries[int(key)] = (float(value["lo"]), float(value["hi"]))
     return estimator.RestrictionSpec.by_ordinal(program, entries)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
 
 
 def _cmd_analyze(args) -> int:
@@ -151,7 +168,7 @@ def _cmd_oracle(args) -> int:
         program, mode=args.mode, n=args.n, grid=args.grid, seed=args.seed
     )
     if args.format == "json":
-        print(json.dumps(report.to_dict()))
+        print(json.dumps(asdict(report)))
     else:
         print(f"mode: {report.mode}")
         print(f"estimate: {report.estimate!r}")
@@ -214,7 +231,13 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, concrete.OracleError, estimator.RestrictionError, json.JSONDecodeError) as e:
+    except (
+        ValueError,
+        OverflowError,
+        intervals.DomainError,
+        concrete.OracleError,
+        estimator.RestrictionError,
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except lang.LangError as e:

@@ -29,6 +29,7 @@ assumptions that precede their first use.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,6 +75,58 @@ class ChoiceSource:
         return value
 
 
+_COMPARE = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
+
+
+def evaluate(node: lang.Expr | lang.BoolExpr, env, draw):
+    """Concrete value of an expression, or truth of a condition, over
+    ``env`` (a name -> value mapping); generators take ``draw(node)``.
+
+    The same code serves Python scalars and numpy sample lanes: ``&&``
+    and ``||`` map to ``&`` and ``|``, so both operands always evaluate
+    and draw positions stay aligned with the abstract interpreter.
+    """
+
+    # most frequent nodes first
+    if isinstance(node, lang.Var):
+        return env[node.name]
+    if isinstance(node, (lang.IntLit, lang.RealLit)):
+        return node.value
+    if isinstance(node, lang.Cmp):
+        return _COMPARE[node.op](evaluate(node.left, env, draw), evaluate(node.right, env, draw))
+    if isinstance(node, (lang.CoinFlip, lang.Uniform)):
+        return draw(node)
+    if isinstance(node, lang.Add):
+        return evaluate(node.left, env, draw) + evaluate(node.right, env, draw)
+    if isinstance(node, lang.Sub):
+        return evaluate(node.left, env, draw) - evaluate(node.right, env, draw)
+    if isinstance(node, lang.MulConst):
+        return node.coeff.value * evaluate(node.expr, env, draw)
+    if isinstance(node, lang.And):
+        return evaluate(node.left, env, draw) & evaluate(node.right, env, draw)
+    if isinstance(node, lang.Or):
+        return evaluate(node.left, env, draw) | evaluate(node.right, env, draw)
+    raise OracleError(f"unknown node {type(node).__name__}")
+
+
+def _assigned(stmt: lang.Assign | lang.AddAssign | lang.SubAssign, env, draw):
+    """The value an assignment statement stores.  The evaluated operand
+    stays an unnamed temporary, so numpy may reuse its buffer."""
+
+    if isinstance(stmt, lang.AddAssign):
+        return env[stmt.name] + evaluate(stmt.expr, env, draw)
+    if isinstance(stmt, lang.SubAssign):
+        return env[stmt.name] - evaluate(stmt.expr, env, draw)
+    return evaluate(stmt.expr, env, draw)
+
+
 class _Pruned(Exception):
     pass
 
@@ -109,65 +162,26 @@ def run_concrete(
         if budget[0] < 0:
             raise _OutOfSteps()
 
-    def ev(expr: lang.Expr):
-        if isinstance(expr, (lang.IntLit, lang.RealLit)):
-            return expr.value
-        if isinstance(expr, lang.Var):
-            return env[expr.name]
-        if isinstance(expr, lang.Add):
-            return ev(expr.left) + ev(expr.right)
-        if isinstance(expr, lang.Sub):
-            return ev(expr.left) - ev(expr.right)
-        if isinstance(expr, lang.MulConst):
-            return expr.coeff.value * ev(expr.expr)
-        if isinstance(expr, lang.CoinFlip):
-            return choices.draw(expr.site, tuple(word), True)
-        if isinstance(expr, lang.Uniform):
-            return choices.draw(expr.site, tuple(word), False)
-        raise OracleError(f"unknown expression node {type(expr).__name__}")
-
-    def bv(cond: lang.BoolExpr) -> bool:
-        # Both operands always evaluate, keeping draw positions aligned
-        # with the abstract interpreter.
-        if isinstance(cond, lang.Cmp):
-            left, right = ev(cond.left), ev(cond.right)
-            return {
-                "<": left < right,
-                "<=": left <= right,
-                ">": left > right,
-                ">=": left >= right,
-                "==": left == right,
-                "!=": left != right,
-            }[cond.op]
-        if isinstance(cond, lang.And):
-            lres, rres = bv(cond.left), bv(cond.right)
-            return lres and rres
-        if isinstance(cond, lang.Or):
-            lres, rres = bv(cond.left), bv(cond.right)
-            return lres or rres
-        raise OracleError(f"unknown condition node {type(cond).__name__}")
+    def draw(gen):
+        return choices.draw(gen.site, tuple(word), isinstance(gen, lang.CoinFlip))
 
     def ex_block(stmts) -> None:
         for s in stmts:
             tick()
-            if isinstance(s, lang.Assign):
-                env[s.name] = ev(s.expr)
-            elif isinstance(s, lang.AddAssign):
-                env[s.name] = env[s.name] + ev(s.expr)
-            elif isinstance(s, lang.SubAssign):
-                env[s.name] = env[s.name] - ev(s.expr)
+            if isinstance(s, (lang.Assign, lang.AddAssign, lang.SubAssign)):
+                env[s.name] = _assigned(s, env, draw)
             elif isinstance(s, lang.Know):
-                if not bv(s.cond):
+                if not evaluate(s.cond, env, draw):
                     raise _Pruned()
             elif isinstance(s, lang.If):
-                if bv(s.cond):
+                if evaluate(s.cond, env, draw):
                     ex_block(s.then)
                 else:
                     ex_block(s.orelse)
             elif isinstance(s, lang.While):
                 word.append(1)
                 try:
-                    while bv(s.cond):
+                    while evaluate(s.cond, env, draw):
                         tick()
                         ex_block(s.body)
                         word[-1] += 1
@@ -184,7 +198,7 @@ def run_concrete(
         if diagnostics is not None:
             diagnostics.append("nonterminating path: step budget exceeded")
         return 0
-    return 1 if bv(program.outcome) else 0
+    return 1 if evaluate(program.outcome, env, draw) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +206,8 @@ def run_concrete(
 # ---------------------------------------------------------------------------
 
 
-def _stmt_reads(stmt: lang.Stmt) -> set[str]:
-    names = set()
-    for e in lang._stmt_exprs(stmt):
-        if isinstance(e, lang.Var):
-            names.add(e.name)
-    if isinstance(stmt, lang.If):
-        for s in itertools.chain(stmt.then, stmt.orelse):
-            names |= _stmt_reads(s)
-    elif isinstance(stmt, lang.While):
-        for s in stmt.body:
-            names |= _stmt_reads(s)
-    if isinstance(stmt, (lang.AddAssign, lang.SubAssign)):
-        names.add(stmt.name)
-    return names
-
-
-def _cond_reads(cond: lang.BoolExpr) -> set[str]:
-    return {e.name for e in lang.iter_cond_exprs(cond) if isinstance(e, lang.Var)}
+def _read_vars(node) -> set[str]:
+    return {e.name for e in lang.reads(node) if isinstance(e, lang.Var)}
 
 
 def _collect_unassigned_reads(stmts, assigned: set[str], found: set[str]) -> None:
@@ -218,33 +216,17 @@ def _collect_unassigned_reads(stmts, assigned: set[str], found: set[str]) -> Non
     does not count as assigned afterwards (the other path may run)."""
 
     for stmt in stmts:
+        found |= _read_vars(stmt) - assigned
         if isinstance(stmt, (lang.Assign, lang.AddAssign, lang.SubAssign)):
-            reads = {e.name for e in lang.iter_exprs(stmt.expr) if isinstance(e, lang.Var)}
-            if isinstance(stmt, (lang.AddAssign, lang.SubAssign)):
-                reads.add(stmt.name)
-            found |= reads - assigned
             assigned.add(stmt.name)
-        elif isinstance(stmt, lang.Know):
-            found |= _cond_reads(stmt.cond) - assigned
         elif isinstance(stmt, lang.If):
-            found |= _cond_reads(stmt.cond) - assigned
             then_assigned = set(assigned)
             else_assigned = set(assigned)
             _collect_unassigned_reads(stmt.then, then_assigned, found)
             _collect_unassigned_reads(stmt.orelse, else_assigned, found)
             assigned |= then_assigned & else_assigned
         elif isinstance(stmt, lang.While):
-            found |= _cond_reads(stmt.cond) - assigned
-            body_assigned = set(assigned)
-            _collect_unassigned_reads(stmt.body, body_assigned, found)
-
-
-def _stmt_writes(stmt: lang.Stmt) -> set[str]:
-    names = set()
-    for s in lang.iter_stmts([stmt]):
-        if isinstance(s, (lang.Assign, lang.AddAssign, lang.SubAssign)):
-            names.add(s.name)
-    return names
+            _collect_unassigned_reads(stmt.body, set(assigned), found)
 
 
 @dataclass(frozen=True)
@@ -253,6 +235,10 @@ class NondetSpec:
 
     ranges: dict[str, tuple[int | float, int | float]]
     grid: int = 64
+
+    def __post_init__(self):
+        if self.grid < 1:
+            raise OracleError(f"grid must be >= 1, got {self.grid}")
 
     @classmethod
     def from_program(cls, program: lang.Program, grid: int = 64) -> "NondetSpec":
@@ -266,7 +252,7 @@ class NondetSpec:
         assigned: set[str] = set()
         _collect_unassigned_reads(program.body, assigned, found)
         if program.outcome is not None:
-            found |= _cond_reads(program.outcome) - assigned
+            found |= _read_vars(program.outcome) - assigned
         nondet = [name for name in decl_order if name in found]  # reproducible order
 
         env = AbstractEnv.tops(kinds)
@@ -283,7 +269,9 @@ class NondetSpec:
                     }
                 )
             else:
-                locked |= _stmt_reads(stmt) | _stmt_writes(stmt)
+                locked |= lang.writes([stmt])
+                for inner in lang.iter_stmts([stmt]):
+                    locked |= _read_vars(inner)
 
         ranges: dict[str, tuple[int | float, int | float]] = {}
         for name in nondet:
@@ -299,7 +287,9 @@ class NondetSpec:
         kinds = program.kinds()
         points: dict[str, list[int | float]] = {}
         for name, (lo, hi) in self.ranges.items():
-            if kinds[name] is Kind.INT:
+            if self.grid == 1:
+                pts = [lo]
+            elif kinds[name] is Kind.INT:
                 span = int(hi) - int(lo) + 1
                 if span <= self.grid:
                     pts = list(range(int(lo), int(hi) + 1))
@@ -307,8 +297,6 @@ class NondetSpec:
                     pts = sorted(
                         {int(round(lo + (hi - lo) * k / (self.grid - 1))) for k in range(self.grid)}
                     )
-            elif self.grid == 1:
-                pts = [float(lo)]
             else:
                 pts = [lo + (hi - lo) * k / (self.grid - 1) for k in range(self.grid)]
                 pts[0], pts[-1] = float(lo), float(hi)  # endpoints exactly
@@ -336,16 +324,6 @@ class OracleReport:
     grid: int
     seed: int | None
     diagnostics: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "estimate": self.estimate,
-            "paths_or_samples": self.paths_or_samples,
-            "grid": self.grid,
-            "seed": self.seed,
-            "diagnostics": list(self.diagnostics),
-        }
 
 
 def _has_uniform(program: lang.Program) -> bool:
@@ -433,14 +411,14 @@ class _VectorRun:
         self.table = table
         self.rng = rng
         self.m = m
-        self.budget = step_budget
+        self.step_budget = step_budget
         self.diagnosed = False
 
-    def _draw(self, site, word, coin):
-        key = (site, word)
+    def _draw(self, gen):
+        key = (gen.site, tuple(self.word))
         arr = self.table.get(key)
         if arr is None:
-            if coin:
+            if isinstance(gen, lang.CoinFlip):
                 arr = self.rng.integers(0, 2, size=self.m, dtype=np.int64)
             else:
                 arr = self.rng.random(self.m)
@@ -455,72 +433,32 @@ class _VectorRun:
             self.env[name] = np.full(self.m, value, dtype=dtype)
         self.alive = np.ones(self.m, dtype=bool)
         self.word: list[int] = []
+        self.budget = self.step_budget
         self._block(self.program.body, np.ones(self.m, dtype=bool))
-        return self._bool(self.program.outcome) & self.alive
+        return self._holds(self.program.outcome) & self.alive
 
-    def _ev(self, expr):
-        if isinstance(expr, (lang.IntLit, lang.RealLit)):
-            return expr.value
-        if isinstance(expr, lang.Var):
-            return self.env[expr.name]
-        if isinstance(expr, lang.Add):
-            return self._ev(expr.left) + self._ev(expr.right)
-        if isinstance(expr, lang.Sub):
-            return self._ev(expr.left) - self._ev(expr.right)
-        if isinstance(expr, lang.MulConst):
-            return expr.coeff.value * self._ev(expr.expr)
-        if isinstance(expr, lang.CoinFlip):
-            return self._draw(expr.site, tuple(self.word), True)
-        if isinstance(expr, lang.Uniform):
-            return self._draw(expr.site, tuple(self.word), False)
-        raise OracleError(f"unknown expression node {type(expr).__name__}")
-
-    def _bool(self, cond) -> np.ndarray:
-        if isinstance(cond, lang.Cmp):
-            left, right = self._ev(cond.left), self._ev(cond.right)
-            op = cond.op
-            if op == "<":
-                out = left < right
-            elif op == "<=":
-                out = left <= right
-            elif op == ">":
-                out = left > right
-            elif op == ">=":
-                out = left >= right
-            elif op == "==":
-                out = left == right
-            else:
-                out = left != right
-            return np.broadcast_to(out, (self.m,)) if np.ndim(out) == 0 else out
-        if isinstance(cond, lang.And):
-            return self._bool(cond.left) & self._bool(cond.right)
-        if isinstance(cond, lang.Or):
-            return self._bool(cond.left) | self._bool(cond.right)
-        raise OracleError(f"unknown condition node {type(cond).__name__}")
+    def _holds(self, cond) -> np.ndarray:
+        out = evaluate(cond, self.env, self._draw)
+        # a condition over literals only yields one bool for every lane
+        return out if isinstance(out, np.ndarray) else np.full(self.m, out)
 
     def _block(self, stmts, mask) -> None:
         for s in stmts:
             if not mask.any():
                 return
-            if isinstance(s, lang.Assign):
-                np.copyto(self.env[s.name], self._ev(s.expr), where=mask, casting="same_kind")
-            elif isinstance(s, lang.AddAssign):
-                value = self.env[s.name] + self._ev(s.expr)
-                np.copyto(self.env[s.name], value, where=mask, casting="same_kind")
-            elif isinstance(s, lang.SubAssign):
-                value = self.env[s.name] - self._ev(s.expr)
+            if isinstance(s, (lang.Assign, lang.AddAssign, lang.SubAssign)):
+                value = _assigned(s, self.env, self._draw)
                 np.copyto(self.env[s.name], value, where=mask, casting="same_kind")
             elif isinstance(s, lang.Know):
-                ok = self._bool(s.cond)
-                self.alive &= ~mask | ok
+                self.alive &= ~mask | self._holds(s.cond)
             elif isinstance(s, lang.If):
-                hold = self._bool(s.cond)
+                hold = self._holds(s.cond)
                 self._block(s.then, mask & hold)
                 self._block(s.orelse, mask & ~hold)
             elif isinstance(s, lang.While):
                 self.word.append(1)
                 try:
-                    active = mask & self._bool(s.cond) & self.alive
+                    active = mask & self._holds(s.cond) & self.alive
                     while active.any():
                         self.budget -= 1
                         if self.budget < 0:
@@ -530,7 +468,7 @@ class _VectorRun:
                             break
                         self._block(s.body, active)
                         self.word[-1] += 1
-                        active = active & self._bool(s.cond) & self.alive
+                        active = active & self._holds(s.cond) & self.alive
                 finally:
                     self.word.pop()
             else:

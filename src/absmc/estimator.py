@@ -28,7 +28,7 @@ import hashlib
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import lang
 from .interp import TrialConfig, analyze_trial
@@ -162,20 +162,11 @@ class Report:
     aborted_trials: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "program": self.program,
-            "n": self.n,
-            "hits": self.hits,
-            "p_hat": self.p_hat,
-            "epsilon": self.epsilon,
-            "margin": self.margin,
-            "p_prime": self.p_prime,
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "elapsed_ms": self.elapsed_ms,
-            "config": self.config,
-            "warnings": list(self.warnings),
-        }
+        """JSON form; the widening and abort counts show only as warnings."""
+
+        d = asdict(self)
+        del d["widened_trials"], d["aborted_trials"]
+        return d
 
 
 def _trial_chunk(args) -> tuple[int, int, int]:
@@ -232,7 +223,7 @@ def run(
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     raw_mean = hits / n
-    config_echo = cfg.to_dict()
+    config_echo = asdict(cfg)
     warnings: list[str] = []
     if restriction is None:
         p_hat = raw_mean
@@ -265,29 +256,4 @@ def run(
         warnings=warnings,
         widened_trials=widened,
         aborted_trials=aborted,
-    )
-
-
-def run_restricted(
-    program: lang.Program,
-    spec: RestrictionSpec,
-    n: int,
-    epsilon: float,
-    master_seed: int = 0,
-    jobs: int = 1,
-    config: TrialConfig | None = None,
-    *,
-    program_name: str | None = None,
-) -> Report:
-    """`run` with conditional sampling on ``spec`` and Pr(R) rescaling."""
-
-    return run(
-        program,
-        n,
-        epsilon,
-        master_seed,
-        jobs,
-        config,
-        program_name=program_name,
-        restriction=spec,
     )

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import lang
-from .intervals import AbstractEnv, Interval, filter_env
+from .intervals import GENERATOR_RANGE, AbstractEnv, Interval, eval_range, filter_env
 from .lang import Kind
 
 
@@ -55,15 +55,7 @@ class TrialConfig:
     unroll_limit: int = 64
     widening_delay: int = 2
     narrowing_passes: int = 2
-    step_budget: int = 1_000_000
-
-    def to_dict(self) -> dict:
-        return {
-            "unroll_limit": self.unroll_limit,
-            "widening_delay": self.widening_delay,
-            "narrowing_passes": self.narrowing_passes,
-            "step_budget": self.step_budget,
-        }
+    step_budget: int = 1_000_000  # statements, loop iterations and fixpoint passes
 
 
 ChoiceKey = tuple[int, tuple[int, ...]]
@@ -83,10 +75,34 @@ class TrialContext:
     widened_loops: int = 0
     trace: Callable[[str], None] | None = None
 
-    def tick(self, cost: int = 1) -> None:
-        self.steps += cost
+    def tick(self) -> None:
+        self.steps += 1
         if self.steps > self.config.step_budget:
             raise StepBudgetExceeded(f"exceeded {self.config.step_budget} steps")
+
+    def draw(self, gen: lang.CoinFlip | lang.Uniform) -> Interval:
+        """Generator hook for `eval_range`: the full range inside fixpoints,
+        otherwise a concrete draw from the (restricted) support, recorded
+        under its (site, iteration word) key."""
+
+        if not self.randomize:
+            return GENERATOR_RANGE[type(gen)]
+        key: ChoiceKey = (gen.site, tuple(self.word))
+        if key in self.table:
+            raise InterpError(f"duplicate choice key {key}")
+        coin = isinstance(gen, lang.CoinFlip)
+        span = self.restriction.get(gen.site) if self.restriction else None
+        if coin:
+            allowed = [v for v in (0, 1) if span[0] <= v <= span[1]] if span else (0, 1)
+            value = allowed[0] if len(allowed) == 1 else self.rng.getrandbits(1)
+        else:
+            lo, hi = span or (0.0, 1.0)
+            value = lo + (hi - lo) * self.rng.random()
+        self.table[key] = value
+        if self.trace is not None:
+            kind = "coin_flip" if coin else "uniform"
+            self.trace(f"draw site {gen.site} w={key[1]} {kind} -> {value!r}")
+        return Interval.const(Kind.INT if coin else Kind.REAL, value)
 
 
 @dataclass
@@ -102,57 +118,6 @@ class TrialOutcome:
     steps: int = 0
 
 
-def draw_coin(ctx: TrialContext, site: int) -> int:
-    if ctx.restriction and site in ctx.restriction:
-        lo, hi = ctx.restriction[site]
-        allowed = [v for v in (0, 1) if lo <= v <= hi]
-        if len(allowed) == 1:
-            return allowed[0]
-    return ctx.rng.getrandbits(1)
-
-
-def draw_uniform(ctx: TrialContext, site: int) -> float:
-    if ctx.restriction and site in ctx.restriction:
-        lo, hi = ctx.restriction[site]
-        return lo + (hi - lo) * ctx.rng.random()
-    return ctx.rng.random()
-
-
-def eval_generator(gen: lang.CoinFlip | lang.Uniform, ctx: TrialContext) -> Interval:
-    coin = isinstance(gen, lang.CoinFlip)
-    if not ctx.randomize:
-        return Interval(Kind.INT, 0, 1) if coin else Interval(Kind.REAL, 0.0, 1.0)
-    key: ChoiceKey = (gen.site, tuple(ctx.word))
-    if key in ctx.table:
-        raise InterpError(f"duplicate choice key {key}")
-    value = draw_coin(ctx, gen.site) if coin else draw_uniform(ctx, gen.site)
-    ctx.table[key] = value
-    if ctx.trace is not None:
-        kind = "coin_flip" if coin else "uniform"
-        ctx.trace(f"draw site {gen.site} w={key[1]} {kind} -> {value!r}")
-    kind_ = Kind.INT if coin else Kind.REAL
-    return Interval.const(kind_, value)
-
-
-def eval_expr(expr: lang.Expr, env: AbstractEnv, ctx: TrialContext) -> Interval:
-    ctx.tick()
-    if isinstance(expr, lang.IntLit):
-        return Interval.const(Kind.INT, expr.value)
-    if isinstance(expr, lang.RealLit):
-        return Interval.const(Kind.REAL, expr.value)
-    if isinstance(expr, lang.Var):
-        return env.get(expr.name)
-    if isinstance(expr, lang.Add):
-        return eval_expr(expr.left, env, ctx).add(eval_expr(expr.right, env, ctx))
-    if isinstance(expr, lang.Sub):
-        return eval_expr(expr.left, env, ctx).sub(eval_expr(expr.right, env, ctx))
-    if isinstance(expr, lang.MulConst):
-        return eval_expr(expr.expr, env, ctx).scale(expr.coeff.value)
-    if isinstance(expr, (lang.CoinFlip, lang.Uniform)):
-        return eval_generator(expr, ctx)
-    raise InterpError(f"unknown expression node {type(expr).__name__}")
-
-
 def eval_block(stmts, env: AbstractEnv, ctx: TrialContext) -> AbstractEnv:
     for s in stmts:
         if env.is_bottom():
@@ -165,12 +130,13 @@ def eval_stmt(stmt: lang.Stmt, env: AbstractEnv, ctx: TrialContext) -> AbstractE
     ctx.tick()
     if env.is_bottom():
         return env
-    if isinstance(stmt, lang.Assign):
-        out = env.assign(stmt.name, eval_expr(stmt.expr, env, ctx))
-    elif isinstance(stmt, lang.AddAssign):
-        out = env.assign(stmt.name, env.get(stmt.name).add(eval_expr(stmt.expr, env, ctx)))
-    elif isinstance(stmt, lang.SubAssign):
-        out = env.assign(stmt.name, env.get(stmt.name).sub(eval_expr(stmt.expr, env, ctx)))
+    if isinstance(stmt, (lang.Assign, lang.AddAssign, lang.SubAssign)):
+        value = eval_range(stmt.expr, env, ctx.draw)
+        if isinstance(stmt, lang.AddAssign):
+            value = env.get(stmt.name).add(value)
+        elif isinstance(stmt, lang.SubAssign):
+            value = env.get(stmt.name).sub(value)
+        out = env.assign(stmt.name, value)
     elif isinstance(stmt, lang.Know):
         out = filter_env(env, stmt.cond, True)
     elif isinstance(stmt, lang.If):

@@ -281,19 +281,10 @@ def _fmt(kind: Kind, x) -> str:
 
 _BOTTOM = {k: Interval(k, INF, -INF) for k in Kind}
 _TOP = {k: Interval(k, -INF, INF) for k in Kind}
-
-
-def arith(op: str, a: Interval, b) -> Interval:
-    """Dispatch helper: op in {"add", "sub", "mul_const"}; for mul_const,
-    ``b`` is the literal coefficient."""
-
-    if op == "add":
-        return a.add(b)
-    if op == "sub":
-        return a.sub(b)
-    if op == "mul_const":
-        return a.scale(b)
-    raise DomainError(f"unknown arithmetic operation {op!r}")
+GENERATOR_RANGE = {
+    lang.CoinFlip: Interval(Kind.INT, 0, 1),
+    lang.Uniform: Interval(Kind.REAL, 0.0, 1.0),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +379,10 @@ class AbstractEnv:
 # ---------------------------------------------------------------------------
 
 
-def eval_range(expr: lang.Expr, env: AbstractEnv) -> Interval:
-    """Interval of an expression's possible values; generators contribute
-    their full range (this evaluator never samples)."""
+def eval_range(expr: lang.Expr, env: AbstractEnv, draw=None) -> Interval:
+    """Interval of an expression's possible values.  Generators contribute
+    their full range, unless a ``draw`` hook is given: then each generator
+    node evaluates to ``draw(node)``, in left-to-right order."""
 
     if isinstance(expr, lang.IntLit):
         return Interval.const(Kind.INT, expr.value)
@@ -399,15 +391,15 @@ def eval_range(expr: lang.Expr, env: AbstractEnv) -> Interval:
     if isinstance(expr, lang.Var):
         return env.get(expr.name)
     if isinstance(expr, lang.Add):
-        return eval_range(expr.left, env).add(eval_range(expr.right, env))
+        return eval_range(expr.left, env, draw).add(eval_range(expr.right, env, draw))
     if isinstance(expr, lang.Sub):
-        return eval_range(expr.left, env).sub(eval_range(expr.right, env))
+        return eval_range(expr.left, env, draw).sub(eval_range(expr.right, env, draw))
     if isinstance(expr, lang.MulConst):
-        return eval_range(expr.expr, env).scale(expr.coeff.value)
-    if isinstance(expr, lang.CoinFlip):
-        return Interval(Kind.INT, 0, 1)
-    if isinstance(expr, lang.Uniform):
-        return Interval(Kind.REAL, 0.0, 1.0)
+        return eval_range(expr.expr, env, draw).scale(expr.coeff.value)
+    if isinstance(expr, (lang.CoinFlip, lang.Uniform)):
+        if draw is not None:
+            return draw(expr)
+        return GENERATOR_RANGE[type(expr)]
     raise DomainError(f"unknown expression node {type(expr).__name__}")
 
 

@@ -40,6 +40,7 @@ and safe to share between threads and processes.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 
@@ -312,6 +313,8 @@ def _tokenize(src: str) -> list[_Token]:
                         j += 1
             text = src[i:j]
             if is_real:
+                if not math.isfinite(float(text)):
+                    raise LangError(f"real literal {text} is out of range", line, col)
                 toks.append(_Token("REAL", text, float(text), line, col))
             else:
                 toks.append(_Token("INT", text, int(text), line, col))
@@ -639,7 +642,8 @@ class _Parser:
 
 
 def parse(source: str, *, name: str = "<program>", query: str | None = None) -> Program:
-    """Parse and validate a program.
+    """Parse a program; the parser enforces declarations, kinds and the
+    presence of an outcome, raising LangError on the first violation.
 
     The last top-level ``know`` becomes the outcome; with ``query`` given,
     the query expression becomes the outcome instead and the source's last
@@ -661,11 +665,7 @@ def parse(source: str, *, name: str = "<program>", query: str | None = None) -> 
             raise LangError("missing outcome: no top-level know(...) and no query")
         outcome = body[last_know].cond
         del body[last_know]
-    program = Program(tuple(order), tuple(body), outcome, name=name)
-    issues = validate(program)
-    if issues:
-        raise LangError("; ".join(issues))
-    return program
+    return Program(tuple(order), tuple(body), outcome, name=name)
 
 
 def parse_condition(text: str, kinds: dict[str, Kind]) -> BoolExpr:
@@ -680,7 +680,7 @@ def parse_condition(text: str, kinds: dict[str, Kind]) -> BoolExpr:
 
 
 # ---------------------------------------------------------------------------
-# Validation and traversal
+# Traversal
 # ---------------------------------------------------------------------------
 
 
@@ -696,92 +696,32 @@ def iter_stmts(stmts):
             yield from iter_stmts(s.body)
 
 
-def iter_exprs(expr: Expr):
-    yield expr
-    if isinstance(expr, (Add, Sub)):
-        yield from iter_exprs(expr.left)
-        yield from iter_exprs(expr.right)
-    elif isinstance(expr, MulConst):
-        yield from iter_exprs(expr.coeff)
-        yield from iter_exprs(expr.expr)
+def reads(node: Expr | BoolExpr | Stmt):
+    """Variable and generator leaves read by an expression, a condition or
+    one statement's own expression or guard (not its nested blocks), left
+    to right.  ``x += e`` and ``x -= e`` read ``x`` first."""
+
+    if isinstance(node, (Var, CoinFlip, Uniform)):
+        yield node
+    elif isinstance(node, (Add, Sub, Cmp, And, Or)):
+        yield from reads(node.left)
+        yield from reads(node.right)
+    elif isinstance(node, MulConst):
+        yield from reads(node.expr)
+    elif isinstance(node, (Assign, AddAssign, SubAssign)):
+        if not isinstance(node, Assign):
+            yield Var(node.name)
+        yield from reads(node.expr)
+    elif isinstance(node, (Know, If, While)):
+        yield from reads(node.cond)
 
 
-def iter_cond_exprs(cond: BoolExpr):
-    if isinstance(cond, Cmp):
-        yield from iter_exprs(cond.left)
-        yield from iter_exprs(cond.right)
-    elif isinstance(cond, (And, Or)):
-        yield from iter_cond_exprs(cond.left)
-        yield from iter_cond_exprs(cond.right)
+def writes(stmts) -> set[str]:
+    """Variables assigned anywhere in the statements, nested blocks included."""
 
-
-def _stmt_exprs(stmt: Stmt):
-    if isinstance(stmt, (Assign, AddAssign, SubAssign)):
-        yield from iter_exprs(stmt.expr)
-    elif isinstance(stmt, Know):
-        yield from iter_cond_exprs(stmt.cond)
-    elif isinstance(stmt, (If, While)):
-        yield from iter_cond_exprs(stmt.cond)
-
-
-def validate(program: Program) -> list[str]:
-    """Check every structural invariant; returns human-readable diagnostics,
-    empty when the program is well formed."""
-
-    issues: list[str] = []
-    seen: set[str] = set()
-    for name, _ in program.declarations:
-        if name in seen:
-            issues.append(f"duplicate declaration of '{name}'")
-        seen.add(name)
-    kinds = program.kinds()
-
-    def check_cond(cond: BoolExpr, where: str) -> None:
-        if isinstance(cond, Cmp):
-            try:
-                lk = infer_kind(cond.left, kinds)
-                rk = infer_kind(cond.right, kinds)
-                if lk is not rk:
-                    issues.append(f"{where}: comparison mixes integer and real operands")
-            except LangError as e:
-                issues.append(f"{where}: {e}")
-        elif isinstance(cond, (And, Or)):
-            check_cond(cond.left, where)
-            check_cond(cond.right, where)
-        else:
-            issues.append(f"{where}: unknown condition node {type(cond).__name__}")
-
-    sites: list[int] = []
-    for stmt in iter_stmts(program.body):
-        where = f"statement at site {stmt.site}"
-        sites.append(stmt.site)
-        if isinstance(stmt, (Assign, AddAssign, SubAssign)):
-            if stmt.name not in kinds:
-                issues.append(f"{where}: undeclared variable '{stmt.name}'")
-                continue
-            try:
-                ek = infer_kind(stmt.expr, kinds)
-                if ek is not kinds[stmt.name]:
-                    issues.append(
-                        f"{where}: cannot assign {ek.value} expression"
-                        f" to {kinds[stmt.name].value} '{stmt.name}'"
-                    )
-            except LangError as e:
-                issues.append(f"{where}: {e}")
-        elif isinstance(stmt, Know):
-            check_cond(stmt.cond, where)
-        elif isinstance(stmt, (If, While)):
-            check_cond(stmt.cond, where)
-        for e in _stmt_exprs(stmt):
-            if isinstance(e, (CoinFlip, Uniform)):
-                sites.append(e.site)
-    if program.outcome is None:
-        issues.append("missing outcome")
-    else:
-        check_cond(program.outcome, "outcome")
-    if len(sites) != len(set(sites)):
-        issues.append("site identifiers are not unique")
-    return issues
+    return {
+        s.name for s in iter_stmts(stmts) if isinstance(s, (Assign, AddAssign, SubAssign))
+    }
 
 
 def generator_sites(program: Program) -> list[GeneratorSite]:
@@ -795,7 +735,7 @@ def generator_sites(program: Program) -> list[GeneratorSite]:
 
     def walk_stmts(stmts, in_loop: bool) -> None:
         for s in stmts:
-            for e in _stmt_exprs(s):
+            for e in reads(s):
                 if isinstance(e, (CoinFlip, Uniform)):
                     found.append(
                         GeneratorSite(len(found) + 1, e.site, isinstance(e, CoinFlip), in_loop)

@@ -113,6 +113,66 @@ def test_analyze_restrict(tmp_path, capsys):
     assert any("restricted" in w for w in d["warnings"])
 
 
+def one_line_error(err):
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"generators": [1]},
+        [1, 2],
+        {"generators": {"1": {"lo": 0.1}}},
+        {"generators": {"x": {"lo": 0.1, "hi": 0.2}}},
+        {"generators": {"2": {"lo": "0.1", "hi": 0.2}}},
+    ],
+)
+def test_analyze_malformed_restriction_exit_1(tmp_path, capsys, spec):
+    path = tmp_path / "restrict.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(
+        capsys, "analyze", FIG4, "--trials", "10", "--jobs", "1", "--restrict", str(path)
+    )
+    assert code == 1 and out == ""
+    assert one_line_error(err) and "generators" in err
+
+
+def test_analyze_non_finite_real_literal_exit_2(tmp_path, capsys):
+    src = tmp_path / "huge.amc"
+    src.write_text("double x; x = 1e400; x -= 1e400; know (x < 1.0);")
+    code, _, err = run_cli(capsys, "analyze", str(src), "--trials", "10", "--jobs", "1")
+    assert code == 2
+    assert one_line_error(err) and "1e400" in err
+
+
+def test_oracle_int64_overflow_exit_1(tmp_path, capsys):
+    src = tmp_path / "big.amc"
+    src.write_text("int x; x = 100000000000000000000; know (x > 0);")
+    code, _, err = run_cli(capsys, "oracle", str(src), "--n", "100")
+    assert code == 1
+    assert one_line_error(err)
+
+
+def test_domain_error_exit_1(capsys, monkeypatch):
+    from absmc import estimator
+    from absmc.intervals import DomainError
+
+    def fail(*args, **kwargs):
+        raise DomainError("undefined sum of infinities")
+
+    monkeypatch.setattr(estimator, "run", fail)
+    code, _, err = run_cli(capsys, "analyze", FIG1, "--trials", "10", "--jobs", "1")
+    assert code == 1
+    assert err == "error: undefined sum of infinities\n"
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_oracle_grid_below_one_exit_1(capsys, grid):
+    code, out, err = run_cli(capsys, "oracle", FIG1, "--n", "100", "--grid", grid)
+    assert code == 1 and out == ""
+    assert one_line_error(err) and "grid" in err
+
+
 def test_oracle_exact_text(capsys):
     code, out, _ = run_cli(capsys, "oracle", FIG1, "--mode", "exact")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -139,7 +140,7 @@ def test_sampled_oracle_deterministic(figs):
 
 def test_oracle_report_shape(figs):
     rep = oracle_estimate(figs["fig2"], mode="sampled", n=1000, seed=0)
-    d = rep.to_dict()
+    d = asdict(rep)
     assert set(d) == {"mode", "estimate", "paths_or_samples", "grid", "seed", "diagnostics"}
     assert d["paths_or_samples"] == 1000
 
@@ -164,3 +165,21 @@ def test_divergent_lanes_count_as_misses_in_sampled_mode():
     rep = oracle_estimate(p, mode="sampled", n=4000, seed=3, step_budget=200)
     assert rep.diagnostics
     assert abs(rep.estimate - 0.5) <= 4 * (0.25 / 4000) ** 0.5
+
+
+def test_sampled_oracle_budget_is_per_grid_point():
+    # every grid point runs 20 loop iterations; a budget of 30 suffices for
+    # one point, so the hitting points x = 2 and x = 3 must still count
+    p = parse("int x, i; know (x >= 0 && x <= 3); i = 0; while (i < 20) { i++; } know (x >= 2);")
+    rep = oracle_estimate(p, mode="sampled", n=100, seed=0, step_budget=30)
+    assert rep.estimate == 1.0
+    assert rep.diagnostics == ()
+    assert oracle_estimate(p, mode="exact").estimate == 1.0
+
+
+def test_nondet_spec_grid_of_one_takes_low_end():
+    p = parse("int x; double y; know (x >= 3 && x <= 90 && y >= 0.5 && y <= 2.0); know (x > 5 || y > 1.0);")
+    spec = NondetSpec.from_program(p, grid=1)
+    assert spec.grid_points(p) == {"x": [3], "y": [0.5]}
+    with pytest.raises(OracleError, match="grid"):
+        NondetSpec.from_program(p, grid=0)

