@@ -116,17 +116,6 @@ def evaluate(node: lang.Expr | lang.BoolExpr, env, draw):
     raise OracleError(f"unknown node {type(node).__name__}")
 
 
-def _assigned(stmt: lang.Assign | lang.AddAssign | lang.SubAssign, env, draw):
-    """The value an assignment statement stores.  The evaluated operand
-    stays an unnamed temporary, so numpy may reuse its buffer."""
-
-    if isinstance(stmt, lang.AddAssign):
-        return env[stmt.name] + evaluate(stmt.expr, env, draw)
-    if isinstance(stmt, lang.SubAssign):
-        return env[stmt.name] - evaluate(stmt.expr, env, draw)
-    return evaluate(stmt.expr, env, draw)
-
-
 class _Pruned(Exception):
     pass
 
@@ -168,8 +157,8 @@ def run_concrete(
     def ex_block(stmts) -> None:
         for s in stmts:
             tick()
-            if isinstance(s, (lang.Assign, lang.AddAssign, lang.SubAssign)):
-                env[s.name] = _assigned(s, env, draw)
+            if isinstance(s, lang.Assign):
+                env[s.name] = evaluate(s.expr, env, draw)
             elif isinstance(s, lang.Know):
                 if not evaluate(s.cond, env, draw):
                     raise _Pruned()
@@ -217,14 +206,14 @@ def _collect_unassigned_reads(stmts, assigned: set[str], found: set[str]) -> Non
 
     for stmt in stmts:
         found |= _read_vars(stmt) - assigned
-        if isinstance(stmt, (lang.Assign, lang.AddAssign, lang.SubAssign)):
+        if isinstance(stmt, lang.Assign):
             assigned.add(stmt.name)
         elif isinstance(stmt, lang.If):
-            then_assigned = set(assigned)
-            else_assigned = set(assigned)
-            _collect_unassigned_reads(stmt.then, then_assigned, found)
-            _collect_unassigned_reads(stmt.orelse, else_assigned, found)
-            assigned |= then_assigned & else_assigned
+            assigned_then = set(assigned)
+            assigned_else = set(assigned)
+            _collect_unassigned_reads(stmt.then, assigned_then, found)
+            _collect_unassigned_reads(stmt.orelse, assigned_else, found)
+            assigned |= assigned_then & assigned_else
         elif isinstance(stmt, lang.While):
             _collect_unassigned_reads(stmt.body, set(assigned), found)
 
@@ -326,10 +315,6 @@ class OracleReport:
     diagnostics: tuple[str, ...] = ()
 
 
-def _has_uniform(program: lang.Program) -> bool:
-    return any(not g.coin for g in lang.generator_sites(program))
-
-
 def oracle_estimate(
     program: lang.Program,
     *,
@@ -348,7 +333,7 @@ def oracle_estimate(
     spec = spec or NondetSpec.from_program(program, grid)
     combos = spec.combos(program)
     if mode == "exact":
-        if _has_uniform(program):
+        if not all(g.coin for g in lang.generator_sites(program)):
             raise OracleError("exact mode requires all generators to be coin_flip")
         total, leaves = _exact_discrete(program, combos, node_budget, step_budget)
         return OracleReport("exact", float(total), leaves, spec.grid, None)
@@ -400,10 +385,39 @@ def _exact_discrete(program, combos, node_budget, step_budget=1_000_000) -> tupl
     return total, leaves[0]
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def _growth(node, kinds: dict[str, Kind]) -> tuple[int, int]:
+    """(a, b) such that |value| <= a * m + b, and so does every sum inside
+    it, on lanes whose INT variables all lie in [-m, m].  A condition takes
+    the larger of its operands' (a, b); REAL nodes give (0, 0)."""
+
+    if isinstance(node, lang.Var):
+        return (1, 0) if kinds[node.name] is Kind.INT else (0, 0)
+    if isinstance(node, lang.IntLit):
+        return 0, abs(node.value)
+    if isinstance(node, lang.CoinFlip):
+        return 0, 1
+    if isinstance(node, lang.MulConst):
+        a, b = _growth(node.expr, kinds)
+        return abs(node.coeff.value) * a, abs(node.coeff.value) * b
+    if isinstance(node, (lang.Add, lang.Sub, lang.Cmp, lang.And, lang.Or)):
+        (a, b), (c, d) = _growth(node.left, kinds), _growth(node.right, kinds)
+        if isinstance(node, (lang.Add, lang.Sub)):
+            return a + c, b + d
+        return max(a, c), max(b, d)
+    return 0, 0
+
+
 class _VectorRun:
     """Vectorized concrete execution of one grid point over a batch of
     samples.  Draw arrays are shared across grid points through the
-    caller's table, mirroring the shared product measure."""
+    caller's table, mirroring the shared product measure.
+
+    INT lanes hold int64, which wraps silently, so `_bound` checks each
+    expression and condition before it is evaluated.
+    """
 
     def __init__(self, program, table, rng, m, step_budget=1_000_000):
         self.program = program
@@ -413,6 +427,9 @@ class _VectorRun:
         self.m = m
         self.step_budget = step_budget
         self.diagnosed = False
+        stmts = lang.iter_stmts(program.body)
+        nodes = [s.expr if isinstance(s, lang.Assign) else s.cond for s in stmts]
+        self.growth = {id(n): _growth(n, self.kinds) for n in nodes + [program.outcome]}
 
     def _draw(self, gen):
         key = (gen.site, tuple(self.word))
@@ -427,6 +444,8 @@ class _VectorRun:
 
     def run(self, combo: dict) -> np.ndarray:
         self.env = {}
+        # a bound on the magnitude of every INT lane
+        self.limit = max((abs(v) for n, v in combo.items() if self.kinds[n] is Kind.INT), default=0)
         for name, kind in self.kinds.items():
             dtype = np.int64 if kind is Kind.INT else np.float64
             value = combo.get(name, 0)
@@ -437,7 +456,21 @@ class _VectorRun:
         self._block(self.program.body, np.ones(self.m, dtype=bool))
         return self._holds(self.program.outcome) & self.alive
 
+    def _bound(self, node) -> int:
+        """Bound on the magnitude of ``node``'s values; OverflowError if
+        they, or a sum inside them, may leave int64."""
+
+        a, b = self.growth[id(node)]
+        if a * self.limit + b > _INT64_MAX:
+            # ``limit`` only grows with assignments: tighten it to the lanes
+            ints = [v for v in self.env.values() if v.dtype == np.int64]
+            self.limit = max((max(int(v.max()), -int(v.min())) for v in ints), default=0)
+            if a * self.limit + b > _INT64_MAX:
+                raise OverflowError("integer overflow: sampled-oracle lanes hold int64")
+        return a * self.limit + b
+
     def _holds(self, cond) -> np.ndarray:
+        self._bound(cond)
         out = evaluate(cond, self.env, self._draw)
         # a condition over literals only yields one bool for every lane
         return out if isinstance(out, np.ndarray) else np.full(self.m, out)
@@ -446,9 +479,11 @@ class _VectorRun:
         for s in stmts:
             if not mask.any():
                 return
-            if isinstance(s, (lang.Assign, lang.AddAssign, lang.SubAssign)):
-                value = _assigned(s, self.env, self._draw)
-                np.copyto(self.env[s.name], value, where=mask, casting="same_kind")
+            if isinstance(s, lang.Assign):
+                bound = self._bound(s.expr)
+                # the value stays an unnamed temporary, so numpy may reuse its buffer
+                np.copyto(self.env[s.name], evaluate(s.expr, self.env, self._draw), where=mask)
+                self.limit = max(self.limit, bound)
             elif isinstance(s, lang.Know):
                 self.alive &= ~mask | self._holds(s.cond)
             elif isinstance(s, lang.If):

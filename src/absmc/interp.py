@@ -130,13 +130,8 @@ def eval_stmt(stmt: lang.Stmt, env: AbstractEnv, ctx: TrialContext) -> AbstractE
     ctx.tick()
     if env.is_bottom():
         return env
-    if isinstance(stmt, (lang.Assign, lang.AddAssign, lang.SubAssign)):
-        value = eval_range(stmt.expr, env, ctx.draw)
-        if isinstance(stmt, lang.AddAssign):
-            value = env.get(stmt.name).add(value)
-        elif isinstance(stmt, lang.SubAssign):
-            value = env.get(stmt.name).sub(value)
-        out = env.assign(stmt.name, value)
+    if isinstance(stmt, lang.Assign):
+        out = env.assign(stmt.name, eval_range(stmt.expr, env, ctx.draw))
     elif isinstance(stmt, lang.Know):
         out = filter_env(env, stmt.cond, True)
     elif isinstance(stmt, lang.If):
@@ -226,26 +221,18 @@ def analyze_trial(
         restriction=restriction,
         trace=trace,
     )
-    env = AbstractEnv.tops(program.kinds())
     try:
-        env = eval_block(program.body, env, ctx)
-        final = filter_env(env, program.outcome, True)
-        hit = 0 if final.is_bottom() else 1
-        return TrialOutcome(
-            hit=hit,
-            env=env,
-            table=ctx.table,
-            widened_loops=ctx.widened_loops,
-            seed=seed,
-            steps=ctx.steps,
-        )
+        env = eval_block(program.body, AbstractEnv.tops(program.kinds()), ctx)
+        hit = 0 if filter_env(env, program.outcome, True).is_bottom() else 1
+        aborted = False
     except StepBudgetExceeded:
-        return TrialOutcome(
-            hit=1,
-            env=None,
-            table=ctx.table,
-            widened_loops=ctx.widened_loops,
-            seed=seed,
-            aborted=True,
-            steps=ctx.steps,
-        )
+        env, hit, aborted = None, 1, True
+    return TrialOutcome(
+        hit=hit,
+        env=env,
+        table=ctx.table,
+        widened_loops=ctx.widened_loops,
+        seed=seed,
+        aborted=aborted,
+        steps=ctx.steps,
+    )

@@ -466,18 +466,18 @@ def _refine_var(env: AbstractEnv, name: str, op: str, b: Interval) -> AbstractEn
 _MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 
 
-def _refine_cmp(env: AbstractEnv, cmp: lang.Cmp) -> AbstractEnv:
-    li = eval_range(cmp.left, env)
-    ri = eval_range(cmp.right, env)
-    if _definitely_empty(cmp.op, li, ri):
+def _refine_cmp(env: AbstractEnv, left: lang.Expr, op: str, right: lang.Expr) -> AbstractEnv:
+    li = eval_range(left, env)
+    ri = eval_range(right, env)
+    if _definitely_empty(op, li, ri):
         return AbstractEnv.unreachable()
     out = env
-    if isinstance(cmp.left, lang.Var):
-        out = _refine_var(out, cmp.left.name, cmp.op, ri)
+    if isinstance(left, lang.Var):
+        out = _refine_var(out, left.name, op, ri)
         if out.is_bottom():
             return out
-    if isinstance(cmp.right, lang.Var):
-        out = _refine_var(out, cmp.right.name, _MIRROR[cmp.op], li)
+    if isinstance(right, lang.Var):
+        out = _refine_var(out, right.name, _MIRROR[op], li)
     return out
 
 
@@ -489,10 +489,8 @@ def filter_env(env: AbstractEnv, cond: lang.BoolExpr, polarity: bool = True) -> 
     if env.is_bottom():
         return env
     if isinstance(cond, lang.Cmp):
-        if polarity:
-            return _refine_cmp(env, cond)
-        flipped = lang.Cmp(cond.left, _NEGATED[cond.op], cond.right, pos=cond.pos)
-        return _refine_cmp(env, flipped)
+        op = cond.op if polarity else _NEGATED[cond.op]
+        return _refine_cmp(env, cond.left, op, cond.right)
     if isinstance(cond, lang.And):
         if polarity:
             return filter_env(filter_env(env, cond.left, True), cond.right, True)

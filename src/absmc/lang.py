@@ -21,9 +21,15 @@ C-flavored surface syntax:
     relop    := "<" | "<=" | ">" | ">=" | "==" | "!="
 
 Comments are ``/* ... */``.  Integer and real arithmetic never mix inside
-one expression; ``coin_flip()`` is an integer generator over {0, 1} and
-``uniform()`` a real generator over [0, 1].  ``++``/``--`` desugar to
-``+= 1`` / ``-= 1`` of the variable's kind.
+one expression; the parser checks kinds as it goes and reports a mix at
+the offending operator.  ``coin_flip()`` is an integer generator over
+{0, 1} and ``uniform()`` a real generator over [0, 1].
+
+``x += e`` and ``x -= e`` are sugar for ``x = x + e`` and ``x = x - e``,
+and ``x++``/``x--`` for ``x += 1``/``x -= 1`` with a literal 1 of x's
+kind: the AST has one assignment node, so ``--trace`` labels every
+assignment ``Assign``, and ``to_source`` prints ``x = x + e`` and
+``x = x - e`` back in compound form.
 
 The last top-level ``know`` of a source file states the outcome event
 whose probability is being bounded; every other ``know`` is an assumption
@@ -40,6 +46,7 @@ and safe to share between threads and processes.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -62,14 +69,11 @@ class LangError(Exception):
         super().__init__(message)
 
 
-_NOPOS = (0, 0)
-
-
 # ---------------------------------------------------------------------------
 # AST
 #
-# Positions are carried for diagnostics but excluded from equality so that
-# structurally identical programs compare equal regardless of layout.
+# Sites are excluded from equality, so structurally identical programs
+# compare equal whatever their sites.
 # ---------------------------------------------------------------------------
 
 
@@ -81,33 +85,28 @@ class Expr:
 @dataclass(frozen=True, slots=True)
 class IntLit(Expr):
     value: int
-    pos: tuple[int, int] = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class RealLit(Expr):
     value: float
-    pos: tuple[int, int] = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class Var(Expr):
     name: str
-    pos: tuple[int, int] = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class Add(Expr):
     left: Expr
     right: Expr
-    pos: tuple[int, int] = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class Sub(Expr):
     left: Expr
     right: Expr
-    pos: tuple[int, int] = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,7 +116,6 @@ class MulConst(Expr):
 
     coeff: IntLit | RealLit
     expr: Expr
-    pos: tuple[int, int] = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,7 +123,6 @@ class CoinFlip(Expr):
     """Random draw, uniform on {0, 1}.  Integer kind."""
 
     site: int = field(compare=False)
-    pos: tuple[int, int] = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +130,6 @@ class Uniform(Expr):
     """Random draw, uniform on [0, 1].  Real kind."""
 
     site: int = field(compare=False)
-    pos: tuple[int, int] = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,21 +145,18 @@ class Cmp(BoolExpr):
     left: Expr
     op: str
     right: Expr
-    pos: tuple[int, int] = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class And(BoolExpr):
     left: BoolExpr
     right: BoolExpr
-    pos: tuple[int, int] = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class Or(BoolExpr):
     left: BoolExpr
     right: BoolExpr
-    pos: tuple[int, int] = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,30 +169,12 @@ class Assign(Stmt):
     site: int = field(compare=False)
     name: str
     expr: Expr
-    pos: tuple[int, int] = field(default=_NOPOS, compare=False, repr=False)
-
-
-@dataclass(frozen=True, slots=True)
-class AddAssign(Stmt):
-    site: int = field(compare=False)
-    name: str
-    expr: Expr
-    pos: tuple[int, int] = field(default=_NOPOS, compare=False, repr=False)
-
-
-@dataclass(frozen=True, slots=True)
-class SubAssign(Stmt):
-    site: int = field(compare=False)
-    name: str
-    expr: Expr
-    pos: tuple[int, int] = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class Know(Stmt):
     site: int = field(compare=False)
     cond: BoolExpr
-    pos: tuple[int, int] = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,7 +183,6 @@ class If(Stmt):
     cond: BoolExpr
     then: tuple[Stmt, ...]
     orelse: tuple[Stmt, ...]
-    pos: tuple[int, int] = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,7 +190,6 @@ class While(Stmt):
     site: int = field(compare=False)
     cond: BoolExpr
     body: tuple[Stmt, ...]
-    pos: tuple[int, int] = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -336,43 +309,6 @@ def _tokenize(src: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# Kind inference
-# ---------------------------------------------------------------------------
-
-
-def infer_kind(expr: Expr, kinds: dict[str, Kind]) -> Kind:
-    """Kind of an expression, raising on undeclared variables or on mixed
-    integer/real operands."""
-
-    if isinstance(expr, IntLit):
-        return Kind.INT
-    if isinstance(expr, RealLit):
-        return Kind.REAL
-    if isinstance(expr, CoinFlip):
-        return Kind.INT
-    if isinstance(expr, Uniform):
-        return Kind.REAL
-    if isinstance(expr, Var):
-        k = kinds.get(expr.name)
-        if k is None:
-            raise LangError(f"undeclared variable '{expr.name}'", *expr.pos)
-        return k
-    if isinstance(expr, (Add, Sub)):
-        lk = infer_kind(expr.left, kinds)
-        rk = infer_kind(expr.right, kinds)
-        if lk is not rk:
-            raise LangError("mixed integer and real operands", *expr.pos)
-        return lk
-    if isinstance(expr, MulConst):
-        ck = infer_kind(expr.coeff, kinds)
-        ek = infer_kind(expr.expr, kinds)
-        if ck is not ek:
-            raise LangError("mixed integer and real operands", *expr.pos)
-        return ek
-    raise LangError(f"unknown expression node {type(expr).__name__}")
-
-
-# ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
@@ -406,12 +342,6 @@ class _Parser:
         if t.kind == "PUNCT" and t.text == text:
             return self._advance()
         raise LangError(f"expected '{text}', found {t.text!r}", t.line, t.col)
-
-    def _accept_word(self, word: str) -> _Token | None:
-        t = self._peek()
-        if t.kind == "IDENT" and t.text == word:
-            return self._advance()
-        return None
 
     def _site(self) -> int:
         s = self._next_site
@@ -462,30 +392,22 @@ class _Parser:
         t = self._peek()
         if t.kind == "PUNCT" and t.text == "{":
             return list(self._block())
-        if t.kind == "IDENT" and t.text == "know":
+        if t.kind == "IDENT" and t.text in ("know", "if", "while"):
             self._advance()
             self._expect("(")
             cond = self.bool_expr()
             self._expect(")")
-            self._expect(";")
-            return [Know(self._site(), cond, pos=(t.line, t.col))]
-        if t.kind == "IDENT" and t.text == "if":
-            self._advance()
-            self._expect("(")
-            cond = self.bool_expr()
-            self._expect(")")
-            then = self._block()
-            orelse: tuple[Stmt, ...] = ()
-            if self._accept_word("else"):
-                orelse = self._block()
-            return [If(self._site(), cond, then, orelse, pos=(t.line, t.col))]
-        if t.kind == "IDENT" and t.text == "while":
-            self._advance()
-            self._expect("(")
-            cond = self.bool_expr()
-            self._expect(")")
+            if t.text == "know":
+                self._expect(";")
+                return [Know(self._site(), cond)]
             body = self._block()
-            return [While(self._site(), cond, body, pos=(t.line, t.col))]
+            if t.text == "while":
+                return [While(self._site(), cond, body)]
+            orelse: tuple[Stmt, ...] = ()
+            if self._peek().kind == "IDENT" and self._peek().text == "else":
+                self._advance()
+                orelse = self._block()
+            return [If(self._site(), cond, body, orelse)]
         if t.kind == "IDENT":
             return [self._assignment()]
         raise LangError(f"expected statement, found {t.text!r}", t.line, t.col)
@@ -501,50 +423,41 @@ class _Parser:
         self._expect("}")
         return tuple(stmts)
 
-    def _assignment(self) -> Stmt:
+    def _assignment(self) -> Assign:
         name_tok = self._advance()
         name = name_tok.text
         kind = self._kinds.get(name)
         if kind is None:
             raise LangError(f"undeclared variable '{name}'", name_tok.line, name_tok.col)
-        op = self._peek()
-        pos = (name_tok.line, name_tok.col)
-        if op.kind == "PUNCT" and op.text in ("++", "--"):
-            self._advance()
-            self._expect(";")
-            one: Expr = IntLit(1, pos=pos) if kind is Kind.INT else RealLit(1.0, pos=pos)
-            cls = AddAssign if op.text == "++" else SubAssign
-            return cls(self._site(), name, one, pos=pos)
-        if op.kind == "PUNCT" and op.text in ("=", "+=", "-="):
-            self._advance()
-            expr = self.expr()
-            self._expect(";")
-            ek = infer_kind(expr, self._kinds)
-            if ek is not kind:
-                raise LangError(
-                    f"cannot assign {ek.value} expression to {kind.value} '{name}'",
-                    op.line,
-                    op.col,
-                )
-            cls = {"=": Assign, "+=": AddAssign, "-=": SubAssign}[op.text]
-            return cls(self._site(), name, expr, pos=pos)
-        raise LangError(f"expected assignment operator, found {op.text!r}", op.line, op.col)
+        op = self._advance()
+        if not (op.kind == "PUNCT" and op.text in ("=", "+=", "-=", "++", "--")):
+            raise LangError(f"expected assignment operator, found {op.text!r}", op.line, op.col)
+        if op.text in ("++", "--"):
+            expr, ek = (IntLit(1) if kind is Kind.INT else RealLit(1.0)), kind
+        else:
+            expr, ek = self.expr()
+        self._expect(";")
+        if ek is not kind:
+            raise LangError(
+                f"cannot assign {ek.value} expression to {kind.value} '{name}'",
+                op.line,
+                op.col,
+            )
+        if op.text != "=":  # x += e is x = x + e; x++ is x += 1
+            expr = (Add if op.text[0] == "+" else Sub)(Var(name), expr)
+        return Assign(self._site(), name, expr)
 
     def bool_expr(self) -> BoolExpr:
         node = self._bool_and()
-        while True:
-            t = self._accept("||")
-            if t is None:
-                return node
-            node = Or(node, self._bool_and(), pos=(t.line, t.col))
+        while self._accept("||"):
+            node = Or(node, self._bool_and())
+        return node
 
     def _bool_and(self) -> BoolExpr:
         node = self._bool_atom()
-        while True:
-            t = self._accept("&&")
-            if t is None:
-                return node
-            node = And(node, self._bool_atom(), pos=(t.line, t.col))
+        while self._accept("&&"):
+            node = And(node, self._bool_atom())
+        return node
 
     def _bool_atom(self) -> BoolExpr:
         # "(" may open either a boolean group or the arithmetic left-hand
@@ -564,80 +477,85 @@ class _Parser:
         return self._comparison()
 
     def _comparison(self) -> BoolExpr:
-        left = self.expr()
+        left, lk = self.expr()
         t = self._peek()
         if not (t.kind == "PUNCT" and t.text in RELOPS):
             raise LangError(f"expected comparison operator, found {t.text!r}", t.line, t.col)
         self._advance()
-        right = self.expr()
-        lk = infer_kind(left, self._kinds)
-        rk = infer_kind(right, self._kinds)
+        right, rk = self.expr()
         if lk is not rk:
             raise LangError("comparison mixes integer and real operands", t.line, t.col)
-        return Cmp(left, t.text, right, pos=(t.line, t.col))
+        return Cmp(left, t.text, right)
 
-    def expr(self) -> Expr:
-        node = self.term()
+    # expr, term and factor return each sub-expression with its kind, so a
+    # kind error is reported at the operator that mixes integer and real
+
+    @staticmethod
+    def _same_kind(left: Kind, right: Kind, op: _Token) -> Kind:
+        if left is not right:
+            raise LangError("mixed integer and real operands", op.line, op.col)
+        return left
+
+    def expr(self) -> tuple[Expr, Kind]:
+        node, kind = self.term()
         while True:
             t = self._peek()
-            if t.kind == "PUNCT" and t.text in ("+", "-"):
-                self._advance()
-                right = self.term()
-                cls = Add if t.text == "+" else Sub
-                node = cls(node, right, pos=(t.line, t.col))
-            else:
-                return node
+            if not (t.kind == "PUNCT" and t.text in ("+", "-")):
+                return node, kind
+            self._advance()
+            right, rk = self.term()
+            kind = self._same_kind(kind, rk, t)
+            node = (Add if t.text == "+" else Sub)(node, right)
 
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            t = self._accept("*")
-            if t is None:
-                return node
-            rhs = self.factor()
+    def term(self) -> tuple[Expr, Kind]:
+        node, kind = self.factor()
+        while t := self._accept("*"):
+            rhs, rk = self.factor()
             if isinstance(node, (IntLit, RealLit)):
-                node = MulConst(node, rhs, pos=(t.line, t.col))
+                node = MulConst(node, rhs)
             elif isinstance(rhs, (IntLit, RealLit)):
-                node = MulConst(rhs, node, pos=(t.line, t.col))
+                node = MulConst(rhs, node)
             else:
                 raise LangError("multiplication requires a literal factor", t.line, t.col)
+            kind = self._same_kind(kind, rk, t)
+        return node, kind
 
-    def factor(self) -> Expr:
+    def factor(self) -> tuple[Expr, Kind]:
         t = self._peek()
         if t.kind == "PUNCT" and t.text == "-":
             self._advance()
             lit = self._peek()
             if lit.kind == "INT":
                 self._advance()
-                return IntLit(-lit.value, pos=(t.line, t.col))
+                return IntLit(-lit.value), Kind.INT
             if lit.kind == "REAL":
                 self._advance()
-                return RealLit(-lit.value, pos=(t.line, t.col))
+                return RealLit(-lit.value), Kind.REAL
             raise LangError("'-' must precede a numeric literal", t.line, t.col)
         if t.kind == "INT":
             self._advance()
-            return IntLit(t.value, pos=(t.line, t.col))
+            return IntLit(t.value), Kind.INT
         if t.kind == "REAL":
             self._advance()
-            return RealLit(t.value, pos=(t.line, t.col))
+            return RealLit(t.value), Kind.REAL
         if t.kind == "IDENT" and t.text in ("coin_flip", "uniform"):
             self._advance()
             self._expect("(")
             self._expect(")")
-            site = self._site()
             if t.text == "coin_flip":
-                return CoinFlip(site, pos=(t.line, t.col))
-            return Uniform(site, pos=(t.line, t.col))
+                return CoinFlip(self._site()), Kind.INT
+            return Uniform(self._site()), Kind.REAL
         if t.kind == "IDENT":
-            if t.text not in self._kinds:
+            kind = self._kinds.get(t.text)
+            if kind is None:
                 raise LangError(f"undeclared variable '{t.text}'", t.line, t.col)
             self._advance()
-            return Var(t.text, pos=(t.line, t.col))
+            return Var(t.text), kind
         if t.kind == "PUNCT" and t.text == "(":
             self._advance()
-            node = self.expr()
+            node, kind = self.expr()
             self._expect(")")
-            return node
+            return node, kind
         raise LangError(f"expected expression, found {t.text!r}", t.line, t.col)
 
 
@@ -699,18 +617,14 @@ def iter_stmts(stmts):
 def reads(node: Expr | BoolExpr | Stmt):
     """Variable and generator leaves read by an expression, a condition or
     one statement's own expression or guard (not its nested blocks), left
-    to right.  ``x += e`` and ``x -= e`` read ``x`` first."""
+    to right."""
 
     if isinstance(node, (Var, CoinFlip, Uniform)):
         yield node
     elif isinstance(node, (Add, Sub, Cmp, And, Or)):
         yield from reads(node.left)
         yield from reads(node.right)
-    elif isinstance(node, MulConst):
-        yield from reads(node.expr)
-    elif isinstance(node, (Assign, AddAssign, SubAssign)):
-        if not isinstance(node, Assign):
-            yield Var(node.name)
+    elif isinstance(node, (MulConst, Assign)):
         yield from reads(node.expr)
     elif isinstance(node, (Know, If, While)):
         yield from reads(node.cond)
@@ -719,9 +633,7 @@ def reads(node: Expr | BoolExpr | Stmt):
 def writes(stmts) -> set[str]:
     """Variables assigned anywhere in the statements, nested blocks included."""
 
-    return {
-        s.name for s in iter_stmts(stmts) if isinstance(s, (Assign, AddAssign, SubAssign))
-    }
+    return {s.name for s in iter_stmts(stmts) if isinstance(s, Assign)}
 
 
 def generator_sites(program: Program) -> list[GeneratorSite]:
@@ -781,29 +693,30 @@ def _expr_str(expr: Expr) -> str:
 
 
 def _bool_str(cond: BoolExpr) -> str:
+    # && and || group to the left and && binds tighter, so a right operand
+    # of the same operator, or an || under &&, needs parentheses
     if isinstance(cond, Cmp):
         return f"{_expr_str(cond.left)} {cond.op} {_expr_str(cond.right)}"
     if isinstance(cond, And):
-        parts = []
-        for side in (cond.left, cond.right):
-            s = _bool_str(side)
-            if isinstance(side, Or):
-                s = f"({s})"
-            parts.append(s)
-        return " && ".join(parts)
+        return f"{_bool_group(cond.left, Or)} && {_bool_group(cond.right, (And, Or))}"
     if isinstance(cond, Or):
-        return f"{_bool_str(cond.left)} || {_bool_str(cond.right)}"
+        return f"{_bool_str(cond.left)} || {_bool_group(cond.right, Or)}"
     raise LangError(f"unknown condition node {type(cond).__name__}")
+
+
+def _bool_group(cond: BoolExpr, grouped) -> str:
+    text = _bool_str(cond)
+    return f"({text})" if isinstance(cond, grouped) else text
 
 
 def _stmt_lines(stmt: Stmt, indent: int) -> list[str]:
     pad = "  " * indent
     if isinstance(stmt, Assign):
-        return [f"{pad}{stmt.name} = {_expr_str(stmt.expr)};"]
-    if isinstance(stmt, AddAssign):
-        return [f"{pad}{stmt.name} += {_expr_str(stmt.expr)};"]
-    if isinstance(stmt, SubAssign):
-        return [f"{pad}{stmt.name} -= {_expr_str(stmt.expr)};"]
+        e = stmt.expr
+        if isinstance(e, (Add, Sub)) and e.left == Var(stmt.name):  # x = x + e prints x += e
+            op = "+" if isinstance(e, Add) else "-"
+            return [f"{pad}{stmt.name} {op}= {_expr_str(e.right)};"]
+        return [f"{pad}{stmt.name} = {_expr_str(e)};"]
     if isinstance(stmt, Know):
         return [f"{pad}know ({_bool_str(stmt.cond)});"]
     if isinstance(stmt, If):
@@ -829,17 +742,8 @@ def to_source(program: Program) -> str:
     """Canonical text rendering; parsing it back yields an equal Program."""
 
     lines: list[str] = []
-    group: list[str] = []
-    group_kind: Kind | None = None
-    for name, kind in program.declarations:
-        if kind is group_kind:
-            group.append(name)
-        else:
-            if group:
-                lines.append(f"{group_kind.value} {', '.join(group)};")
-            group, group_kind = [name], kind
-    if group:
-        lines.append(f"{group_kind.value} {', '.join(group)};")
+    for kind, group in itertools.groupby(program.declarations, key=lambda d: d[1]):
+        lines.append(f"{kind.value} {', '.join(name for name, _ in group)};")
     for stmt in program.body:
         lines.extend(_stmt_lines(stmt, 0))
     if program.outcome is not None:

@@ -153,6 +153,36 @@ def test_oracle_int64_overflow_exit_1(tmp_path, capsys):
     assert one_line_error(err)
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        "int x; x = 9000000000000000000; x += 9000000000000000000; know (x < 0);",
+        "int x; know (x>=0 && x<=3); x += 4611686018427387904;"
+        " x += 4611686018427387904; know (x < 0);",
+    ],
+)
+def test_sampled_oracle_int64_wrap_exit_1(tmp_path, capsys, source):
+    # int64 lanes would wrap to negative values and report estimate 1.0
+    src = tmp_path / "wrap.amc"
+    src.write_text(source)
+    code, _, err = run_cli(capsys, "oracle", str(src), "--mode", "sampled", "--n", "100")
+    assert code == 1
+    assert one_line_error(err) and "overflow" in err
+    code, out, _ = run_cli(capsys, "oracle", str(src), "--mode", "exact")
+    assert code == 0
+    assert "estimate: 0.0" in out
+
+
+def test_sampled_oracle_bound_tightens_to_lanes(tmp_path, capsys):
+    # the kept magnitude bound triples each iteration and passes int64
+    # long before the loop ends; the lanes themselves stay at 3
+    src = tmp_path / "steady.amc"
+    src.write_text("int y, i; y = 3; i = 0; while (i < 100) { y = 2 * y - y; i++; } know (y == 3);")
+    code, out, _ = run_cli(capsys, "oracle", str(src), "--mode", "sampled", "--n", "100")
+    assert code == 0
+    assert "estimate: 1.0" in out
+
+
 def test_domain_error_exit_1(capsys, monkeypatch):
     from absmc import estimator
     from absmc.intervals import DomainError

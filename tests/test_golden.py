@@ -16,6 +16,7 @@ from absmc import corpus
 from absmc.concrete import oracle_estimate
 from absmc.estimator import run
 from absmc.interp import TrialConfig
+from absmc.lang import parse, to_source
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 SEED = 20070101
@@ -71,3 +72,55 @@ def test_golden_exact_oracle(figs):
     rep = oracle_estimate(figs["fig1"], mode="exact")
     assert rep.estimate == 0.5
     assert rep.paths_or_samples == 32
+
+
+# Assignment forms the corpus lacks: ``-=``, ``--``, REAL ``++`` and a
+# compound right-hand side.
+COMPOUND = {
+    "compound_int": (
+        "int x, i; know (x>=0 && x<=9); i = 10;"
+        " while (i > 0) { x -= coin_flip(); i--; x += 2 * coin_flip() - 1; }"
+        " know (x < 0 - 2);",
+        763,
+        0.75692,
+        "int x, i;\n"
+        "know (x >= 0 && x <= 9);\n"
+        "i = 10;\n"
+        "while (i > 0) {\n"
+        "  x -= coin_flip();\n"
+        "  i -= 1;\n"
+        "  x += 2 * coin_flip() - 1;\n"
+        "}\n"
+        "know (x < 0 - 2);\n",
+    ),
+    "compound_real": (
+        "double x, y; know (x>=0. && x<=1.); y = uniform(); y -= 0.5 * x; x--;"
+        " x -= y - uniform(); if (x < 0.0-1.0) { x++; } else { x -= 0.25; }"
+        " know (x < 0.0-0.9);",
+        781,
+        0.79062,
+        "double x, y;\n"
+        "know (x >= 0.0 && x <= 1.0);\n"
+        "y = uniform();\n"
+        "y -= 0.5 * x;\n"
+        "x -= 1.0;\n"
+        "x -= y - uniform();\n"
+        "if (x < 0.0 - 1.0) {\n"
+        "  x += 1.0;\n"
+        "} else {\n"
+        "  x -= 0.25;\n"
+        "}\n"
+        "know (x < 0.0 - 0.9);\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOUND))
+def test_golden_compound_assignments(name):
+    source, hits, estimate, text = COMPOUND[name]
+    program = parse(source, name=name)
+    assert run(program, TRIALS, 0.01, SEED, 1).hits == hits
+    rep = oracle_estimate(program, mode="sampled", n=50_000, seed=0, grid=16)
+    assert rep.estimate == estimate
+    assert to_source(program) == text
+    assert parse(text) == program
