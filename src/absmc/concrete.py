@@ -350,6 +350,12 @@ def oracle_estimate(
     return OracleReport("sampled", hits / n, n, spec.grid, seed, tuple(diagnostics[:4]))
 
 
+# The most coins one path of the exact enumeration may read.  It recurses
+# once per coin, and each level re-runs the program up to the next coin,
+# so a longer path would overflow the stack or outlast any node budget.
+_MAX_PATH_COINS = 500
+
+
 def _exact_discrete(program, combos, node_budget, step_budget=1_000_000) -> tuple[Fraction, int]:
     """Exact expectation of the grid-maximized hit indicator, by lazy
     enumeration of coin assignments: a class of coin sequences splits only
@@ -375,6 +381,8 @@ def _exact_discrete(program, combos, node_budget, step_budget=1_000_000) -> tupl
         if missing is None:
             leaves[0] += 1
             return Fraction(0)
+        if len(assignment) == _MAX_PATH_COINS:
+            raise OracleError(f"exact enumeration met a path of over {_MAX_PATH_COINS} coins")
         zero = dict(assignment)
         zero[missing] = 0
         one = dict(assignment)
@@ -386,6 +394,7 @@ def _exact_discrete(program, combos, node_budget, step_budget=1_000_000) -> tupl
 
 
 _INT64_MAX = 2**63 - 1
+_DRAW_TABLE_BYTES = 1 << 30  # cap on one batch's draw table
 
 
 def _growth(node, kinds: dict[str, Kind]) -> tuple[int, int]:
@@ -435,6 +444,11 @@ class _VectorRun:
         key = (gen.site, tuple(self.word))
         arr = self.table.get(key)
         if arr is None:
+            if (len(self.table) + 1) * self.m * 8 > _DRAW_TABLE_BYTES:  # 8-byte lanes
+                raise OracleError(
+                    f"sampled-oracle draw table would pass {_DRAW_TABLE_BYTES} bytes"
+                    f" ({len(self.table) + 1} draws of {self.m} lanes); lower --n"
+                )
             if isinstance(gen, lang.CoinFlip):
                 arr = self.rng.integers(0, 2, size=self.m, dtype=np.int64)
             else:

@@ -60,60 +60,25 @@ def _sum_is_exact(a: float, b: float, s: float) -> bool:
     return (a - av) == 0.0 and (b - bv) == 0.0
 
 
-def _add_down(a: float, b: float) -> float:
-    s = a + b
-    if s != s:
-        raise DomainError("undefined sum of infinities")
-    if s == -INF:
-        return s
-    if s == INF:
-        return INF if (a == INF or b == INF) else _MAX
-    if math.isinf(a) or math.isinf(b):
-        return s
-    return s if _sum_is_exact(a, b, s) else math.nextafter(s, -INF)
-
-
-def _add_up(a: float, b: float) -> float:
-    s = a + b
-    if s != s:
-        raise DomainError("undefined sum of infinities")
-    if s == INF:
-        return s
-    if s == -INF:
-        return -INF if (a == -INF or b == -INF) else -_MAX
-    if math.isinf(a) or math.isinf(b):
-        return s
-    return s if _sum_is_exact(a, b, s) else math.nextafter(s, INF)
-
-
 def _mul_is_exact(a: float, b: float, p: float) -> bool:
     return Fraction(a) * Fraction(b) == Fraction(p)
 
 
-def _mul_down(a: float, b: float) -> float:
-    p = a * b
-    if p != p:
-        raise DomainError("undefined product with infinity")
-    if p == -INF:
-        return p
-    if p == INF:
-        return INF if (math.isinf(a) or math.isinf(b)) else _MAX
-    if math.isinf(a) or math.isinf(b):
-        return p
-    return p if _mul_is_exact(a, b, p) else math.nextafter(p, -INF)
+def _outward(r: float, a: float, b: float, exact, toward: float) -> float:
+    """``r``, the rounded sum or product of ``a`` and ``b``, moved one ulp
+    toward ``toward`` (-INF or INF) unless ``exact(a, b, r)`` says it is the
+    exact result.  An overflow away from ``toward`` stops at the largest
+    finite double, unless an operand is infinite."""
 
-
-def _mul_up(a: float, b: float) -> float:
-    p = a * b
-    if p != p:
+    if r != r:
+        if exact is _sum_is_exact:
+            raise DomainError("undefined sum of infinities")
         raise DomainError("undefined product with infinity")
-    if p == INF:
-        return p
-    if p == -INF:
-        return -INF if (math.isinf(a) or math.isinf(b)) else -_MAX
-    if math.isinf(a) or math.isinf(b):
-        return p
-    return p if _mul_is_exact(a, b, p) else math.nextafter(p, INF)
+    if math.isinf(r):  # finite operands whose result overflowed, or infinite ones
+        if r == toward or math.isinf(a) or math.isinf(b):
+            return r
+        return math.copysign(_MAX, r)
+    return r if exact(a, b, r) else math.nextafter(r, toward)
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +134,14 @@ class Interval:
     def contains(self, x) -> bool:
         return not self.is_bottom() and self.lo <= x <= self.hi
 
-    def _require_same_kind(self, other: "Interval") -> None:
+    def _check_kind(self, other: "Interval") -> None:
         if self.kind is not other.kind:
             raise DomainError(f"kind mismatch: {self.kind.value} vs {other.kind.value}")
 
     # lattice
 
     def leq(self, other: "Interval") -> bool:
-        self._require_same_kind(other)
+        self._check_kind(other)
         if self.is_bottom():
             return True
         if other.is_bottom():
@@ -184,7 +149,7 @@ class Interval:
         return other.lo <= self.lo and self.hi <= other.hi
 
     def join(self, other: "Interval") -> "Interval":
-        self._require_same_kind(other)
+        self._check_kind(other)
         if self.is_bottom():
             return other
         if other.is_bottom():
@@ -192,7 +157,7 @@ class Interval:
         return Interval(self.kind, min(self.lo, other.lo), max(self.hi, other.hi))
 
     def meet(self, other: "Interval") -> "Interval":
-        self._require_same_kind(other)
+        self._check_kind(other)
         if self.is_bottom() or other.is_bottom():
             return Interval.bottom(self.kind)
         lo = max(self.lo, other.lo)
@@ -204,7 +169,7 @@ class Interval:
     def widen(self, other: "Interval") -> "Interval":
         """Bounds of ``other`` strictly beyond ours become infinite."""
 
-        self._require_same_kind(other)
+        self._check_kind(other)
         if self.is_bottom():
             return other
         if other.is_bottom():
@@ -216,7 +181,7 @@ class Interval:
     def narrow(self, other: "Interval") -> "Interval":
         """Refine infinite bounds to ``other``'s; requires other <= self."""
 
-        self._require_same_kind(other)
+        self._check_kind(other)
         if other.is_bottom() or self.is_bottom():
             return Interval.bottom(self.kind)
         lo = other.lo if self.lo == -INF else self.lo
@@ -226,23 +191,27 @@ class Interval:
     # arithmetic
 
     def add(self, other: "Interval") -> "Interval":
-        self._require_same_kind(other)
+        self._check_kind(other)
         if self.is_bottom() or other.is_bottom():
             return Interval.bottom(self.kind)
         if self.kind is Kind.INT:
             return Interval.make(self.kind, self.lo + other.lo, self.hi + other.hi)
         return Interval.make(
-            self.kind, _add_down(self.lo, other.lo), _add_up(self.hi, other.hi)
+            self.kind,
+            _outward(self.lo + other.lo, self.lo, other.lo, _sum_is_exact, -INF),
+            _outward(self.hi + other.hi, self.hi, other.hi, _sum_is_exact, INF),
         )
 
     def sub(self, other: "Interval") -> "Interval":
-        self._require_same_kind(other)
+        self._check_kind(other)
         if self.is_bottom() or other.is_bottom():
             return Interval.bottom(self.kind)
         if self.kind is Kind.INT:
             return Interval.make(self.kind, self.lo - other.hi, self.hi - other.lo)
         return Interval.make(
-            self.kind, _add_down(self.lo, -other.hi), _add_up(self.hi, -other.lo)
+            self.kind,
+            _outward(self.lo - other.hi, self.lo, -other.hi, _sum_is_exact, -INF),
+            _outward(self.hi - other.lo, self.hi, -other.lo, _sum_is_exact, INF),
         )
 
     def scale(self, coeff) -> "Interval":
@@ -256,9 +225,12 @@ class Interval:
             a, b = coeff * self.lo, coeff * self.hi
             return Interval.make(self.kind, min(a, b), max(a, b))
         c = float(coeff)
-        if c > 0:
-            return Interval.make(self.kind, _mul_down(c, self.lo), _mul_up(c, self.hi))
-        return Interval.make(self.kind, _mul_down(c, self.hi), _mul_up(c, self.lo))
+        lo, hi = (self.lo, self.hi) if c > 0 else (self.hi, self.lo)
+        return Interval.make(
+            self.kind,
+            _outward(c * lo, c, lo, _mul_is_exact, -INF),
+            _outward(c * hi, c, hi, _mul_is_exact, INF),
+        )
 
     # rendering
 

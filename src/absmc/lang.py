@@ -11,19 +11,23 @@ C-flavored surface syntax:
               | "while" "(" bexpr ")" block
               | block
     block    := "{" stmt* "}"
-    expr     := term (("+" | "-") term)*
-    term     := factor ("*" factor)*          # one factor must be a literal
-    factor   := number | ident | "coin_flip" "(" ")" | "uniform" "(" ")"
+    expr     := expr ("+" | "-" | "*") expr       # one factor of * must be a literal
+              | number | ident | "coin_flip" "(" ")" | "uniform" "(" ")"
               | "-" number | "(" expr ")"
-    bexpr    := band ("||" band)*
-    band     := batom ("&&" batom)*
-    batom    := expr relop expr | "(" bexpr ")"
+    bexpr    := bexpr ("&&" | "||") bexpr | expr relop expr | "(" bexpr ")"
     relop    := "<" | "<=" | ">" | ">=" | "==" | "!="
 
-Comments are ``/* ... */``.  Integer and real arithmetic never mix inside
-one expression; the parser checks kinds as it goes and reports a mix at
-the offending operator.  ``coin_flip()`` is an integer generator over
-{0, 1} and ``uniform()`` a real generator over [0, 1].
+Binary operators bind as `_PRECEDENCE` states, loosest first: ``||``,
+``&&``, the relational operators, ``+`` and ``-``, then ``*``.  All group
+to the left, and comparisons do not chain.  Integer and real arithmetic
+never mix inside one expression; the parser checks kinds as it goes and
+reports a mix at the offending operator.  ``coin_flip()`` is an integer
+generator over {0, 1} and ``uniform()`` a real generator over [0, 1].
+
+Source text is ASCII outside ``/* ... */`` comments.  A program nests at
+most `MAX_DEPTH` (150) levels deep: each leaf of an expression or
+condition counts one level, plus one for each block, pair of parentheses
+and operator around it.
 
 ``x += e`` and ``x -= e`` are sugar for ``x = x + e`` and ``x = x - e``,
 and ``x++``/``x--`` for ``x += 1``/``x -= 1`` with a literal 1 of x's
@@ -48,7 +52,9 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class Kind(enum.Enum):
@@ -217,13 +223,21 @@ class GeneratorSite:
 # Lexer
 # ---------------------------------------------------------------------------
 
-_TWO_CHAR = ("<=", ">=", "==", "!=", "&&", "||", "+=", "-=", "++", "--")
-_ONE_CHAR = set("+-*<>=(){};,")
 _KEYWORDS = ("int", "double", "know", "if", "else", "while", "coin_flip", "uniform")
 
+# one alternative per token class; "error" takes any character no token
+# starts with, so scanning never skips input
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r\n]+|/\*.*?\*/)"
+    r"|(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<PUNCT>[<>=!]=|&&|\|\||\+[+=]|-[-=]|[-+*<>=(){};,])"
+    r"|(?P<error>.)",
+    re.S,
+)
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+
+class _Token(NamedTuple):
     kind: str  # IDENT | INT | REAL | PUNCT | EOF
     text: str
     value: object
@@ -233,84 +247,49 @@ class _Token:
 
 def _tokenize(src: str) -> list[_Token]:
     toks: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = m.start() + text.rfind("\n") + 1
             continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if src.startswith("/*", i):
-            end = src.find("*/", i + 2)
-            if end < 0:
+        value: object = text
+        if kind == "number" and text.isdigit():
+            kind = "INT"
+            try:
+                value = int(text)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                message = f"integer literal of {len(text)} digits is too long"
+                raise LangError(message, line, col) from None
+        elif kind == "number":
+            kind, value = "REAL", float(text)
+            if not math.isfinite(value):
+                raise LangError(f"real literal {text} is out of range", line, col)
+        elif kind == "error":
+            if src.startswith("/*", m.start()):
                 raise LangError("unterminated comment", line, col)
-            skipped = src[i : end + 2]
-            nl = skipped.count("\n")
-            if nl:
-                line += nl
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = end + 2
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            text = src[i:j]
-            toks.append(_Token("IDENT", text, text, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            is_real = False
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n and src[j] == ".":
-                is_real = True
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    is_real = True
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            text = src[i:j]
-            if is_real:
-                if not math.isfinite(float(text)):
-                    raise LangError(f"real literal {text} is out of range", line, col)
-                toks.append(_Token("REAL", text, float(text), line, col))
-            else:
-                toks.append(_Token("INT", text, int(text), line, col))
-            col += j - i
-            i = j
-            continue
-        two = src[i : i + 2]
-        if two in _TWO_CHAR:
-            toks.append(_Token("PUNCT", two, two, line, col))
-            i, col = i + 2, col + 2
-            continue
-        if c in _ONE_CHAR:
-            toks.append(_Token("PUNCT", c, c, line, col))
-            i, col = i + 1, col + 1
-            continue
-        raise LangError(f"unexpected character {c!r}", line, col)
-    toks.append(_Token("EOF", "", None, line, col))
+            raise LangError(f"unexpected character {text!r}", line, col)
+        toks.append(_Token(kind, text, value, line, col))
+    toks.append(_Token("EOF", "", None, line, len(src) - line_start + 1))
     return toks
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+# How tightly each binary operator binds; all group to the left.  The
+# parser climbs this table and the printer parenthesises by it.
+_PRECEDENCE = {"||": 1, "&&": 2, **dict.fromkeys(RELOPS, 3), "+": 4, "-": 4, "*": 5}
+_NODE = {"||": Or, "&&": And, "+": Add, "-": Sub, "*": MulConst}  # all but comparisons
+
+# The deepest a leaf of an expression or condition may sit, counting one
+# level for the leaf and for each block, pair of parentheses and operator
+# around it (and for each block, in a program without leaves).  This keeps
+# every recursive walk of the AST inside Python's default recursion limit.
+MAX_DEPTH = 150
 
 
 class _Parser:
@@ -320,8 +299,9 @@ class _Parser:
         self._kinds: dict[str, Kind] = dict(kinds or {})
         self._order: list[tuple[str, Kind]] = []
         self._next_site = 1
+        self._depth = 0  # open blocks and parentheses
 
-    # token plumbing
+    # token plumbing: punctuation and keywords are matched by their text alone
 
     def _peek(self) -> _Token:
         return self._toks[self._i]
@@ -332,14 +312,11 @@ class _Parser:
         return t
 
     def _accept(self, text: str) -> _Token | None:
-        t = self._peek()
-        if t.kind == "PUNCT" and t.text == text:
-            return self._advance()
-        return None
+        return self._advance() if self._peek().text == text else None
 
     def _expect(self, text: str) -> _Token:
         t = self._peek()
-        if t.kind == "PUNCT" and t.text == text:
+        if t.text == text:
             return self._advance()
         raise LangError(f"expected '{text}', found {t.text!r}", t.line, t.col)
 
@@ -348,19 +325,22 @@ class _Parser:
         self._next_site += 1
         return s
 
+    def _bound(self, height: int) -> None:
+        """Reject a leaf ``height`` levels below the open blocks and
+        parentheses when it lies deeper than MAX_DEPTH."""
+
+        if self._depth + height > MAX_DEPTH:
+            t = self._peek()
+            raise LangError(f"program nests deeper than {MAX_DEPTH} levels", t.line, t.col)
+
     # grammar
 
     def program(self) -> tuple[list[tuple[str, Kind]], list[Stmt]]:
         wrapped = self._accept("{") is not None
-        while self._peek().kind == "IDENT" and self._peek().text in ("int", "double"):
+        while self._peek().text in ("int", "double"):
             self._declaration()
         body: list[Stmt] = []
-        while True:
-            t = self._peek()
-            if t.kind == "EOF":
-                break
-            if wrapped and t.kind == "PUNCT" and t.text == "}":
-                break
+        while (t := self._peek()).kind != "EOF" and not (wrapped and t.text == "}"):
             body.extend(self.statement())
         if wrapped:
             self._expect("}")
@@ -390,12 +370,12 @@ class _Parser:
 
     def statement(self) -> list[Stmt]:
         t = self._peek()
-        if t.kind == "PUNCT" and t.text == "{":
+        if t.text == "{":
             return list(self._block())
-        if t.kind == "IDENT" and t.text in ("know", "if", "while"):
+        if t.text in ("know", "if", "while"):
             self._advance()
             self._expect("(")
-            cond = self.bool_expr()
+            cond = self.condition()
             self._expect(")")
             if t.text == "know":
                 self._expect(";")
@@ -404,8 +384,7 @@ class _Parser:
             if t.text == "while":
                 return [While(self._site(), cond, body)]
             orelse: tuple[Stmt, ...] = ()
-            if self._peek().kind == "IDENT" and self._peek().text == "else":
-                self._advance()
+            if self._accept("else"):
                 orelse = self._block()
             return [If(self._site(), cond, body, orelse)]
         if t.kind == "IDENT":
@@ -414,13 +393,15 @@ class _Parser:
 
     def _block(self) -> tuple[Stmt, ...]:
         self._expect("{")
+        self._depth += 1
+        self._bound(0)
         stmts: list[Stmt] = []
-        while not (self._peek().kind == "PUNCT" and self._peek().text == "}"):
-            if self._peek().kind == "EOF":
-                t = self._peek()
+        while (t := self._peek()).text != "}":
+            if t.kind == "EOF":
                 raise LangError("unterminated block", t.line, t.col)
             stmts.extend(self.statement())
-        self._expect("}")
+        self._advance()
+        self._depth -= 1
         return tuple(stmts)
 
     def _assignment(self) -> Assign:
@@ -430,132 +411,100 @@ class _Parser:
         if kind is None:
             raise LangError(f"undeclared variable '{name}'", name_tok.line, name_tok.col)
         op = self._advance()
-        if not (op.kind == "PUNCT" and op.text in ("=", "+=", "-=", "++", "--")):
+        if op.text not in ("=", "+=", "-=", "++", "--"):
             raise LangError(f"expected assignment operator, found {op.text!r}", op.line, op.col)
         if op.text in ("++", "--"):
-            expr, ek = (IntLit(1) if kind is Kind.INT else RealLit(1.0)), kind
+            expr, ek, height = (IntLit(1) if kind is Kind.INT else RealLit(1.0)), kind, 1
         else:
-            expr, ek = self.expr()
+            expr, ek, height = self._climb(1)
+        self._bound(height + (op.text != "="))
         self._expect(";")
         if ek is not kind:
-            raise LangError(
-                f"cannot assign {ek.value} expression to {kind.value} '{name}'",
-                op.line,
-                op.col,
-            )
+            got = f"{ek.value} expression" if ek else "a condition"
+            raise LangError(f"cannot assign {got} to {kind.value} '{name}'", op.line, op.col)
         if op.text != "=":  # x += e is x = x + e; x++ is x += 1
             expr = (Add if op.text[0] == "+" else Sub)(Var(name), expr)
         return Assign(self._site(), name, expr)
 
-    def bool_expr(self) -> BoolExpr:
-        node = self._bool_and()
-        while self._accept("||"):
-            node = Or(node, self._bool_and())
-        return node
-
-    def _bool_and(self) -> BoolExpr:
-        node = self._bool_atom()
-        while self._accept("&&"):
-            node = And(node, self._bool_atom())
-        return node
-
-    def _bool_atom(self) -> BoolExpr:
-        # "(" may open either a boolean group or the arithmetic left-hand
-        # side of a comparison; try the boolean reading first and back off.
-        t = self._peek()
-        if t.kind == "PUNCT" and t.text == "(":
-            save = self._i
-            sites = self._next_site
-            try:
-                self._advance()
-                inner = self.bool_expr()
-                self._expect(")")
-                return inner
-            except LangError:
-                self._i = save
-                self._next_site = sites
-        return self._comparison()
-
-    def _comparison(self) -> BoolExpr:
-        left, lk = self.expr()
-        t = self._peek()
-        if not (t.kind == "PUNCT" and t.text in RELOPS):
-            raise LangError(f"expected comparison operator, found {t.text!r}", t.line, t.col)
-        self._advance()
-        right, rk = self.expr()
-        if lk is not rk:
-            raise LangError("comparison mixes integer and real operands", t.line, t.col)
-        return Cmp(left, t.text, right)
-
-    # expr, term and factor return each sub-expression with its kind, so a
-    # kind error is reported at the operator that mixes integer and real
+    def condition(self) -> BoolExpr:
+        cond, kind, height = self._climb(1)
+        self._require_condition(kind, self._peek())
+        self._bound(height)
+        return cond
 
     @staticmethod
-    def _same_kind(left: Kind, right: Kind, op: _Token) -> Kind:
-        if left is not right:
-            raise LangError("mixed integer and real operands", op.line, op.col)
-        return left
+    def _require_condition(kind: Kind | None, at: _Token) -> None:
+        if kind is not None:
+            raise LangError(f"expected comparison operator, found {at.text!r}", at.line, at.col)
 
-    def expr(self) -> tuple[Expr, Kind]:
-        node, kind = self.term()
-        while True:
-            t = self._peek()
-            if not (t.kind == "PUNCT" and t.text in ("+", "-")):
-                return node, kind
-            self._advance()
-            right, rk = self.term()
-            kind = self._same_kind(kind, rk, t)
-            node = (Add if t.text == "+" else Sub)(node, right)
+    # Expressions and conditions are parsed together by precedence
+    # climbing, each operand with its kind (None for a condition), so a
+    # parenthesis may hold either and kind errors are raised at the operator
 
-    def term(self) -> tuple[Expr, Kind]:
-        node, kind = self.factor()
-        while t := self._accept("*"):
-            rhs, rk = self.factor()
-            if isinstance(node, (IntLit, RealLit)):
-                node = MulConst(node, rhs)
-            elif isinstance(rhs, (IntLit, RealLit)):
-                node = MulConst(rhs, node)
-            else:
-                raise LangError("multiplication requires a literal factor", t.line, t.col)
-            kind = self._same_kind(kind, rk, t)
-        return node, kind
+    def _climb(self, floor: int) -> tuple[Expr | BoolExpr, Kind | None, int]:
+        """An operand and every operator after it that binds at least as
+        tightly as ``floor``, grouped to the left: the node, its kind and
+        its height in levels."""
 
-    def factor(self) -> tuple[Expr, Kind]:
-        t = self._peek()
-        if t.kind == "PUNCT" and t.text == "-":
-            self._advance()
-            lit = self._peek()
-            if lit.kind == "INT":
-                self._advance()
-                return IntLit(-lit.value), Kind.INT
-            if lit.kind == "REAL":
-                self._advance()
-                return RealLit(-lit.value), Kind.REAL
-            raise LangError("'-' must precede a numeric literal", t.line, t.col)
+        node, kind, height = self._operand()
+        while (prec := _PRECEDENCE.get(self._peek().text, 0)) >= floor:
+            op = self._advance()
+            if op.text in ("&&", "||"):
+                self._require_condition(kind, op)
+            right, rkind, rheight = self._climb(prec + 1)
+            node, kind = self._combine(op, node, kind, right, rkind)
+            height = max(height, rheight) + 1
+        return node, kind, height
+
+    def _combine(
+        self, op: _Token, left, lkind, right, rkind
+    ) -> tuple[Expr | BoolExpr, Kind | None]:
+        if op.text in ("&&", "||"):
+            self._require_condition(rkind, self._peek())
+            return _NODE[op.text](left, right), None
+        if lkind is None or rkind is None:
+            raise LangError(f"a condition cannot be an operand of '{op.text}'", op.line, op.col)
+        if op.text == "*" and not isinstance(left, (IntLit, RealLit)):
+            if not isinstance(right, (IntLit, RealLit)):
+                raise LangError("multiplication requires a literal factor", op.line, op.col)
+            left, right = right, left  # the coefficient comes first
+        relational = op.text in RELOPS
+        if lkind is not rkind:
+            what = "comparison mixes integer and real" if relational else "mixed integer and real"
+            raise LangError(f"{what} operands", op.line, op.col)
+        if relational:
+            return Cmp(left, op.text, right), None
+        return _NODE[op.text](left, right), lkind
+
+    def _operand(self) -> tuple[Expr | BoolExpr, Kind | None, int]:
+        t = self._advance()
+        sign = 1
+        if t.text == "-":
+            if self._peek().kind not in ("INT", "REAL"):
+                raise LangError("'-' must precede a numeric literal", t.line, t.col)
+            sign, t = -1, self._advance()
         if t.kind == "INT":
-            self._advance()
-            return IntLit(t.value), Kind.INT
+            return IntLit(sign * t.value), Kind.INT, 1
         if t.kind == "REAL":
-            self._advance()
-            return RealLit(t.value), Kind.REAL
-        if t.kind == "IDENT" and t.text in ("coin_flip", "uniform"):
-            self._advance()
+            return RealLit(sign * t.value), Kind.REAL, 1
+        if t.text in ("coin_flip", "uniform"):
             self._expect("(")
             self._expect(")")
             if t.text == "coin_flip":
-                return CoinFlip(self._site()), Kind.INT
-            return Uniform(self._site()), Kind.REAL
+                return CoinFlip(self._site()), Kind.INT, 1
+            return Uniform(self._site()), Kind.REAL, 1
         if t.kind == "IDENT":
             kind = self._kinds.get(t.text)
             if kind is None:
                 raise LangError(f"undeclared variable '{t.text}'", t.line, t.col)
-            self._advance()
-            return Var(t.text), kind
-        if t.kind == "PUNCT" and t.text == "(":
-            self._advance()
-            node, kind = self.expr()
+            return Var(t.text), kind, 1
+        if t.text == "(":
+            self._depth += 1
+            self._bound(0)
+            node, kind, height = self._climb(1)
             self._expect(")")
-            return node, kind
+            self._depth -= 1
+            return node, kind, height + 1
         raise LangError(f"expected expression, found {t.text!r}", t.line, t.col)
 
 
@@ -590,7 +539,7 @@ def parse_condition(text: str, kinds: dict[str, Kind]) -> BoolExpr:
     """Parse a standalone boolean expression over already-declared variables."""
 
     parser = _Parser(_tokenize(text), kinds)
-    cond = parser.bool_expr()
+    cond = parser.condition()
     t = parser._peek()
     if t.kind != "EOF":
         raise LangError(f"unexpected trailing input {t.text!r}", t.line, t.col)
@@ -667,46 +616,29 @@ def generator_sites(program: Program) -> list[GeneratorSite]:
 # ---------------------------------------------------------------------------
 
 
-def _expr_str(expr: Expr) -> str:
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, RealLit):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, CoinFlip):
-        return "coin_flip()"
-    if isinstance(expr, Uniform):
-        return "uniform()"
-    if isinstance(expr, (Add, Sub)):
-        op = "+" if isinstance(expr, Add) else "-"
-        right = _expr_str(expr.right)
-        if isinstance(expr.right, (Add, Sub)):
-            right = f"({right})"
-        return f"{_expr_str(expr.left)} {op} {right}"
-    if isinstance(expr, MulConst):
-        inner = _expr_str(expr.expr)
-        if isinstance(expr.expr, (Add, Sub, MulConst)):
-            inner = f"({inner})"
-        return f"{_expr_str(expr.coeff)} * {inner}"
-    raise LangError(f"unknown expression node {type(expr).__name__}")
+_SYMBOL = {node: op for op, node in _NODE.items()}
 
 
-def _bool_str(cond: BoolExpr) -> str:
-    # && and || group to the left and && binds tighter, so a right operand
-    # of the same operator, or an || under &&, needs parentheses
-    if isinstance(cond, Cmp):
-        return f"{_expr_str(cond.left)} {cond.op} {_expr_str(cond.right)}"
-    if isinstance(cond, And):
-        return f"{_bool_group(cond.left, Or)} && {_bool_group(cond.right, (And, Or))}"
-    if isinstance(cond, Or):
-        return f"{_bool_str(cond.left)} || {_bool_group(cond.right, Or)}"
-    raise LangError(f"unknown condition node {type(cond).__name__}")
+def _text(node: Expr | BoolExpr, floor: int = 0) -> str:
+    """Source text of an expression or condition, in parentheses when its
+    operator binds less tightly than ``floor``.  A left operand takes its
+    parent's precedence as the floor and a right operand one more, the
+    reverse of how the parser groups them."""
 
-
-def _bool_group(cond: BoolExpr, grouped) -> str:
-    text = _bool_str(cond)
-    return f"({text})" if isinstance(cond, grouped) else text
+    if isinstance(node, (IntLit, RealLit)):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, (CoinFlip, Uniform)):
+        return "coin_flip()" if isinstance(node, CoinFlip) else "uniform()"
+    if isinstance(node, MulConst):
+        left, right = node.coeff, node.expr
+    else:
+        left, right = node.left, node.right
+    op = node.op if isinstance(node, Cmp) else _SYMBOL[type(node)]
+    prec = _PRECEDENCE[op]
+    text = f"{_text(left, prec)} {op} {_text(right, prec + 1)}"
+    return f"({text})" if prec < floor else text
 
 
 def _stmt_lines(stmt: Stmt, indent: int) -> list[str]:
@@ -714,13 +646,12 @@ def _stmt_lines(stmt: Stmt, indent: int) -> list[str]:
     if isinstance(stmt, Assign):
         e = stmt.expr
         if isinstance(e, (Add, Sub)) and e.left == Var(stmt.name):  # x = x + e prints x += e
-            op = "+" if isinstance(e, Add) else "-"
-            return [f"{pad}{stmt.name} {op}= {_expr_str(e.right)};"]
-        return [f"{pad}{stmt.name} = {_expr_str(e)};"]
+            return [f"{pad}{stmt.name} {_SYMBOL[type(e)]}= {_text(e.right)};"]
+        return [f"{pad}{stmt.name} = {_text(e)};"]
     if isinstance(stmt, Know):
-        return [f"{pad}know ({_bool_str(stmt.cond)});"]
+        return [f"{pad}know ({_text(stmt.cond)});"]
     if isinstance(stmt, If):
-        lines = [f"{pad}if ({_bool_str(stmt.cond)}) {{"]
+        lines = [f"{pad}if ({_text(stmt.cond)}) {{"]
         for s in stmt.then:
             lines.extend(_stmt_lines(s, indent + 1))
         if stmt.orelse:
@@ -730,7 +661,7 @@ def _stmt_lines(stmt: Stmt, indent: int) -> list[str]:
         lines.append(f"{pad}}}")
         return lines
     if isinstance(stmt, While):
-        lines = [f"{pad}while ({_bool_str(stmt.cond)}) {{"]
+        lines = [f"{pad}while ({_text(stmt.cond)}) {{"]
         for s in stmt.body:
             lines.extend(_stmt_lines(s, indent + 1))
         lines.append(f"{pad}}}")
@@ -747,5 +678,5 @@ def to_source(program: Program) -> str:
     for stmt in program.body:
         lines.extend(_stmt_lines(stmt, 0))
     if program.outcome is not None:
-        lines.append(f"know ({_bool_str(program.outcome)});")
+        lines.append(f"know ({_text(program.outcome)});")
     return "\n".join(lines) + "\n"

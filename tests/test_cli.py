@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from absmc import corpus
+from absmc import concrete, corpus, lang
 from absmc.cli import main
 
 FIG1 = str(corpus.path("fig1"))
@@ -181,6 +181,102 @@ def test_sampled_oracle_bound_tightens_to_lanes(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "oracle", str(src), "--mode", "sampled", "--n", "100")
     assert code == 0
     assert "estimate: 1.0" in out
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "int x; know (" + "(" * 400 + "x" + ")" * 400 + " < 1);",
+        "int x; know (x >= 0 && x <= 1); know (" + " && ".join(["x < 1"] * 2000) + ");",
+        "int x; x = 0; x = x" + " + 1" * 3000 + "; know (x < 1);",
+        "int x; x = " + "1" * 5000 + "; know (x < 1);",
+        "int x; x = \u00b2; know (x < 1);",
+        "int x; x = 1\u0662; know (x < 1);",
+        "int \u00e9; know (\u00e9 < 1);",
+    ],
+    ids=["parens", "and-chain", "plus-chain", "long-literal", "superscript", "arabic", "letter"],
+)
+def test_front_end_rejects_exit_2(tmp_path, capsys, source):
+    # deep nesting and long chains would pass the recursion limit in some
+    # walker, int() refuses the long literal and reads Unicode digits, and
+    # non-ASCII letters are refused along with those digits
+    src = tmp_path / "p.amc"
+    src.write_text(source, encoding="utf-8")
+    for argv in (["analyze", str(src), "--trials", "10", "--jobs", "1"], ["oracle", str(src)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert one_line_error(err)
+
+
+def _at_depth(depth: int, deeper: str = "") -> str:
+    """A program whose nested blocks, parentheses, + chain and && chain
+    each reach ``depth`` levels; the part named by ``deeper`` one more."""
+
+    d = {part: depth + (part == deeper) for part in ("blocks", "parens", "plus", "and")}
+    return "".join(
+        [
+            "int x; know (x >= 0 && x <= 1);",
+            "if (x < 1) { " * (d["blocks"] - 2) + "x = x + coin_flip();" + " }" * (d["blocks"] - 2),
+            "x = " + "(" * (d["parens"] - 2) + "x + coin_flip()" + ")" * (d["parens"] - 2) + ";",
+            "x = x + coin_flip()" + " + 0" * (d["plus"] - 2) + ";",
+            "know (" + " && ".join(["x < 9"] * (d["and"] - 1)) + ");",
+        ]
+    )
+
+
+def test_program_at_nesting_bound_runs_everywhere(tmp_path, capsys):
+    src = tmp_path / "deep.amc"
+    src.write_text(_at_depth(lang.MAX_DEPTH))
+    program = lang.parse(src.read_text())
+    assert lang.parse(lang.to_source(program)) == program
+    reports = []
+    for jobs in ("1", "2"):
+        argv = ["analyze", str(src), "--trials", "20", "--jobs", jobs, "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        report = json.loads(out)
+        del report["jobs"], report["elapsed_ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    code, _, err = run_cli(capsys, "analyze", str(src), "--trials", "5", "--jobs", "1", "--trace")
+    assert code == 0 and "draw site" in err
+    for mode in ("exact", "sampled"):
+        code, out, _ = run_cli(capsys, "oracle", str(src), "--mode", mode, "--n", "100")
+        assert code == 0 and "estimate: 1.0" in out
+
+
+@pytest.mark.parametrize("deeper", ["blocks", "parens", "plus", "and"])
+def test_program_past_nesting_bound_exit_2(tmp_path, capsys, deeper):
+    src = tmp_path / "deeper.amc"
+    src.write_text(_at_depth(lang.MAX_DEPTH, deeper))
+    code, _, err = run_cli(capsys, "analyze", str(src), "--trials", "5", "--jobs", "1")
+    assert code == 2
+    assert one_line_error(err) and f"deeper than {lang.MAX_DEPTH} levels" in err
+
+
+def test_oracle_exact_long_coin_path_exit_1(tmp_path, capsys):
+    # every path reads 1,500 coins and none hits, and the enumeration
+    # recurses once per coin
+    src = tmp_path / "coins.amc"
+    src.write_text(
+        "int x, i; x = 0; i = 0; while (i < 1500) { x += coin_flip(); i++; } know (x < 0);"
+    )
+    code, out, err = run_cli(capsys, "oracle", str(src), "--mode", "exact")
+    assert code == 1 and out == ""
+    assert one_line_error(err) and "coins" in err
+
+
+def test_sampled_oracle_draw_table_cap_exit_1(tmp_path, capsys, monkeypatch):
+    # each iteration draws a fresh coin for every lane until the step
+    # budget, 16 kB a draw at --n 2000; the cap stops it at 1 MiB here
+    monkeypatch.setattr(concrete, "_DRAW_TABLE_BYTES", 1 << 20)
+    src = tmp_path / "walk.amc"
+    src.write_text(
+        "int x; know (x >= 0 && x <= 1); while (x >= 0) { x += coin_flip(); } know (x < 0);"
+    )
+    code, out, err = run_cli(capsys, "oracle", str(src), "--mode", "sampled", "--n", "2000")
+    assert code == 1 and out == ""
+    assert one_line_error(err) and "draw table" in err
 
 
 def test_domain_error_exit_1(capsys, monkeypatch):

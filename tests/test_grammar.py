@@ -1,4 +1,5 @@
-"""Grammar properties: printing round-trips, and malformed text fails cleanly.
+"""Grammar properties: printing round-trips, generated programs run
+cleanly, and malformed text fails cleanly.
 
 The first strategy writes well-kinded source text straight from the
 grammar in ``absmc.lang``: every assignment form, nested ``if``/``else``
@@ -9,12 +10,16 @@ generators.  The second mutates the corpus sources token by token.
 
 import functools
 import re
+from contextlib import suppress
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from absmc import corpus
-from absmc.lang import RELOPS, LangError, parse, to_source
+from absmc.concrete import NondetSpec, OracleError, oracle_estimate
+from absmc.interp import TrialConfig, analyze_trial
+from absmc.intervals import DomainError
+from absmc.lang import MAX_DEPTH, RELOPS, LangError, parse, to_source
 
 INTS = ("a", "b")
 REALS = ("u", "v")
@@ -109,12 +114,29 @@ def test_printing_round_trips(source):
     assert to_source(parse(text)) == text
 
 
+# the errors a well-formed program may still end in, each a documented exit 1
+RUN_ERRORS = (DomainError, OverflowError, OracleError)
+SPEC = NondetSpec({"a": (-3, 3), "u": (-1.0, 1.0)}, grid=2)
+
+
+@FAST
+@given(programs(), st.integers(0, 2**32))
+def test_generated_programs_run_cleanly(source, seed):
+    p = parse(source)
+    with suppress(*RUN_ERRORS):
+        analyze_trial(p, seed, TrialConfig(unroll_limit=4, step_budget=200))
+    with suppress(*RUN_ERRORS):
+        oracle_estimate(p, mode="sampled", n=8, seed=seed, spec=SPEC, step_budget=50)
+
+
 _TOKEN = re.compile(
     r"/\*.*?\*/|[A-Za-z_]\w*|\d*\.?\d+(?:[eE][+-]?\d+)?\.?|&&|\|\||[<>=!+-]=|\+\+|--|\S", re.S
 )
 SOURCES = [corpus.source(name) for name in corpus.NAMES]
 VOCABULARY = sorted({t for s in SOURCES for t in _TOKEN.findall(s)}) + [
     "@", "1e400", "/*", "!", "zz", "else", "int", "double", "-", "*", "(", ")", "{", "}",
+    "\u00e9", "x\u00e9", "\u00b2", "\u0662", "1\u0662", "/* \u00e9 */", "1" * 5000,
+    "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1), "{" * (MAX_DEPTH + 1),
 ]
 
 
