@@ -143,7 +143,6 @@ def _cmd_analyze(args) -> int:
         args.seed,
         jobs,
         config,
-        program_name=args.input,
         restriction=restriction,
     )
     if args.format == "json":

@@ -75,17 +75,22 @@ class ChoiceSource:
         return value
 
 
-_COMPARE = {
+_APPLY = {
+    "||": operator.or_,
+    "&&": operator.and_,
     "<": operator.lt,
     "<=": operator.le,
     ">": operator.gt,
     ">=": operator.ge,
     "==": operator.eq,
     "!=": operator.ne,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
 }
 
 
-def evaluate(node: lang.Expr | lang.BoolExpr, env, draw):
+def evaluate(node: lang.Expr, env, draw):
     """Concrete value of an expression, or truth of a condition, over
     ``env`` (a name -> value mapping); generators take ``draw(node)``.
 
@@ -99,20 +104,10 @@ def evaluate(node: lang.Expr | lang.BoolExpr, env, draw):
         return env[node.name]
     if isinstance(node, (lang.IntLit, lang.RealLit)):
         return node.value
-    if isinstance(node, lang.Cmp):
-        return _COMPARE[node.op](evaluate(node.left, env, draw), evaluate(node.right, env, draw))
+    if isinstance(node, lang.Binary):
+        return _APPLY[node.op](evaluate(node.left, env, draw), evaluate(node.right, env, draw))
     if isinstance(node, (lang.CoinFlip, lang.Uniform)):
         return draw(node)
-    if isinstance(node, lang.Add):
-        return evaluate(node.left, env, draw) + evaluate(node.right, env, draw)
-    if isinstance(node, lang.Sub):
-        return evaluate(node.left, env, draw) - evaluate(node.right, env, draw)
-    if isinstance(node, lang.MulConst):
-        return node.coeff.value * evaluate(node.expr, env, draw)
-    if isinstance(node, lang.And):
-        return evaluate(node.left, env, draw) & evaluate(node.right, env, draw)
-    if isinstance(node, lang.Or):
-        return evaluate(node.left, env, draw) | evaluate(node.right, env, draw)
     raise OracleError(f"unknown node {type(node).__name__}")
 
 
@@ -323,7 +318,6 @@ def oracle_estimate(
     grid: int = 64,
     seed: int | None = 0,
     spec: NondetSpec | None = None,
-    node_budget: int = 500_000,
     step_budget: int = 1_000_000,
 ) -> OracleReport:
     """Reference estimate of the worst-case outcome probability."""
@@ -335,8 +329,11 @@ def oracle_estimate(
     if mode == "exact":
         if not all(g.coin for g in lang.generator_sites(program)):
             raise OracleError("exact mode requires all generators to be coin_flip")
-        total, leaves = _exact_discrete(program, combos, node_budget, step_budget)
-        return OracleReport("exact", float(total), leaves, spec.grid, None)
+        diagnostics: list[str] = []
+        total, leaves = _exact_discrete(program, combos, step_budget, diagnostics)
+        # one line per kind of diagnostic, however many paths raised it
+        notes = tuple(dict.fromkeys(diagnostics))
+        return OracleReport("exact", float(total), leaves, spec.grid, None, notes)
     if n < 1:
         raise OracleError("sampled mode needs n >= 1")
     rng = np.random.default_rng(seed)
@@ -350,47 +347,49 @@ def oracle_estimate(
     return OracleReport("sampled", hits / n, n, spec.grid, seed, tuple(diagnostics[:4]))
 
 
-# The most coins one path of the exact enumeration may read.  It recurses
-# once per coin, and each level re-runs the program up to the next coin,
-# so a longer path would overflow the stack or outlast any node budget.
+# Caps on the exact enumeration: the nodes of its tree, and the coins on
+# one path, each of which re-runs the undecided grid points up to it.
+_TREE_BUDGET = 500_000
 _MAX_PATH_COINS = 500
 
 
-def _exact_discrete(program, combos, node_budget, step_budget=1_000_000) -> tuple[Fraction, int]:
+def _exact_discrete(program, combos, step_budget, diagnostics) -> tuple[Fraction, int]:
     """Exact expectation of the grid-maximized hit indicator, by lazy
     enumeration of coin assignments: a class of coin sequences splits only
-    when some grid point actually reads an unassigned key."""
+    when some grid point actually reads an unassigned key.
 
-    budget = [node_budget]
-    leaves = [0]
+    A grid point whose run reads no unassigned key is decided for the
+    whole class: a hit makes the class a hit, and a miss is dropped from
+    the grid points its subclasses run."""
 
-    def explore(assignment: dict) -> Fraction:
-        budget[0] -= 1
-        if budget[0] < 0:
+    total, leaves, nodes = Fraction(0), 0, 0
+    stack = [({}, combos)]  # (assignment, its undecided grid points)
+    while stack:
+        assignment, undecided = stack.pop()
+        nodes += 1
+        if nodes > _TREE_BUDGET:
             raise OracleError("exact enumeration exceeded its path budget")
-        missing = None
-        for combo in combos:
-            src = ChoiceSource(assignment, rng=None)
+        src = ChoiceSource(assignment)
+        hit, missing, still = 0, None, []
+        for combo in undecided:
             try:
-                if run_concrete(program, combo, src, step_budget=step_budget) == 1:
-                    leaves[0] += 1
-                    return Fraction(1, 2 ** len(assignment))
+                hit = run_concrete(
+                    program, combo, src, step_budget=step_budget, diagnostics=diagnostics
+                )
             except MissingChoice as m:
-                if missing is None:
-                    missing = m.key
-        if missing is None:
-            leaves[0] += 1
-            return Fraction(0)
+                missing = m.key if missing is None else missing
+                still.append(combo)
+            if hit:
+                break
+        if hit or missing is None:
+            leaves += 1
+            total += Fraction(hit, 2 ** len(assignment))
+            continue
         if len(assignment) == _MAX_PATH_COINS:
             raise OracleError(f"exact enumeration met a path of over {_MAX_PATH_COINS} coins")
-        zero = dict(assignment)
-        zero[missing] = 0
-        one = dict(assignment)
-        one[missing] = 1
-        return explore(zero) + explore(one)
-
-    total = explore({})
-    return total, leaves[0]
+        stack.append(({**assignment, missing: 1}, still))
+        stack.append(({**assignment, missing: 0}, still))  # explored first
+    return total, leaves
 
 
 _INT64_MAX = 2**63 - 1
@@ -408,12 +407,11 @@ def _growth(node, kinds: dict[str, Kind]) -> tuple[int, int]:
         return 0, abs(node.value)
     if isinstance(node, lang.CoinFlip):
         return 0, 1
-    if isinstance(node, lang.MulConst):
-        a, b = _growth(node.expr, kinds)
-        return abs(node.coeff.value) * a, abs(node.coeff.value) * b
-    if isinstance(node, (lang.Add, lang.Sub, lang.Cmp, lang.And, lang.Or)):
+    if isinstance(node, lang.Binary):
         (a, b), (c, d) = _growth(node.left, kinds), _growth(node.right, kinds)
-        if isinstance(node, (lang.Add, lang.Sub)):
+        if node.op == "*":  # the left is a literal: b is the coefficient's magnitude
+            return b * c, b * d
+        if node.op in ("+", "-"):
             return a + c, b + d
         return max(a, c), max(b, d)
     return 0, 0

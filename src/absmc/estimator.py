@@ -158,15 +158,9 @@ class Report:
     elapsed_ms: float
     config: dict
     warnings: list[str] = field(default_factory=list)
-    widened_trials: int = 0
-    aborted_trials: int = 0
 
     def to_dict(self) -> dict:
-        """JSON form; the widening and abort counts show only as warnings."""
-
-        d = asdict(self)
-        del d["widened_trials"], d["aborted_trials"]
-        return d
+        return asdict(self)
 
 
 def _trial_chunk(args) -> tuple[int, int, int]:
@@ -254,6 +248,4 @@ def run(
         elapsed_ms=elapsed_ms,
         config=config_echo,
         warnings=warnings,
-        widened_trials=widened,
-        aborted_trials=aborted,
     )

@@ -131,22 +131,11 @@ class Interval:
     def is_bottom(self) -> bool:
         return self.lo > self.hi
 
-    def contains(self, x) -> bool:
-        return not self.is_bottom() and self.lo <= x <= self.hi
-
     def _check_kind(self, other: "Interval") -> None:
         if self.kind is not other.kind:
             raise DomainError(f"kind mismatch: {self.kind.value} vs {other.kind.value}")
 
     # lattice
-
-    def leq(self, other: "Interval") -> bool:
-        self._check_kind(other)
-        if self.is_bottom():
-            return True
-        if other.is_bottom():
-            return False
-        return other.lo <= self.lo and self.hi <= other.hi
 
     def join(self, other: "Interval") -> "Interval":
         self._check_kind(other)
@@ -246,7 +235,7 @@ class Interval:
 
 
 def _fmt(kind: Kind, x) -> str:
-    if kind is Kind.INT and not math.isinf(x):
+    if kind is Kind.INT and x not in (INF, -INF):  # an INT bound may pass float range
         return str(int(x))
     return repr(float(x))
 
@@ -327,13 +316,6 @@ class AbstractEnv:
             {name: iv.narrow(other.values[name]) for name, iv in self.values.items()}
         )
 
-    def leq(self, other: "AbstractEnv") -> bool:
-        if self.values is None:
-            return True
-        if other.values is None:
-            return False
-        return all(iv.leq(other.values[name]) for name, iv in self.values.items())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, AbstractEnv) and self.values == other.values
 
@@ -362,12 +344,11 @@ def eval_range(expr: lang.Expr, env: AbstractEnv, draw=None) -> Interval:
         return Interval.const(Kind.REAL, expr.value)
     if isinstance(expr, lang.Var):
         return env.get(expr.name)
-    if isinstance(expr, lang.Add):
-        return eval_range(expr.left, env, draw).add(eval_range(expr.right, env, draw))
-    if isinstance(expr, lang.Sub):
-        return eval_range(expr.left, env, draw).sub(eval_range(expr.right, env, draw))
-    if isinstance(expr, lang.MulConst):
-        return eval_range(expr.expr, env, draw).scale(expr.coeff.value)
+    if isinstance(expr, lang.Binary):
+        if expr.op == "*":  # the left is the literal coefficient
+            return eval_range(expr.right, env, draw).scale(expr.left.value)
+        left, right = eval_range(expr.left, env, draw), eval_range(expr.right, env, draw)
+        return left.add(right) if expr.op == "+" else left.sub(right)
     if isinstance(expr, (lang.CoinFlip, lang.Uniform)):
         if draw is not None:
             return draw(expr)
@@ -404,12 +385,12 @@ def _constraint(op: str, b: Interval, kind: Kind) -> Interval:
     value of b.  Strict real comparisons weaken to their closed form."""
 
     if op == "<":
-        hi = b.hi - 1 if (kind is Kind.INT and not math.isinf(b.hi)) else b.hi
+        hi = b.hi - 1 if (kind is Kind.INT and b.hi != INF) else b.hi
         return Interval.make(kind, -INF, hi)
     if op == "<=":
         return Interval.make(kind, -INF, b.hi)
     if op == ">":
-        lo = b.lo + 1 if (kind is Kind.INT and not math.isinf(b.lo)) else b.lo
+        lo = b.lo + 1 if (kind is Kind.INT and b.lo != -INF) else b.lo
         return Interval.make(kind, lo, INF)
     if op == ">=":
         return Interval.make(kind, b.lo, INF)
@@ -453,22 +434,20 @@ def _refine_cmp(env: AbstractEnv, left: lang.Expr, op: str, right: lang.Expr) ->
     return out
 
 
-def filter_env(env: AbstractEnv, cond: lang.BoolExpr, polarity: bool = True) -> AbstractEnv:
+def filter_env(env: AbstractEnv, cond: lang.Expr, polarity: bool = True) -> AbstractEnv:
     """Sound refinement of ``env`` by ``cond`` (or its negation when
     polarity is false); every concrete environment satisfying the
     condition stays inside the result."""
 
     if env.is_bottom():
         return env
-    if isinstance(cond, lang.Cmp):
-        op = cond.op if polarity else _NEGATED[cond.op]
-        return _refine_cmp(env, cond.left, op, cond.right)
-    if isinstance(cond, lang.And):
-        if polarity:
-            return filter_env(filter_env(env, cond.left, True), cond.right, True)
-        return filter_env(env, cond.left, False).join(filter_env(env, cond.right, False))
-    if isinstance(cond, lang.Or):
-        if polarity:
-            return filter_env(env, cond.left, True).join(filter_env(env, cond.right, True))
-        return filter_env(filter_env(env, cond.left, False), cond.right, False)
-    raise DomainError(f"unknown condition node {type(cond).__name__}")
+    op = cond.op
+    if op in _NEGATED:
+        return _refine_cmp(env, cond.left, op if polarity else _NEGATED[op], cond.right)
+    if op not in ("&&", "||"):
+        raise DomainError(f"unknown condition operator {op!r}")
+    # a conjunction (&& or a negated ||) refines by both sides in turn,
+    # a disjunction joins the refinements by each side
+    if (op == "&&") == polarity:
+        return filter_env(filter_env(env, cond.left, polarity), cond.right, polarity)
+    return filter_env(env, cond.left, polarity).join(filter_env(env, cond.right, polarity))

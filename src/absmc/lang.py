@@ -29,6 +29,10 @@ most `MAX_DEPTH` (150) levels deep: each leaf of an expression or
 condition counts one level, plus one for each block, pair of parentheses
 and operator around it.
 
+The AST has one `Binary` node for every binary operator, keyed by the
+operator's text as `_PRECEDENCE` is; a product keeps its literal
+coefficient on the left, whichever side the source wrote it on.
+
 ``x += e`` and ``x -= e`` are sugar for ``x = x + e`` and ``x = x - e``,
 and ``x++``/``x--`` for ``x += 1``/``x -= 1`` with a literal 1 of x's
 kind: the AST has one assignment node, so ``--trace`` labels every
@@ -85,7 +89,7 @@ class LangError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class Expr:
-    pass
+    """An expression or a condition."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,27 +108,6 @@ class Var(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, slots=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, slots=True)
-class MulConst(Expr):
-    """Multiplication by a literal coefficient; general products are not
-    part of the language, which keeps interval arithmetic exact."""
-
-    coeff: IntLit | RealLit
-    expr: Expr
-
-
-@dataclass(frozen=True, slots=True)
 class CoinFlip(Expr):
     """Random draw, uniform on {0, 1}.  Integer kind."""
 
@@ -138,31 +121,19 @@ class Uniform(Expr):
     site: int = field(compare=False)
 
 
-@dataclass(frozen=True, slots=True)
-class BoolExpr:
-    pass
-
-
 RELOPS = ("<", "<=", ">", ">=", "==", "!=")
 
 
 @dataclass(frozen=True, slots=True)
-class Cmp(BoolExpr):
+class Binary(Expr):
+    """``left op right`` for every binary operator of the language, the
+    arithmetic, relational and logical ones alike.  A product keeps its
+    literal coefficient on the left: general products are not part of
+    the language, which keeps interval arithmetic exact."""
+
     left: Expr
     op: str
     right: Expr
-
-
-@dataclass(frozen=True, slots=True)
-class And(BoolExpr):
-    left: BoolExpr
-    right: BoolExpr
-
-
-@dataclass(frozen=True, slots=True)
-class Or(BoolExpr):
-    left: BoolExpr
-    right: BoolExpr
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,13 +151,13 @@ class Assign(Stmt):
 @dataclass(frozen=True, slots=True)
 class Know(Stmt):
     site: int = field(compare=False)
-    cond: BoolExpr
+    cond: Expr
 
 
 @dataclass(frozen=True, slots=True)
 class If(Stmt):
     site: int = field(compare=False)
-    cond: BoolExpr
+    cond: Expr
     then: tuple[Stmt, ...]
     orelse: tuple[Stmt, ...]
 
@@ -194,7 +165,7 @@ class If(Stmt):
 @dataclass(frozen=True, slots=True)
 class While(Stmt):
     site: int = field(compare=False)
-    cond: BoolExpr
+    cond: Expr
     body: tuple[Stmt, ...]
 
 
@@ -202,7 +173,7 @@ class While(Stmt):
 class Program:
     declarations: tuple[tuple[str, Kind], ...]
     body: tuple[Stmt, ...]
-    outcome: BoolExpr | None
+    outcome: Expr | None
     name: str = field(default="<program>", compare=False)
 
     def kinds(self) -> dict[str, Kind]:
@@ -283,7 +254,6 @@ def _tokenize(src: str) -> list[_Token]:
 # How tightly each binary operator binds; all group to the left.  The
 # parser climbs this table and the printer parenthesises by it.
 _PRECEDENCE = {"||": 1, "&&": 2, **dict.fromkeys(RELOPS, 3), "+": 4, "-": 4, "*": 5}
-_NODE = {"||": Or, "&&": And, "+": Add, "-": Sub, "*": MulConst}  # all but comparisons
 
 # The deepest a leaf of an expression or condition may sit, counting one
 # level for the leaf and for each block, pair of parentheses and operator
@@ -423,10 +393,10 @@ class _Parser:
             got = f"{ek.value} expression" if ek else "a condition"
             raise LangError(f"cannot assign {got} to {kind.value} '{name}'", op.line, op.col)
         if op.text != "=":  # x += e is x = x + e; x++ is x += 1
-            expr = (Add if op.text[0] == "+" else Sub)(Var(name), expr)
+            expr = Binary(Var(name), op.text[0], expr)
         return Assign(self._site(), name, expr)
 
-    def condition(self) -> BoolExpr:
+    def condition(self) -> Expr:
         cond, kind, height = self._climb(1)
         self._require_condition(kind, self._peek())
         self._bound(height)
@@ -441,7 +411,7 @@ class _Parser:
     # climbing, each operand with its kind (None for a condition), so a
     # parenthesis may hold either and kind errors are raised at the operator
 
-    def _climb(self, floor: int) -> tuple[Expr | BoolExpr, Kind | None, int]:
+    def _climb(self, floor: int) -> tuple[Expr, Kind | None, int]:
         """An operand and every operator after it that binds at least as
         tightly as ``floor``, grouped to the left: the node, its kind and
         its height in levels."""
@@ -458,10 +428,10 @@ class _Parser:
 
     def _combine(
         self, op: _Token, left, lkind, right, rkind
-    ) -> tuple[Expr | BoolExpr, Kind | None]:
+    ) -> tuple[Expr, Kind | None]:
         if op.text in ("&&", "||"):
             self._require_condition(rkind, self._peek())
-            return _NODE[op.text](left, right), None
+            return Binary(left, op.text, right), None
         if lkind is None or rkind is None:
             raise LangError(f"a condition cannot be an operand of '{op.text}'", op.line, op.col)
         if op.text == "*" and not isinstance(left, (IntLit, RealLit)):
@@ -472,11 +442,9 @@ class _Parser:
         if lkind is not rkind:
             what = "comparison mixes integer and real" if relational else "mixed integer and real"
             raise LangError(f"{what} operands", op.line, op.col)
-        if relational:
-            return Cmp(left, op.text, right), None
-        return _NODE[op.text](left, right), lkind
+        return Binary(left, op.text, right), (None if relational else lkind)
 
-    def _operand(self) -> tuple[Expr | BoolExpr, Kind | None, int]:
+    def _operand(self) -> tuple[Expr, Kind | None, int]:
         t = self._advance()
         sign = 1
         if t.text == "-":
@@ -535,7 +503,7 @@ def parse(source: str, *, name: str = "<program>", query: str | None = None) -> 
     return Program(tuple(order), tuple(body), outcome, name=name)
 
 
-def parse_condition(text: str, kinds: dict[str, Kind]) -> BoolExpr:
+def parse_condition(text: str, kinds: dict[str, Kind]) -> Expr:
     """Parse a standalone boolean expression over already-declared variables."""
 
     parser = _Parser(_tokenize(text), kinds)
@@ -563,17 +531,17 @@ def iter_stmts(stmts):
             yield from iter_stmts(s.body)
 
 
-def reads(node: Expr | BoolExpr | Stmt):
+def reads(node: Expr | Stmt):
     """Variable and generator leaves read by an expression, a condition or
     one statement's own expression or guard (not its nested blocks), left
     to right."""
 
     if isinstance(node, (Var, CoinFlip, Uniform)):
         yield node
-    elif isinstance(node, (Add, Sub, Cmp, And, Or)):
+    elif isinstance(node, Binary):
         yield from reads(node.left)
         yield from reads(node.right)
-    elif isinstance(node, (MulConst, Assign)):
+    elif isinstance(node, Assign):
         yield from reads(node.expr)
     elif isinstance(node, (Know, If, While)):
         yield from reads(node.cond)
@@ -616,10 +584,7 @@ def generator_sites(program: Program) -> list[GeneratorSite]:
 # ---------------------------------------------------------------------------
 
 
-_SYMBOL = {node: op for op, node in _NODE.items()}
-
-
-def _text(node: Expr | BoolExpr, floor: int = 0) -> str:
+def _text(node: Expr, floor: int = 0) -> str:
     """Source text of an expression or condition, in parentheses when its
     operator binds less tightly than ``floor``.  A left operand takes its
     parent's precedence as the floor and a right operand one more, the
@@ -631,13 +596,8 @@ def _text(node: Expr | BoolExpr, floor: int = 0) -> str:
         return node.name
     if isinstance(node, (CoinFlip, Uniform)):
         return "coin_flip()" if isinstance(node, CoinFlip) else "uniform()"
-    if isinstance(node, MulConst):
-        left, right = node.coeff, node.expr
-    else:
-        left, right = node.left, node.right
-    op = node.op if isinstance(node, Cmp) else _SYMBOL[type(node)]
-    prec = _PRECEDENCE[op]
-    text = f"{_text(left, prec)} {op} {_text(right, prec + 1)}"
+    prec = _PRECEDENCE[node.op]
+    text = f"{_text(node.left, prec)} {node.op} {_text(node.right, prec + 1)}"
     return f"({text})" if prec < floor else text
 
 
@@ -645,8 +605,8 @@ def _stmt_lines(stmt: Stmt, indent: int) -> list[str]:
     pad = "  " * indent
     if isinstance(stmt, Assign):
         e = stmt.expr
-        if isinstance(e, (Add, Sub)) and e.left == Var(stmt.name):  # x = x + e prints x += e
-            return [f"{pad}{stmt.name} {_SYMBOL[type(e)]}= {_text(e.right)};"]
+        if isinstance(e, Binary) and e.op in ("+", "-") and e.left == Var(stmt.name):
+            return [f"{pad}{stmt.name} {e.op}= {_text(e.right)};"]  # x = x + e prints x += e
         return [f"{pad}{stmt.name} = {_text(e)};"]
     if isinstance(stmt, Know):
         return [f"{pad}know ({_text(stmt.cond)});"]

@@ -255,8 +255,8 @@ def test_program_past_nesting_bound_exit_2(tmp_path, capsys, deeper):
 
 
 def test_oracle_exact_long_coin_path_exit_1(tmp_path, capsys):
-    # every path reads 1,500 coins and none hits, and the enumeration
-    # recurses once per coin
+    # every path reads 1,500 coins and none hits, past the enumeration's
+    # cap on the coins of one path
     src = tmp_path / "coins.amc"
     src.write_text(
         "int x, i; x = 0; i = 0; while (i < 1500) { x += coin_flip(); i++; } know (x < 0);"
@@ -264,6 +264,30 @@ def test_oracle_exact_long_coin_path_exit_1(tmp_path, capsys):
     code, out, err = run_cli(capsys, "oracle", str(src), "--mode", "exact")
     assert code == 1 and out == ""
     assert one_line_error(err) and "coins" in err
+
+
+def test_oracle_exact_warns_on_divergence(tmp_path, capsys):
+    # the x = 0 path loops forever: a miss, with a warning as in sampled mode
+    src = tmp_path / "diverge.amc"
+    src.write_text("int x; x = coin_flip(); while (x < 1) { } know (x >= 0);")
+    code, out, _ = run_cli(capsys, "oracle", str(src), "--mode", "exact", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["estimate"] == 0.5
+    assert len(report["diagnostics"]) == 1 and "nonterminating" in report["diagnostics"][0]
+
+
+def test_integer_bounds_past_float_range(tmp_path, capsys):
+    huge = "1" + "0" * 400  # past the largest double
+    src = tmp_path / "huge.amc"
+    src.write_text(f"int x; know (x >= 0 && x <= 1); know (x < {huge});")
+    argv = ["analyze", str(src), "--trials", "20", "--jobs", "1"]
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["p_hat"] == 1.0
+    src.write_text(f"int x; x = {huge}; know (x > 0);")
+    code, _, err = run_cli(capsys, *argv, "--trace")
+    assert code == 0 and f"x=[{huge}, {huge}]" in err
 
 
 def test_sampled_oracle_draw_table_cap_exit_1(tmp_path, capsys, monkeypatch):

@@ -52,8 +52,6 @@ def test_golden_corpus_report(figs, name):
 def test_golden_widening_path(figs, unroll, hits):
     r = run(figs["fig1"], TRIALS, 0.01, SEED, 1, TrialConfig(unroll_limit=unroll))
     assert r.hits == hits
-    assert r.widened_trials == TRIALS
-    assert r.aborted_trials == 0
     assert r.warnings == [f"widening engaged in {TRIALS} of {TRIALS} trials"]
 
 

@@ -2,9 +2,8 @@ import pytest
 
 from absmc import corpus, lang
 from absmc.lang import (
-    Add,
     Assign,
-    Cmp,
+    Binary,
     IntLit,
     Kind,
     LangError,
@@ -19,8 +18,8 @@ def test_parse_fig1_structure(figs):
     assert p.declarations == (("x", Kind.INT), ("i", Kind.INT))
     kinds = [type(s).__name__ for s in p.body]
     assert kinds == ["Know", "Assign", "While"]
-    assert isinstance(p.outcome, Cmp)
-    assert p.outcome == Cmp(Var("x"), "<", IntLit(3))
+    assert isinstance(p.outcome, Binary)
+    assert p.outcome == Binary(Var("x"), "<", IntLit(3))
 
 
 def test_parse_fig4_wrapped_block(figs):
@@ -38,7 +37,7 @@ def test_corpus_parses_without_error():
 def test_minimal_program():
     p = parse("int x; know(x<3);")
     assert p.body == ()
-    assert p.outcome == Cmp(Var("x"), "<", IntLit(3))
+    assert p.outcome == Binary(Var("x"), "<", IntLit(3))
 
 
 def test_kind_mismatch_rejected():
@@ -80,40 +79,40 @@ def test_duplicate_declaration_rejected():
 
 def test_increment_desugars():
     p = parse("int i; i = 0; i++; know(i>0);")
-    assert p.body[1] == Assign(0, "i", Add(Var("i"), IntLit(1)))
+    assert p.body[1] == Assign(0, "i", Binary(Var("i"), "+", IntLit(1)))
     q = parse("double i; i = 0.; i++; i--; know(i>=0.);")
-    assert q.body[1].expr == Add(Var("i"), lang.RealLit(1.0))
-    assert q.body[2].expr == lang.Sub(Var("i"), lang.RealLit(1.0))
+    assert q.body[1].expr == Binary(Var("i"), "+", lang.RealLit(1.0))
+    assert q.body[2].expr == Binary(Var("i"), "-", lang.RealLit(1.0))
 
 
 def test_bare_block_splices():
     p = parse("int x; { x = 1; { x += 1; } } know(x>0);")
-    assert p.body == (Assign(0, "x", IntLit(1)), Assign(0, "x", Add(Var("x"), IntLit(1))))
+    assert p.body == (Assign(0, "x", IntLit(1)), Assign(0, "x", Binary(Var("x"), "+", IntLit(1))))
 
 
 def test_query_overrides_outcome(figs):
     src = corpus.source("fig1")
     p = parse(src, query="x < 100")
-    assert p.outcome == Cmp(Var("x"), "<", IntLit(100))
+    assert p.outcome == Binary(Var("x"), "<", IntLit(100))
     # the source's outcome know is dropped, assumptions stay
     assert [type(s).__name__ for s in p.body] == ["Know", "Assign", "While"]
 
 
 def test_query_on_source_without_know():
     p = parse("int x; x = 0;", query="x == 0")
-    assert p.outcome == Cmp(Var("x"), "==", IntLit(0))
+    assert p.outcome == Binary(Var("x"), "==", IntLit(0))
 
 
 def test_boolean_parentheses_group():
     p = parse("int x, y; know((x < 0 || y < 0) && x < y); know(x<1);")
     cond = p.body[0].cond
-    assert isinstance(cond, lang.And)
-    assert isinstance(cond.left, lang.Or)
+    assert isinstance(cond, Binary) and cond.op == "&&"
+    assert isinstance(cond.left, Binary) and cond.left.op == "||"
 
 
 def test_multiplication_requires_literal():
     p = parse("int x, y; x = 3 * y; know(x<1);")
-    assert isinstance(p.body[0].expr, lang.MulConst)
+    assert p.body[0].expr == Binary(IntLit(3), "*", Var("y"))
     q = parse("int x, y; x = y * 3; know(x<1);")
     assert q.body[0].expr == p.body[0].expr
     with pytest.raises(LangError, match="literal factor"):
@@ -173,5 +172,5 @@ def test_parse_condition_rejects_trailing_input():
 
 def test_last_know_anywhere_is_outcome():
     p = parse("int x; know(x>=0); x = 1;")
-    assert p.outcome == Cmp(Var("x"), ">=", IntLit(0))
+    assert p.outcome == Binary(Var("x"), ">=", IntLit(0))
     assert [type(s).__name__ for s in p.body] == ["Assign"]
