@@ -22,7 +22,6 @@ from .estimator import (
     Report,
     RestrictionError,
     RestrictionSpec,
-    bound,
     derive_seed,
     hoeffding_margin,
     plan_trials,
@@ -53,7 +52,6 @@ __all__ = [
     "TrialConfig",
     "TrialOutcome",
     "analyze_trial",
-    "bound",
     "derive_seed",
     "eval_range",
     "filter_env",

@@ -344,7 +344,8 @@ def oracle_estimate(
         m = min(remaining, 1 << 17)
         hits += int(_sampled_batch(program, combos, m, rng, diagnostics, step_budget).sum())
         remaining -= m
-    return OracleReport("sampled", hits / n, n, spec.grid, seed, tuple(diagnostics[:4]))
+    notes = tuple(dict.fromkeys(diagnostics))
+    return OracleReport("sampled", hits / n, n, spec.grid, seed, notes)
 
 
 # Caps on the exact enumeration: the nodes of its tree, and the coins on
@@ -393,6 +394,8 @@ def _exact_discrete(program, combos, step_budget, diagnostics) -> tuple[Fraction
 
 
 _INT64_MAX = 2**63 - 1
+_BUDGET_NOTE = "nonterminating paths hit the step budget; counted as misses"
+_REPEAT_NOTE = "nonterminating paths repeat a loop state; counted as misses"
 _DRAW_TABLE_BYTES = 1 << 30  # cap on one batch's draw table
 
 
@@ -433,10 +436,23 @@ class _VectorRun:
         self.rng = rng
         self.m = m
         self.step_budget = step_budget
-        self.diagnosed = False
-        stmts = lang.iter_stmts(program.body)
+        self.notes: dict[str, None] = {}  # diagnostics, in first-seen order
+        stmts = list(lang.iter_stmts(program.body))
         nodes = [s.expr if isinstance(s, lang.Assign) else s.cond for s in stmts]
         self.growth = {id(n): _growth(n, self.kinds) for n in nodes + [program.outcome]}
+        # loops whose guard and body draw nothing, with the variables their
+        # body assigns: a lane that one iteration leaves unchanged repeats
+        # that iteration forever
+        self.drawless = {
+            id(s): sorted(lang.writes(s.body))
+            for s in stmts
+            if isinstance(s, lang.While)
+            and not any(
+                isinstance(e, (lang.CoinFlip, lang.Uniform))
+                for inner in [s, *lang.iter_stmts(s.body)]
+                for e in lang.reads(inner)
+            )
+        }
 
     def _draw(self, gen):
         key = (gen.site, tuple(self.word))
@@ -505,15 +521,27 @@ class _VectorRun:
             elif isinstance(s, lang.While):
                 self.word.append(1)
                 try:
+                    written = self.drawless.get(id(s))
                     active = mask & self._holds(s.cond) & self.alive
                     while active.any():
                         self.budget -= 1
                         if self.budget < 0:
                             # divergent lanes never reach the final state
                             self.alive &= ~active
-                            self.diagnosed = True
+                            self.notes[_BUDGET_NOTE] = None
                             break
+                        if written is not None:
+                            before = [self.env[name].copy() for name in written]
                         self._block(s.body, active)
+                        if written is not None:
+                            # equal compares -0.0 with 0.0: the only operations
+                            # that tell them apart are absent from the language
+                            stuck = active & self.alive
+                            for name, old in zip(written, before):
+                                stuck &= self.env[name] == old
+                            if stuck.any():
+                                self.alive &= ~stuck
+                                self.notes[_REPEAT_NOTE] = None
                         self.word[-1] += 1
                         active = active & self._holds(s.cond) & self.alive
                 finally:
@@ -530,6 +558,5 @@ def _sampled_batch(program, combos, m, rng, diagnostics, step_budget=1_000_000) 
         hit |= runner.run(combo)
         if hit.all():
             break
-    if runner.diagnosed:
-        diagnostics.append("nonterminating paths hit the step budget; counted as misses")
+    diagnostics.extend(runner.notes)
     return hit

@@ -45,14 +45,6 @@ def hoeffding_margin(n: int, epsilon: float) -> float:
     return math.sqrt(math.log(1.0 / epsilon) / (2.0 * n))
 
 
-def bound(p_hat: float, n: int, epsilon: float) -> float:
-    """Upper confidence bound min(1, p_hat + margin)."""
-
-    if not 0.0 <= p_hat <= 1.0:
-        raise ValueError("p_hat must be in [0, 1]")
-    return min(1.0, p_hat + hoeffding_margin(n, epsilon))
-
-
 def plan_trials(t: float, epsilon: float) -> int:
     """Smallest n with margin at most t at confidence 1 - epsilon."""
 
@@ -166,9 +158,10 @@ class Report:
 def _trial_chunk(args) -> tuple[int, int, int]:
     program, config, restriction, master_seed, start, stop = args
     hits = widened = aborted = 0
+    memo: dict = {}  # loop fixpoints, shared by this chunk's trials only
     for index in range(start, stop):
         outcome = analyze_trial(
-            program, derive_seed(master_seed, index), config, restriction=restriction
+            program, derive_seed(master_seed, index), config, restriction=restriction, memo=memo
         )
         hits += outcome.hit
         if outcome.widened_loops:

@@ -23,6 +23,11 @@ joining ``widening_delay`` times before widening, then refines with
 ``narrowing_passes`` descending iterations; the loop's result is the
 fixpoint filtered by the negated guard.
 
+A loop fixpoint draws nothing, so it is a pure function of the loop and
+its entry environment.  Trials of one run may share a memo of fixpoints
+keyed by both; a hit replays the stored result together with the steps
+and widenings it cost, so counters and verdicts match a recomputation.
+
 A trial's verdict is 1 when the outcome event cannot be ruled out for
 some choice of the unconstrained inputs consistent with the recorded
 draws, and 0 when it is impossible.  Trials that exhaust their step
@@ -60,6 +65,10 @@ class TrialConfig:
 
 ChoiceKey = tuple[int, tuple[int, ...]]
 
+# Most (loop, entry environment) pairs one fixpoint memo stores; later
+# pairs are recomputed each time they occur.
+_MEMO_CAP = 1024
+
 
 @dataclass
 class TrialContext:
@@ -74,6 +83,9 @@ class TrialContext:
     steps: int = 0
     widened_loops: int = 0
     trace: Callable[[str], None] | None = None
+    # (site, entry bounds) -> (result, steps, widened loops); one program
+    # and one set of fixpoint knobs per memo
+    memo: dict | None = None
 
     def tick(self) -> None:
         self.steps += 1
@@ -169,6 +181,27 @@ def eval_loop(stmt: lang.While, env: AbstractEnv, ctx: TrialContext) -> Abstract
 
 
 def _loop_fixpoint(stmt: lang.While, env: AbstractEnv, ctx: TrialContext) -> AbstractEnv:
+    # a traced trial prints every pass, so it bypasses the memo
+    memo = None if ctx.trace is not None or env.is_bottom() else ctx.memo
+    if memo is not None:
+        # -0.0 == 0.0 and both hash alike: a zero bound enters the key as
+        # its repr, so a replay never returns a result of the other zero
+        bounds = [b if b else repr(b) for iv in env.values.values() for b in (iv.lo, iv.hi)]
+        key = (stmt.site, *bounds)
+        stored = memo.get(key)
+        # past the step budget the loop runs for real, to abort at its step
+        if stored is not None and ctx.steps + stored[1] <= ctx.config.step_budget:
+            ctx.steps += stored[1]
+            ctx.widened_loops += stored[2]
+            return stored[0]
+        steps, widened_loops = ctx.steps, ctx.widened_loops
+    out = _fixpoint(stmt, env, ctx)
+    if memo is not None and len(memo) < _MEMO_CAP:
+        memo[key] = (out, ctx.steps - steps, ctx.widened_loops - widened_loops)
+    return out
+
+
+def _fixpoint(stmt: lang.While, env: AbstractEnv, ctx: TrialContext) -> AbstractEnv:
     saved = ctx.randomize
     ctx.randomize = False
     try:
@@ -208,9 +241,13 @@ def analyze_trial(
     rng: random.Random | None = None,
     restriction: dict[int, tuple[float, float]] | None = None,
     trace: Callable[[str], None] | None = None,
+    memo: dict | None = None,
 ) -> TrialOutcome:
     """Run one trial.  Deterministic in (program, seed, config); the
-    optional ``rng`` overrides seeding for tests."""
+    optional ``rng`` overrides seeding for tests.  ``memo`` is a dict of
+    loop fixpoints shared by trials of this program under the same
+    ``widening_delay`` and ``narrowing_passes``; it never changes the
+    outcome."""
 
     if program.outcome is None:
         raise InterpError("program has no outcome")
@@ -220,6 +257,7 @@ def analyze_trial(
         config=cfg,
         restriction=restriction,
         trace=trace,
+        memo=memo,
     )
     try:
         env = eval_block(program.body, AbstractEnv.tops(program.kinds()), ctx)

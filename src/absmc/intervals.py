@@ -81,6 +81,27 @@ def _outward(r: float, a: float, b: float, exact, toward: float) -> float:
     return r if exact(a, b, r) else math.nextafter(r, toward)
 
 
+def _int_sum(a, b):
+    """a + b for INT bounds of one side (both lower or both upper).  An
+    infinite operand gives the infinite bound first: adding an int past
+    the float range to a float would raise OverflowError."""
+
+    if type(a) is float:
+        return a
+    if type(b) is float:
+        return b
+    return a + b
+
+
+def _int_scaled(c: int, x):
+    """c * x for a nonzero INT coefficient and an INT bound, infinite
+    bounds first as in `_int_sum`."""
+
+    if type(x) is float:
+        return x if c > 0 else -x
+    return c * x
+
+
 # ---------------------------------------------------------------------------
 # Interval
 # ---------------------------------------------------------------------------
@@ -184,7 +205,9 @@ class Interval:
         if self.is_bottom() or other.is_bottom():
             return Interval.bottom(self.kind)
         if self.kind is Kind.INT:
-            return Interval.make(self.kind, self.lo + other.lo, self.hi + other.hi)
+            return Interval.make(
+                self.kind, _int_sum(self.lo, other.lo), _int_sum(self.hi, other.hi)
+            )
         return Interval.make(
             self.kind,
             _outward(self.lo + other.lo, self.lo, other.lo, _sum_is_exact, -INF),
@@ -196,7 +219,9 @@ class Interval:
         if self.is_bottom() or other.is_bottom():
             return Interval.bottom(self.kind)
         if self.kind is Kind.INT:
-            return Interval.make(self.kind, self.lo - other.hi, self.hi - other.lo)
+            return Interval.make(
+                self.kind, _int_sum(self.lo, -other.hi), _int_sum(self.hi, -other.lo)
+            )
         return Interval.make(
             self.kind,
             _outward(self.lo - other.hi, self.lo, -other.hi, _sum_is_exact, -INF),
@@ -211,7 +236,7 @@ class Interval:
         if coeff == 0:
             return Interval.const(self.kind, coeff)
         if self.kind is Kind.INT:
-            a, b = coeff * self.lo, coeff * self.hi
+            a, b = _int_scaled(coeff, self.lo), _int_scaled(coeff, self.hi)
             return Interval.make(self.kind, min(a, b), max(a, b))
         c = float(coeff)
         lo, hi = (self.lo, self.hi) if c > 0 else (self.hi, self.lo)

@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from absmc import corpus, lang
 from absmc.cli import main as cli_main
 from absmc.concrete import ChoiceSource, NondetSpec, oracle_estimate, run_concrete
-from absmc.estimator import bound, derive_seed, plan_trials, run
+from absmc.estimator import derive_seed, hoeffding_margin, plan_trials, run
 from absmc.interp import analyze_trial
 from absmc.intervals import Interval, filter_env, AbstractEnv
 from absmc.lang import Kind
@@ -129,10 +129,10 @@ def test_criterion_4_fig4_oracle_brackets_analyzer(figs):
 
 
 def test_criterion_5_bound_formula():
-    b = bound(0.833, 10_000, 0.01)
+    b = 0.833 + hoeffding_margin(10_000, 0.01)
     n = plan_trials(0.01, 0.01)
     ok = abs(b - 0.8482) <= 0.0002 and n == 23_026
-    _report(5, ok, f"bound(0.833,1e4,0.01)={b:.5f} plan_trials(0.01,0.01)={n}")
+    _report(5, ok, f"0.833+margin(1e4,0.01)={b:.5f} plan_trials(0.01,0.01)={n}")
 
 
 def test_criterion_6_soundness_suite(figs):

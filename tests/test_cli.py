@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -288,6 +289,28 @@ def test_integer_bounds_past_float_range(tmp_path, capsys):
     src.write_text(f"int x; x = {huge}; know (x > 0);")
     code, _, err = run_cli(capsys, *argv, "--trace")
     assert code == 0 and f"x=[{huge}, {huge}]" in err
+    # a sum or product of such a bound with an infinite one stays infinite
+    for source in (
+        f"int x, y; know (x >= 0); y = {huge}; x = x + y; know (x > 0);",
+        f"int x; x = {huge} * x; know (x > 0);",
+    ):
+        src.write_text(source)
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and err == "" and json.loads(out)["n"] == 20
+
+
+def test_oracle_sampled_stops_drawless_divergent_loop(tmp_path, capsys):
+    # the x = 0 lanes repeat an iteration that changes nothing; they diverge
+    # at once instead of running each batch's whole step budget
+    src = tmp_path / "diverge.amc"
+    src.write_text("int x; x = coin_flip(); while (x < 1) { } know (x >= 0);")
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "oracle", str(src), "--n", "300000")
+    assert code == 0 and time.perf_counter() - started < 30
+    warnings = [line for line in out.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1 and "nonterminating" in warnings[0]
+    estimate = float(next(line for line in out.splitlines() if line.startswith("estimate:"))[9:])
+    assert abs(estimate - 0.5) <= 4 * (0.25 / 300_000) ** 0.5
 
 
 def test_sampled_oracle_draw_table_cap_exit_1(tmp_path, capsys, monkeypatch):

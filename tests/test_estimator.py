@@ -9,7 +9,6 @@ from absmc import lang
 from absmc.estimator import (
     RestrictionError,
     RestrictionSpec,
-    bound,
     derive_seed,
     hoeffding_margin,
     plan_trials,
@@ -22,24 +21,26 @@ from absmc.lang import parse
 def test_bound_reproduces_published_arithmetic():
     # closed form recomputed independently of the implementation path
     expected = 0.833 + math.sqrt(math.log(100.0) / (2 * 10_000))
-    got = bound(0.833, 10_000, 0.01)
+    got = 0.833 + hoeffding_margin(10_000, 0.01)
     assert abs(got - expected) < 1e-12
     assert round(got, 4) == 0.8482
 
 
 def test_bound_examples():
-    assert bound(0.3, 5, 1.0) == 0.3  # zero margin at epsilon = 1
-    assert abs(bound(0.5, 10_000, 0.01) - 0.5151742713) < 1e-9
-    assert bound(0.999, 100, 0.01) == 1.0  # clamps
+    assert hoeffding_margin(5, 1.0) == 0.0  # zero margin at epsilon = 1
+    assert abs(0.5 + hoeffding_margin(10_000, 0.01) - 0.5151742713) < 1e-9
+    always = parse("int x; x = 0; know(x < 1);")
+    assert run(always, 100, 0.01).p_prime == 1.0  # clamps
 
 
 def test_bound_domain_errors():
+    always = parse("int x; x = 0; know(x < 1);")
     with pytest.raises(ValueError):
-        bound(1.5, 10, 0.01)
+        hoeffding_margin(0, 0.01)
     with pytest.raises(ValueError):
-        bound(0.5, 0, 0.01)
+        hoeffding_margin(10, 0.0)
     with pytest.raises(ValueError):
-        bound(0.5, 10, 0.0)
+        run(always, 10, 1.5)
 
 
 def test_plan_trials_examples():
@@ -56,17 +57,16 @@ def test_plan_trials_domain_errors():
 
 
 @given(
-    st.floats(min_value=0.0, max_value=1.0),
     st.integers(min_value=1, max_value=10**7),
     st.integers(min_value=1, max_value=10**7),
     st.floats(min_value=1e-6, max_value=0.999),
     st.floats(min_value=1e-6, max_value=0.999),
 )
-def test_bound_monotone(p, n1, n2, e1, e2):
+def test_bound_monotone(n1, n2, e1, e2):
     lo_n, hi_n = min(n1, n2), max(n1, n2)
     lo_e, hi_e = min(e1, e2), max(e1, e2)
-    assert bound(p, hi_n, lo_e) <= bound(p, lo_n, lo_e) + 1e-15
-    assert bound(p, lo_n, hi_e) <= bound(p, lo_n, lo_e) + 1e-15
+    assert hoeffding_margin(hi_n, lo_e) <= hoeffding_margin(lo_n, lo_e)
+    assert hoeffding_margin(lo_n, hi_e) <= hoeffding_margin(lo_n, lo_e)
 
 
 @given(

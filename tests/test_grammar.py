@@ -1,5 +1,6 @@
 """Grammar properties: printing round-trips, generated programs run
-cleanly, and malformed text fails cleanly.
+cleanly and the same with a fixpoint memo, and malformed text fails
+cleanly.
 
 The first strategy writes well-kinded source text straight from the
 grammar in ``absmc.lang``: every assignment form, nested ``if``/``else``
@@ -127,6 +128,24 @@ def test_generated_programs_run_cleanly(source, seed):
         analyze_trial(p, seed, TrialConfig(unroll_limit=4, step_budget=200))
     with suppress(*RUN_ERRORS):
         oracle_estimate(p, mode="sampled", n=8, seed=seed, spec=SPEC, step_budget=50)
+
+
+def _trial(p, seed, memo):
+    try:
+        out = analyze_trial(p, seed, TrialConfig(unroll_limit=2, step_budget=300), memo=memo)
+    except (DomainError, OverflowError) as e:
+        return type(e)
+    env = out.env and out.env.render()  # None when aborted
+    return out.hit, out.table, out.widened_loops, out.steps, out.aborted, env
+
+
+@FAST
+@given(programs(), st.integers(0, 2**32))
+def test_fixpoint_memo_leaves_trials_unchanged(source, seed):
+    p = parse(source)
+    memo = {}
+    for k in range(4):
+        assert _trial(p, seed + k, memo) == _trial(p, seed + k, None)
 
 
 _TOKEN = re.compile(

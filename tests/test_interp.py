@@ -205,6 +205,83 @@ def test_trial_accounts_widening(figs):
     assert out.hit == 1
 
 
+# --- the fixpoint memo ----------------------------------------------------------
+
+# fig4's branch in an inner loop, nested in an outer loop with an
+# unconstrained trip count: every trial runs both fixpoints
+NESTED = """
+int k, m, j;
+double x, z;
+know (x>=0.05 && x<=0.1);
+know (m>=0 && m<=5);
+k=0;
+while (k < m) {
+  j=0;
+  while (j < 3) {
+    z=uniform(); z+=z;
+    if (x+z<2.) { x += uniform(); } else { x -= uniform(); }
+    j++;
+  }
+  k++;
+}
+know (x>0.9 && x<1.1);
+"""
+
+
+def _summary(out):
+    return out.hit, out.table, out.widened_loops, out.steps, out.aborted, out.env.render()
+
+
+def test_memo_keeps_the_sign_of_zero():
+    # -0.0 == 0.0 with equal hashes; each entry must replay its own zero
+    p = parse("double x, y; while (y < 5.0) { y = y + 1.0; } know (x < 2.0);")
+    memo = {}
+    for zero in (-0.0, 0.0):
+        env = AbstractEnv({"x": R(zero, 1.0), "y": R(0.0, 0.0)})
+        plain = eval_loop(p.body[0], env, ctx_with(unroll_limit=0))
+        ctx = ctx_with(unroll_limit=0)
+        ctx.memo = memo
+        assert eval_loop(p.body[0], env, ctx).render() == plain.render()
+        assert plain.render().startswith(f"x=[{zero!r}, ")
+    assert len(memo) == 2
+
+
+def test_memo_replay_replays_steps_and_widenings():
+    p = parse(NESTED)
+    memo = {}
+    analyze_trial(p, 0, memo=memo)
+    entries = dict(memo)
+    for seed in range(1, 12):
+        out = analyze_trial(p, seed, memo=memo)
+        assert out.widened_loops > 1  # inner fixpoints widen inside the outer one
+        assert _summary(out) == _summary(analyze_trial(p, seed))
+    assert memo == entries  # no draw reaches a fixpoint's entry: every later one hits
+
+
+def test_memo_replay_stops_at_the_step_budget():
+    p = parse(NESTED)
+    memo = {}
+    full = analyze_trial(p, 1, memo=memo)
+    for budget in (full.steps - 1, full.steps // 2):
+        small = TrialConfig(step_budget=budget)
+        replay = analyze_trial(p, 1, small, memo=memo)
+        assert replay.aborted and replay.steps == budget + 1
+        assert replay.steps == analyze_trial(p, 1, small).steps
+    assert analyze_trial(p, 1, memo=memo).steps == full.steps
+
+
+def test_traced_trial_bypasses_memo():
+    p = parse(NESTED)
+    memo = {}
+    lines, plain = [], []
+    analyze_trial(p, 1, memo=memo, trace=lines.append)
+    assert memo == {}
+    analyze_trial(p, 1, memo=memo)
+    analyze_trial(p, 1, memo=memo, trace=lines.append)
+    analyze_trial(p, 1, trace=plain.append)
+    assert lines == plain + plain
+
+
 @pytest.mark.parametrize(
     "src",
     [

@@ -53,6 +53,10 @@ def test_arith_examples():
     assert I(0, 2).add(I(3, 4)) == I(3, 6)
     assert I(1, 2).sub(I(0, 1)) == I(0, 2)
     assert I(1, 3).scale(-2) == I(-6, -2)
+    huge = 10**400  # past the float range: infinite bounds stay infinite
+    assert I(0, INF).add(I(huge, huge)) == I(huge, INF)
+    assert I(-INF, 0).sub(I(-huge, huge)) == I(-INF, huge)
+    assert I(1, INF).scale(-huge) == I(-INF, -huge)
 
 
 def test_kind_mismatch_raises():
