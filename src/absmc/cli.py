@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success; 1 usage, argument, restriction, oracle, domain or
 overflow error; 2 parse error or unreadable input file.
-The default worker count honors the ABSMC_JOBS environment variable.
+The default worker count honors the ABSMC_JOBS environment variable; at
+most one worker process runs per CPU.
 """
 
 from __future__ import annotations

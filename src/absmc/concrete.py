@@ -29,6 +29,7 @@ assumptions that precede their first use.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -64,14 +65,13 @@ class ChoiceSource:
         self.values: dict[tuple[int, tuple[int, ...]], int | float] = dict(table or {})
         self.rng = rng
 
-    def draw(self, site: int, word: tuple[int, ...], coin: bool):
+    def draw(self, site: int, word: tuple[int, ...], kind: Kind):
         key = (site, word)
         if key in self.values:
             return self.values[key]
         if self.rng is None:
             raise MissingChoice(key)
-        value = self.rng.getrandbits(1) if coin else self.rng.random()
-        self.values[key] = value
+        value = self.values[key] = lang.draw_value(self.rng, kind)
         return value
 
 
@@ -102,11 +102,11 @@ def evaluate(node: lang.Expr, env, draw):
     # most frequent nodes first
     if isinstance(node, lang.Var):
         return env[node.name]
-    if isinstance(node, (lang.IntLit, lang.RealLit)):
+    if isinstance(node, lang.Lit):
         return node.value
     if isinstance(node, lang.Binary):
         return _APPLY[node.op](evaluate(node.left, env, draw), evaluate(node.right, env, draw))
-    if isinstance(node, (lang.CoinFlip, lang.Uniform)):
+    if isinstance(node, lang.Draw):
         return draw(node)
     raise OracleError(f"unknown node {type(node).__name__}")
 
@@ -147,7 +147,7 @@ def run_concrete(
             raise _OutOfSteps()
 
     def draw(gen):
-        return choices.draw(gen.site, tuple(word), isinstance(gen, lang.CoinFlip))
+        return choices.draw(gen.site, tuple(word), gen.kind)
 
     def ex_block(stmts) -> None:
         for s in stmts:
@@ -213,6 +213,9 @@ def _collect_unassigned_reads(stmts, assigned: set[str], found: set[str]) -> Non
             _collect_unassigned_reads(stmt.body, set(assigned), found)
 
 
+_MAX_COMBOS = 1 << 20  # grid combinations one oracle run may visit
+
+
 @dataclass(frozen=True)
 class NondetSpec:
     """Admissible ranges of the unconstrained inputs plus grid resolution."""
@@ -268,7 +271,19 @@ class NondetSpec:
         return cls(ranges, grid)
 
     def grid_points(self, program: lang.Program) -> dict[str, list[int | float]]:
+        """The grid of each input; OracleError when the grids would make
+        more than `_MAX_COMBOS` combinations."""
+
         kinds = program.kinds()
+        combos = math.prod(
+            min(self.grid, int(hi) - int(lo) + 1) if kinds[name] is Kind.INT else self.grid
+            for name, (lo, hi) in self.ranges.items()
+        )
+        if combos > _MAX_COMBOS:
+            raise OracleError(
+                f"the oracle grid makes {combos} input combinations,"
+                f" over the cap of {_MAX_COMBOS}; lower --grid"
+            )
         points: dict[str, list[int | float]] = {}
         for name, (lo, hi) in self.ranges.items():
             if self.grid == 1:
@@ -406,9 +421,9 @@ def _growth(node, kinds: dict[str, Kind]) -> tuple[int, int]:
 
     if isinstance(node, lang.Var):
         return (1, 0) if kinds[node.name] is Kind.INT else (0, 0)
-    if isinstance(node, lang.IntLit):
+    if isinstance(node, lang.Lit) and node.kind is Kind.INT:
         return 0, abs(node.value)
-    if isinstance(node, lang.CoinFlip):
+    if isinstance(node, lang.Draw) and node.kind is Kind.INT:
         return 0, 1
     if isinstance(node, lang.Binary):
         (a, b), (c, d) = _growth(node.left, kinds), _growth(node.right, kinds)
@@ -448,7 +463,7 @@ class _VectorRun:
             for s in stmts
             if isinstance(s, lang.While)
             and not any(
-                isinstance(e, (lang.CoinFlip, lang.Uniform))
+                isinstance(e, lang.Draw)
                 for inner in [s, *lang.iter_stmts(s.body)]
                 for e in lang.reads(inner)
             )
@@ -463,7 +478,7 @@ class _VectorRun:
                     f"sampled-oracle draw table would pass {_DRAW_TABLE_BYTES} bytes"
                     f" ({len(self.table) + 1} draws of {self.m} lanes); lower --n"
                 )
-            if isinstance(gen, lang.CoinFlip):
+            if gen.kind is Kind.INT:
                 arr = self.rng.integers(0, 2, size=self.m, dtype=np.int64)
             else:
                 arr = self.rng.random(self.m)

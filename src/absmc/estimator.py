@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -183,7 +184,8 @@ def run(
     restriction: RestrictionSpec | None = None,
 ) -> Report:
     """Run n trials and assemble the Report.  Identical output for any
-    ``jobs`` value (except elapsed_ms)."""
+    ``jobs`` value (except elapsed_ms); at most one worker process runs
+    per CPU, whatever ``jobs`` asks for."""
 
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -192,17 +194,18 @@ def run(
     t = hoeffding_margin(n, epsilon)
     cfg = config or TrialConfig()
     sites = restriction.sites if restriction is not None else None
+    workers = min(jobs, os.cpu_count() or 1)
     started = time.perf_counter()
-    if jobs == 1 or n < 2 * jobs:
+    if workers == 1 or n < 2 * workers:
         hits, widened, aborted = _trial_chunk((program, cfg, sites, master_seed, 0, n))
     else:
-        chunk = max(1, -(-n // (jobs * 4)))
+        chunk = max(1, -(-n // (workers * 4)))
         tasks = [
             (program, cfg, sites, master_seed, lo, min(lo + chunk, n))
             for lo in range(0, n, chunk)
         ]
         hits = widened = aborted = 0
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for h, w, a in pool.map(_trial_chunk, tasks):
                 hits += h
                 widened += w

@@ -42,7 +42,6 @@ from typing import Callable
 
 from . import lang
 from .intervals import GENERATOR_RANGE, AbstractEnv, Interval, eval_range, filter_env
-from .lang import Kind
 
 
 class InterpError(Exception):
@@ -61,6 +60,13 @@ class TrialConfig:
     widening_delay: int = 2
     narrowing_passes: int = 2
     step_budget: int = 1_000_000  # statements, loop iterations and fixpoint passes
+
+    def __post_init__(self):
+        for name in ("unroll_limit", "widening_delay", "narrowing_passes"):
+            if (value := getattr(self, name)) < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.step_budget < 1:
+            raise ValueError(f"step_budget must be >= 1, got {self.step_budget}")
 
 
 ChoiceKey = tuple[int, tuple[int, ...]]
@@ -92,29 +98,22 @@ class TrialContext:
         if self.steps > self.config.step_budget:
             raise StepBudgetExceeded(f"exceeded {self.config.step_budget} steps")
 
-    def draw(self, gen: lang.CoinFlip | lang.Uniform) -> Interval:
+    def draw(self, gen: lang.Draw) -> Interval:
         """Generator hook for `eval_range`: the full range inside fixpoints,
         otherwise a concrete draw from the (restricted) support, recorded
         under its (site, iteration word) key."""
 
         if not self.randomize:
-            return GENERATOR_RANGE[type(gen)]
+            return GENERATOR_RANGE[gen.kind]
         key: ChoiceKey = (gen.site, tuple(self.word))
         if key in self.table:
             raise InterpError(f"duplicate choice key {key}")
-        coin = isinstance(gen, lang.CoinFlip)
         span = self.restriction.get(gen.site) if self.restriction else None
-        if coin:
-            allowed = [v for v in (0, 1) if span[0] <= v <= span[1]] if span else (0, 1)
-            value = allowed[0] if len(allowed) == 1 else self.rng.getrandbits(1)
-        else:
-            lo, hi = span or (0.0, 1.0)
-            value = lo + (hi - lo) * self.rng.random()
-        self.table[key] = value
+        value = self.table[key] = lang.draw_value(self.rng, gen.kind, span)
         if self.trace is not None:
-            kind = "coin_flip" if coin else "uniform"
-            self.trace(f"draw site {gen.site} w={key[1]} {kind} -> {value!r}")
-        return Interval.const(Kind.INT if coin else Kind.REAL, value)
+            name = lang.GENERATOR_NAME[gen.kind]
+            self.trace(f"draw site {gen.site} w={key[1]} {name} -> {value!r}")
+        return Interval.const(gen.kind, value)
 
 
 @dataclass
@@ -125,7 +124,6 @@ class TrialOutcome:
     env: AbstractEnv | None  # final environment (None when aborted)
     table: dict[ChoiceKey, int | float]
     widened_loops: int
-    seed: int | None
     aborted: bool = False
     steps: int = 0
 
@@ -270,7 +268,6 @@ def analyze_trial(
         env=env,
         table=ctx.table,
         widened_loops=ctx.widened_loops,
-        seed=seed,
         aborted=aborted,
         steps=ctx.steps,
     )

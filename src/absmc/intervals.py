@@ -267,10 +267,7 @@ def _fmt(kind: Kind, x) -> str:
 
 _BOTTOM = {k: Interval(k, INF, -INF) for k in Kind}
 _TOP = {k: Interval(k, -INF, INF) for k in Kind}
-GENERATOR_RANGE = {
-    lang.CoinFlip: Interval(Kind.INT, 0, 1),
-    lang.Uniform: Interval(Kind.REAL, 0.0, 1.0),
-}
+GENERATOR_RANGE = {Kind.INT: Interval(Kind.INT, 0, 1), Kind.REAL: Interval(Kind.REAL, 0.0, 1.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +360,8 @@ def eval_range(expr: lang.Expr, env: AbstractEnv, draw=None) -> Interval:
     their full range, unless a ``draw`` hook is given: then each generator
     node evaluates to ``draw(node)``, in left-to-right order."""
 
-    if isinstance(expr, lang.IntLit):
-        return Interval.const(Kind.INT, expr.value)
-    if isinstance(expr, lang.RealLit):
-        return Interval.const(Kind.REAL, expr.value)
+    if isinstance(expr, lang.Lit):
+        return Interval.const(expr.kind, expr.value)
     if isinstance(expr, lang.Var):
         return env.get(expr.name)
     if isinstance(expr, lang.Binary):
@@ -374,10 +369,8 @@ def eval_range(expr: lang.Expr, env: AbstractEnv, draw=None) -> Interval:
             return eval_range(expr.right, env, draw).scale(expr.left.value)
         left, right = eval_range(expr.left, env, draw), eval_range(expr.right, env, draw)
         return left.add(right) if expr.op == "+" else left.sub(right)
-    if isinstance(expr, (lang.CoinFlip, lang.Uniform)):
-        if draw is not None:
-            return draw(expr)
-        return GENERATOR_RANGE[type(expr)]
+    if isinstance(expr, lang.Draw):
+        return GENERATOR_RANGE[expr.kind] if draw is None else draw(expr)
     raise DomainError(f"unknown expression node {type(expr).__name__}")
 
 

@@ -29,9 +29,12 @@ most `MAX_DEPTH` (150) levels deep: each leaf of an expression or
 condition counts one level, plus one for each block, pair of parentheses
 and operator around it.
 
-The AST has one `Binary` node for every binary operator, keyed by the
-operator's text as `_PRECEDENCE` is; a product keeps its literal
-coefficient on the left, whichever side the source wrote it on.
+The expression AST has four nodes: the leaves `Var`, `Lit` and `Draw`,
+the last two keyed by their `Kind`, and one `Binary` node for every
+binary operator, keyed by the operator's text as `_PRECEDENCE` is.  A
+product keeps its literal coefficient on the left, whichever side the
+source wrote it on.  A generator's name, draw and range are read off its
+kind: `GENERATOR_NAME`, `draw_value` and ``intervals.GENERATOR_RANGE``.
 
 ``x += e`` and ``x -= e`` are sugar for ``x = x + e`` and ``x = x - e``,
 and ``x++``/``x--`` for ``x += 1``/``x -= 1`` with a literal 1 of x's
@@ -93,32 +96,41 @@ class Expr:
 
 
 @dataclass(frozen=True, slots=True)
-class IntLit(Expr):
-    value: int
-
-
-@dataclass(frozen=True, slots=True)
-class RealLit(Expr):
-    value: float
-
-
-@dataclass(frozen=True, slots=True)
 class Var(Expr):
     name: str
 
 
 @dataclass(frozen=True, slots=True)
-class CoinFlip(Expr):
-    """Random draw, uniform on {0, 1}.  Integer kind."""
-
-    site: int = field(compare=False)
+class Lit(Expr):
+    value: int | float
+    kind: Kind
 
 
 @dataclass(frozen=True, slots=True)
-class Uniform(Expr):
-    """Random draw, uniform on [0, 1].  Real kind."""
+class Draw(Expr):
+    """A generator call: ``coin_flip()`` of kind INT, ``uniform()`` of REAL."""
 
     site: int = field(compare=False)
+    kind: Kind
+
+
+# The source name of the generator of each kind
+GENERATOR_NAME = {Kind.INT: "coin_flip", Kind.REAL: "uniform"}
+
+
+def draw_value(rng, kind: Kind, span: tuple[float, float] | None = None) -> int | float:
+    """A generator's concrete draw from a `random.Random`, inside the
+    inclusive ``span`` when given: a coin the span pins to one value takes
+    it without an rng call."""
+
+    if kind is Kind.INT:
+        if span is not None:
+            allowed = [v for v in (0, 1) if span[0] <= v <= span[1]]
+            if len(allowed) == 1:
+                return allowed[0]
+        return rng.getrandbits(1)
+    lo, hi = span or (0.0, 1.0)
+    return lo + (hi - lo) * rng.random()
 
 
 RELOPS = ("<", "<=", ">", ">=", "==", "!=")
@@ -194,7 +206,8 @@ class GeneratorSite:
 # Lexer
 # ---------------------------------------------------------------------------
 
-_KEYWORDS = ("int", "double", "know", "if", "else", "while", "coin_flip", "uniform")
+_KEYWORDS = ("int", "double", "know", "if", "else", "while", *GENERATOR_NAME.values())
+_GENERATOR_KIND = {name: kind for kind, name in GENERATOR_NAME.items()}
 
 # one alternative per token class; "error" takes any character no token
 # starts with, so scanning never skips input
@@ -384,7 +397,7 @@ class _Parser:
         if op.text not in ("=", "+=", "-=", "++", "--"):
             raise LangError(f"expected assignment operator, found {op.text!r}", op.line, op.col)
         if op.text in ("++", "--"):
-            expr, ek, height = (IntLit(1) if kind is Kind.INT else RealLit(1.0)), kind, 1
+            expr, ek, height = Lit(1 if kind is Kind.INT else 1.0, kind), kind, 1
         else:
             expr, ek, height = self._climb(1)
         self._bound(height + (op.text != "="))
@@ -434,8 +447,8 @@ class _Parser:
             return Binary(left, op.text, right), None
         if lkind is None or rkind is None:
             raise LangError(f"a condition cannot be an operand of '{op.text}'", op.line, op.col)
-        if op.text == "*" and not isinstance(left, (IntLit, RealLit)):
-            if not isinstance(right, (IntLit, RealLit)):
+        if op.text == "*" and not isinstance(left, Lit):
+            if not isinstance(right, Lit):
                 raise LangError("multiplication requires a literal factor", op.line, op.col)
             left, right = right, left  # the coefficient comes first
         relational = op.text in RELOPS
@@ -451,16 +464,14 @@ class _Parser:
             if self._peek().kind not in ("INT", "REAL"):
                 raise LangError("'-' must precede a numeric literal", t.line, t.col)
             sign, t = -1, self._advance()
-        if t.kind == "INT":
-            return IntLit(sign * t.value), Kind.INT, 1
-        if t.kind == "REAL":
-            return RealLit(sign * t.value), Kind.REAL, 1
-        if t.text in ("coin_flip", "uniform"):
+        if t.kind in ("INT", "REAL"):
+            kind = Kind[t.kind]
+            return Lit(sign * t.value, kind), kind, 1
+        if t.text in _GENERATOR_KIND:
             self._expect("(")
             self._expect(")")
-            if t.text == "coin_flip":
-                return CoinFlip(self._site()), Kind.INT, 1
-            return Uniform(self._site()), Kind.REAL, 1
+            kind = _GENERATOR_KIND[t.text]
+            return Draw(self._site(), kind), kind, 1
         if t.kind == "IDENT":
             kind = self._kinds.get(t.text)
             if kind is None:
@@ -536,7 +547,7 @@ def reads(node: Expr | Stmt):
     one statement's own expression or guard (not its nested blocks), left
     to right."""
 
-    if isinstance(node, (Var, CoinFlip, Uniform)):
+    if isinstance(node, (Var, Draw)):
         yield node
     elif isinstance(node, Binary):
         yield from reads(node.left)
@@ -565,10 +576,8 @@ def generator_sites(program: Program) -> list[GeneratorSite]:
     def walk_stmts(stmts, in_loop: bool) -> None:
         for s in stmts:
             for e in reads(s):
-                if isinstance(e, (CoinFlip, Uniform)):
-                    found.append(
-                        GeneratorSite(len(found) + 1, e.site, isinstance(e, CoinFlip), in_loop)
-                    )
+                if isinstance(e, Draw):
+                    found.append(GeneratorSite(len(found) + 1, e.site, e.kind is Kind.INT, in_loop))
             if isinstance(s, If):
                 walk_stmts(s.then, in_loop)
                 walk_stmts(s.orelse, in_loop)
@@ -590,12 +599,12 @@ def _text(node: Expr, floor: int = 0) -> str:
     parent's precedence as the floor and a right operand one more, the
     reverse of how the parser groups them."""
 
-    if isinstance(node, (IntLit, RealLit)):
+    if isinstance(node, Lit):
         return repr(node.value)
     if isinstance(node, Var):
         return node.name
-    if isinstance(node, (CoinFlip, Uniform)):
-        return "coin_flip()" if isinstance(node, CoinFlip) else "uniform()"
+    if isinstance(node, Draw):
+        return f"{GENERATOR_NAME[node.kind]}()"
     prec = _PRECEDENCE[node.op]
     text = f"{_text(node.left, prec)} {node.op} {_text(node.right, prec + 1)}"
     return f"({text})" if prec < floor else text

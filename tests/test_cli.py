@@ -346,6 +346,44 @@ def test_oracle_grid_below_one_exit_1(capsys, grid):
     assert one_line_error(err) and "grid" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--unroll", "-5", "unroll_limit"),
+        ("--widening-delay", "-3", "widening_delay"),
+        ("--narrowing-passes", "-2", "narrowing_passes"),
+    ],
+)
+def test_analyze_negative_knob_exit_1(capsys, flag, value, field):
+    code, out, err = run_cli(capsys, "analyze", FIG1, "--trials", "100", "--jobs", "1", flag, value)
+    assert code == 1 and out == ""
+    assert one_line_error(err) and field in err and value in err
+
+
+FOUR_INPUTS = """double a, b, c, d;
+know (a >= 0.0 && a <= 1.0 && b >= 0.0 && b <= 1.0);
+know (c >= 0.0 && c <= 1.0 && d >= 0.0 && d <= 1.0);
+know (a + b + c + d > 3.0);
+"""
+
+
+@pytest.mark.parametrize(
+    "source, grid, count",
+    [(None, "100000000", 100_000_000), (FOUR_INPUTS, "64", 64**4), (FOUR_INPUTS, "33", 33**4)],
+    ids=["fig2", "four-inputs-64", "four-inputs-33"],
+)
+def test_oracle_grid_past_cap_exit_1(tmp_path, capsys, source, grid, count):
+    path = FIG2
+    if source is not None:
+        path = tmp_path / "four.amc"
+        path.write_text(source)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "oracle", str(path), "--n", "100", "--grid", grid)
+    assert time.perf_counter() - started < 5  # refused before any grid is built
+    assert code == 1 and out == ""
+    assert one_line_error(err) and f" {count} " in err and "--grid" in err
+
+
 def test_oracle_exact_text(capsys):
     code, out, _ = run_cli(capsys, "oracle", FIG1, "--mode", "exact")
     assert code == 0

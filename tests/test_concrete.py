@@ -183,3 +183,12 @@ def test_nondet_spec_grid_of_one_takes_low_end():
     assert spec.grid_points(p) == {"x": [3], "y": [0.5]}
     with pytest.raises(OracleError, match="grid"):
         NondetSpec.from_program(p, grid=0)
+
+
+def test_nondet_spec_grid_cap_counts_int_spans():
+    # a narrow INT range gets one point per value, whatever the grid
+    p = parse("int a, b; double u, v; know (a + b > 0 && u + v > 0.5);")
+    ranges = {"a": (0, 1), "b": (0, 1), "u": (0.0, 1.0), "v": (0.0, 1.0)}
+    assert len(NondetSpec(ranges, grid=512).grid_points(p)["u"]) == 512  # 4 * 512**2 == 1 << 20
+    with pytest.raises(OracleError, match=f"{4 * 513**2} input combinations.*--grid"):
+        NondetSpec(ranges, grid=513).grid_points(p)

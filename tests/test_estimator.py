@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from absmc import lang
+from absmc import estimator, lang
 from absmc.estimator import (
     RestrictionError,
     RestrictionSpec,
@@ -121,6 +121,37 @@ def test_run_jobs_do_not_change_results(figs):
     a = run(figs["fig1"], 600, 0.01, master_seed=9, jobs=1)
     b = run(figs["fig1"], 600, 0.01, master_seed=9, jobs=2)
     da, db = a.to_dict(), b.to_dict()
+    for d in (da, db):
+        d.pop("elapsed_ms")
+        d.pop("jobs")
+    assert da == db
+
+
+@pytest.mark.parametrize("cpus, pools, chunks", [(2, [2], 8), (None, [], 0)])
+def test_run_caps_workers_at_cpu_count(figs, monkeypatch, cpus, pools, chunks):
+    sizes, tasks = [], []
+
+    class InlinePool:  # stands in for the process pool: records its size, maps inline
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunk_args):
+            tasks.extend(chunk_args)
+            return map(fn, chunk_args)
+
+    monkeypatch.setattr(estimator, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: cpus)
+    capped = run(figs["fig1"], 400, 0.01, master_seed=9, jobs=5000)
+    assert sizes == pools and len(tasks) == chunks
+    assert capped.jobs == 5000
+    inline = run(figs["fig1"], 400, 0.01, master_seed=9, jobs=1)
+    da, db = capped.to_dict(), inline.to_dict()
     for d in (da, db):
         d.pop("elapsed_ms")
         d.pop("jobs")

@@ -1,6 +1,6 @@
 """Grammar properties: printing round-trips, generated programs run
-cleanly and the same with a fixpoint memo, and malformed text fails
-cleanly.
+cleanly, the same with a fixpoint memo and soundly against concrete
+replays, and malformed text fails cleanly.
 
 The first strategy writes well-kinded source text straight from the
 grammar in ``absmc.lang``: every assignment form, nested ``if``/``else``
@@ -10,6 +10,7 @@ generators.  The second mutates the corpus sources token by token.
 """
 
 import functools
+import random
 import re
 from contextlib import suppress
 
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from absmc import corpus
-from absmc.concrete import NondetSpec, OracleError, oracle_estimate
+from absmc.concrete import ChoiceSource, NondetSpec, OracleError, oracle_estimate, run_concrete
 from absmc.interp import TrialConfig, analyze_trial
 from absmc.intervals import DomainError
 from absmc.lang import MAX_DEPTH, RELOPS, LangError, parse, to_source
@@ -146,6 +147,26 @@ def test_fixpoint_memo_leaves_trials_unchanged(source, seed):
     memo = {}
     for k in range(4):
         assert _trial(p, seed + k, memo) == _trial(p, seed + k, None)
+
+
+# every declared variable, each at both ends and the middle of its range
+REPLAY_SPEC = NondetSpec({"a": (-3, 3), "b": (-3, 3), "u": (-1.0, 1.0), "v": (-1.0, 1.0)}, grid=3)
+
+
+@FAST
+@given(programs(), st.integers(0, 2**32))
+def test_verdict_zero_admits_no_concrete_hit(source, seed):
+    p = parse(source)
+    try:
+        trial = analyze_trial(p, seed, TrialConfig(unroll_limit=4, step_budget=300))
+    except (DomainError, OverflowError):
+        return
+    if trial.hit:
+        return
+    # the recorded draws, then fresh ones for keys the trial never drew
+    choices = ChoiceSource(trial.table, random.Random(seed))
+    for combo in REPLAY_SPEC.combos(p):
+        assert run_concrete(p, combo, choices, step_budget=300) == 0, combo
 
 
 _TOKEN = re.compile(

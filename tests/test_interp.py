@@ -153,26 +153,36 @@ def test_loop_false_guard_runs_zero_iterations():
     assert ctx.table == {}
 
 
+@pytest.mark.parametrize(
+    "knobs",
+    [{"unroll_limit": -1}, {"widening_delay": -1}, {"narrowing_passes": -1}, {"step_budget": 0}],
+)
+def test_trial_config_rejects_out_of_range_knobs(knobs):
+    with pytest.raises(ValueError, match=next(iter(knobs))):
+        TrialConfig(**knobs)
+    TrialConfig(unroll_limit=0, widening_delay=0, narrowing_passes=0, step_budget=1)
+
+
 def test_generator_records_singleton():
     ctx = ctx_with(rng=ScriptedRandom(bits=[1]))
     ctx.word[:] = [2]
-    iv = ctx.draw(lang.CoinFlip(site=7))
+    iv = ctx.draw(lang.Draw(7, Kind.INT))
     assert iv == I(1, 1)
     assert ctx.table == {(7, (2,)): 1}
 
 
 def test_generator_full_range_inside_fixpoint():
     ctx = ctx_with(randomize=False)
-    assert ctx.draw(lang.CoinFlip(site=7)) == I(0, 1)
-    assert ctx.draw(lang.Uniform(site=8)) == R(0.0, 1.0)
+    assert ctx.draw(lang.Draw(7, Kind.INT)) == I(0, 1)
+    assert ctx.draw(lang.Draw(8, Kind.REAL)) == R(0.0, 1.0)
     assert ctx.table == {}
 
 
 def test_duplicate_choice_key_rejected():
     ctx = ctx_with(rng=ScriptedRandom(bits=[1, 0]))
-    ctx.draw(lang.CoinFlip(site=7))
+    ctx.draw(lang.Draw(7, Kind.INT))
     with pytest.raises(InterpError, match="duplicate"):
-        ctx.draw(lang.CoinFlip(site=7))
+        ctx.draw(lang.Draw(7, Kind.INT))
 
 
 def test_nested_fixpoint_keeps_randomize_off(figs):

@@ -4,9 +4,9 @@ from absmc import corpus, lang
 from absmc.lang import (
     Assign,
     Binary,
-    IntLit,
     Kind,
     LangError,
+    Lit,
     Var,
     parse,
     to_source,
@@ -19,7 +19,7 @@ def test_parse_fig1_structure(figs):
     kinds = [type(s).__name__ for s in p.body]
     assert kinds == ["Know", "Assign", "While"]
     assert isinstance(p.outcome, Binary)
-    assert p.outcome == Binary(Var("x"), "<", IntLit(3))
+    assert p.outcome == Binary(Var("x"), "<", Lit(3, Kind.INT))
 
 
 def test_parse_fig4_wrapped_block(figs):
@@ -37,7 +37,7 @@ def test_corpus_parses_without_error():
 def test_minimal_program():
     p = parse("int x; know(x<3);")
     assert p.body == ()
-    assert p.outcome == Binary(Var("x"), "<", IntLit(3))
+    assert p.outcome == Binary(Var("x"), "<", Lit(3, Kind.INT))
 
 
 def test_kind_mismatch_rejected():
@@ -79,28 +79,29 @@ def test_duplicate_declaration_rejected():
 
 def test_increment_desugars():
     p = parse("int i; i = 0; i++; know(i>0);")
-    assert p.body[1] == Assign(0, "i", Binary(Var("i"), "+", IntLit(1)))
+    assert p.body[1] == Assign(0, "i", Binary(Var("i"), "+", Lit(1, Kind.INT)))
     q = parse("double i; i = 0.; i++; i--; know(i>=0.);")
-    assert q.body[1].expr == Binary(Var("i"), "+", lang.RealLit(1.0))
-    assert q.body[2].expr == Binary(Var("i"), "-", lang.RealLit(1.0))
+    assert q.body[1].expr == Binary(Var("i"), "+", Lit(1.0, Kind.REAL))
+    assert q.body[2].expr == Binary(Var("i"), "-", Lit(1.0, Kind.REAL))
 
 
 def test_bare_block_splices():
     p = parse("int x; { x = 1; { x += 1; } } know(x>0);")
-    assert p.body == (Assign(0, "x", IntLit(1)), Assign(0, "x", Binary(Var("x"), "+", IntLit(1))))
+    one = Lit(1, Kind.INT)
+    assert p.body == (Assign(0, "x", one), Assign(0, "x", Binary(Var("x"), "+", one)))
 
 
 def test_query_overrides_outcome(figs):
     src = corpus.source("fig1")
     p = parse(src, query="x < 100")
-    assert p.outcome == Binary(Var("x"), "<", IntLit(100))
+    assert p.outcome == Binary(Var("x"), "<", Lit(100, Kind.INT))
     # the source's outcome know is dropped, assumptions stay
     assert [type(s).__name__ for s in p.body] == ["Know", "Assign", "While"]
 
 
 def test_query_on_source_without_know():
     p = parse("int x; x = 0;", query="x == 0")
-    assert p.outcome == Binary(Var("x"), "==", IntLit(0))
+    assert p.outcome == Binary(Var("x"), "==", Lit(0, Kind.INT))
 
 
 def test_boolean_parentheses_group():
@@ -112,7 +113,7 @@ def test_boolean_parentheses_group():
 
 def test_multiplication_requires_literal():
     p = parse("int x, y; x = 3 * y; know(x<1);")
-    assert p.body[0].expr == Binary(IntLit(3), "*", Var("y"))
+    assert p.body[0].expr == Binary(Lit(3, Kind.INT), "*", Var("y"))
     q = parse("int x, y; x = y * 3; know(x<1);")
     assert q.body[0].expr == p.body[0].expr
     with pytest.raises(LangError, match="literal factor"):
@@ -121,12 +122,12 @@ def test_multiplication_requires_literal():
 
 def test_negative_literals():
     p = parse("int x; x = -2; know(x < 0-1);")
-    assert p.body[0].expr == IntLit(-2)
+    assert p.body[0].expr == Lit(-2, Kind.INT)
 
 
 def test_comments_skipped():
     p = parse("int x; /* set x\n   to one */ x = 1; know(x>0);")
-    assert p.body == (Assign(0, "x", IntLit(1)),)
+    assert p.body == (Assign(0, "x", Lit(1, Kind.INT)),)
     with pytest.raises(LangError, match="unterminated comment"):
         parse("int x; /* oops")
 
@@ -172,5 +173,5 @@ def test_parse_condition_rejects_trailing_input():
 
 def test_last_know_anywhere_is_outcome():
     p = parse("int x; know(x>=0); x = 1;")
-    assert p.outcome == Binary(Var("x"), ">=", IntLit(0))
+    assert p.outcome == Binary(Var("x"), ">=", Lit(0, Kind.INT))
     assert [type(s).__name__ for s in p.body] == ["Assign"]
