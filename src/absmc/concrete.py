@@ -90,6 +90,9 @@ _APPLY = {
 }
 
 
+_REAL_OVERFLOW = "real overflow: a value left the double range"
+
+
 def evaluate(node: lang.Expr, env, draw):
     """Concrete value of an expression, or truth of a condition, over
     ``env`` (a name -> value mapping); generators take ``draw(node)``.
@@ -97,6 +100,10 @@ def evaluate(node: lang.Expr, env, draw):
     The same code serves Python scalars and numpy sample lanes: ``&&``
     and ``||`` map to ``&`` and ``|``, so both operands always evaluate
     and draw positions stay aligned with the abstract interpreter.
+
+    A REAL value past the double range is an error of the semantics, not
+    an infinity: a scalar result that is not finite raises OverflowError.
+    (Lanes leave that check to `_VectorRun`'s floating-point traps.)
     """
 
     # most frequent nodes first
@@ -105,7 +112,12 @@ def evaluate(node: lang.Expr, env, draw):
     if isinstance(node, lang.Lit):
         return node.value
     if isinstance(node, lang.Binary):
-        return _APPLY[node.op](evaluate(node.left, env, draw), evaluate(node.right, env, draw))
+        value = _APPLY[node.op](evaluate(node.left, env, draw), evaluate(node.right, env, draw))
+        # inf and nan only arise from an overflow, and every operation
+        # keeps them non-finite, so checking each result catches the first
+        if type(value) is float and not math.isfinite(value):
+            raise OverflowError(_REAL_OVERFLOW)
+        return value
     if isinstance(node, lang.Draw):
         return draw(node)
     raise OracleError(f"unknown node {type(node).__name__}")
@@ -441,7 +453,11 @@ class _VectorRun:
     caller's table, mirroring the shared product measure.
 
     INT lanes hold int64, which wraps silently, so `_bound` checks each
-    expression and condition before it is evaluated.
+    expression and condition before it is evaluated.  REAL lanes run with
+    numpy's overflow and invalid-operation traps raised, so a value past
+    the double range is an OverflowError, as in the scalar semantics.
+    Both checks look at every lane, including lanes that the current
+    branch or loop does not run.
     """
 
     def __init__(self, program, table, rng, m, step_budget=1_000_000):
@@ -496,8 +512,12 @@ class _VectorRun:
         self.alive = np.ones(self.m, dtype=bool)
         self.word: list[int] = []
         self.budget = self.step_budget
-        self._block(self.program.body, np.ones(self.m, dtype=bool))
-        return self._holds(self.program.outcome) & self.alive
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                self._block(self.program.body, np.ones(self.m, dtype=bool))
+                return self._holds(self.program.outcome) & self.alive
+        except FloatingPointError:
+            raise OverflowError(_REAL_OVERFLOW) from None
 
     def _bound(self, node) -> int:
         """Bound on the magnitude of ``node``'s values; OverflowError if

@@ -32,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from . import lang
-from .interp import TrialConfig, analyze_trial
+from .interp import DrawTrie, TrialConfig, analyze_trial
 
 
 def hoeffding_margin(n: int, epsilon: float) -> float:
@@ -159,10 +159,17 @@ class Report:
 def _trial_chunk(args) -> tuple[int, int, int]:
     program, config, restriction, master_seed, start, stop = args
     hits = widened = aborted = 0
-    memo: dict = {}  # loop fixpoints, shared by this chunk's trials only
+    # loop fixpoints and coin paths, shared by this chunk's trials only
+    memo: dict = {}
+    trie = DrawTrie()
     for index in range(start, stop):
         outcome = analyze_trial(
-            program, derive_seed(master_seed, index), config, restriction=restriction, memo=memo
+            program,
+            derive_seed(master_seed, index),
+            config,
+            restriction=restriction,
+            memo=memo,
+            trie=trie,
         )
         hits += outcome.hit
         if outcome.widened_loops:

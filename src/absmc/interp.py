@@ -28,6 +28,13 @@ its entry environment.  Trials of one run may share a memo of fixpoints
 keyed by both; a hit replays the stored result together with the steps
 and widenings it cost, so counters and verdicts match a recomputation.
 
+A trial is a pure function of its draw sequence.  Trials of one run may
+share a `DrawTrie` of their coin paths: each inner node is a draw and
+each leaf the outcome its path led to.  A trial walks the trie, drawing
+coins from its own stream exactly as the full trial would, and returns
+the leaf it reaches; a path the trie lacks, or one that reaches a
+`uniform` draw, runs the full trial (and the former is inserted).
+
 A trial's verdict is 1 when the outcome event cannot be ruled out for
 some choice of the unconstrained inputs consistent with the recorded
 draws, and 0 when it is impossible.  Trials that exhaust their step
@@ -74,6 +81,8 @@ ChoiceKey = tuple[int, tuple[int, ...]]
 # Most (loop, entry environment) pairs one fixpoint memo stores; later
 # pairs are recomputed each time they occur.
 _MEMO_CAP = 1024
+# Most nodes, inner and leaf, one draw trie stores; later paths run in full.
+_TRIE_CAP = 1024
 
 
 @dataclass
@@ -126,6 +135,91 @@ class TrialOutcome:
     widened_loops: int
     aborted: bool = False
     steps: int = 0
+
+    def copy(self) -> TrialOutcome:
+        """The same outcome with its own draw table (environments are
+        never written, so they are shared)."""
+
+        return TrialOutcome(
+            self.hit, self.env, dict(self.table), self.widened_loops, self.aborted, self.steps
+        )
+
+
+@dataclass(slots=True)
+class _TrieNode:
+    """One draw of a trial path: its choice key and the next node or leaf
+    by coin value; ``children`` is None for a `uniform`, whose trials run
+    in full."""
+
+    key: ChoiceKey
+    children: dict[int, "_TrieNode | TrialOutcome"] | None
+
+
+class _LazyRandom:
+    """`random.Random(seed)` for coin draws, seeded on its first call: a
+    walk that draws nothing, or only pinned coins, never pays for it."""
+
+    __slots__ = ("seed", "rng")
+
+    def __init__(self, seed: int | None):
+        self.seed = seed
+        self.rng: random.Random | None = None
+
+    def getrandbits(self, k: int) -> int:
+        if self.rng is None:
+            self.rng = random.Random(self.seed)
+        return self.rng.getrandbits(k)
+
+
+class DrawTrie:
+    """Outcomes of full trials keyed by their coin draws, shared by the
+    trials of one program under one config.
+
+    The entry edge (``None``) leads to the trial's first draw, or to its
+    leaf when it draws nothing.  Leaves are the `TrialOutcome`s of full
+    trials, aborted ones included; a served trial gets a copy with its own
+    table.  A restriction changes which values a trial draws, never what
+    the same values lead to, so it is applied on each walk and the trie
+    does not depend on it.  Past `_TRIE_CAP` nodes nothing new is stored.
+    """
+
+    __slots__ = ("entry", "size")
+
+    def __init__(self):
+        self.entry: dict[None, _TrieNode | TrialOutcome] = {}
+        self.size = 0
+
+    def lookup(self, seed: int | None, restriction: dict | None) -> TrialOutcome | None:
+        """The outcome of trial ``seed`` if its coin path leads to a leaf."""
+
+        rng = _LazyRandom(seed)
+        node = self.entry.get(None)
+        while type(node) is _TrieNode:
+            if node.children is None:
+                return None
+            span = restriction.get(node.key[0]) if restriction else None
+            node = node.children.get(lang.draw_value(rng, lang.Kind.INT, span))
+        return None if node is None else node.copy()
+
+    def insert(self, outcome: TrialOutcome) -> None:
+        """Store a full trial's path, up to its first `uniform`, and its
+        leaf if the path draws coins only."""
+
+        children, edge = self.entry, None
+        for key, value in outcome.table.items():
+            node = children.get(edge)
+            if node is None:
+                if self.size >= _TRIE_CAP:
+                    return
+                # a coin draws an int, a uniform a float
+                node = children[edge] = _TrieNode(key, None if isinstance(value, float) else {})
+                self.size += 1
+            if node.children is None:
+                return
+            children, edge = node.children, value
+        if edge not in children and self.size < _TRIE_CAP:
+            children[edge] = outcome.copy()
+            self.size += 1
 
 
 def eval_block(stmts, env: AbstractEnv, ctx: TrialContext) -> AbstractEnv:
@@ -240,15 +334,23 @@ def analyze_trial(
     restriction: dict[int, tuple[float, float]] | None = None,
     trace: Callable[[str], None] | None = None,
     memo: dict | None = None,
+    trie: DrawTrie | None = None,
 ) -> TrialOutcome:
     """Run one trial.  Deterministic in (program, seed, config); the
     optional ``rng`` overrides seeding for tests.  ``memo`` is a dict of
     loop fixpoints shared by trials of this program under the same
-    ``widening_delay`` and ``narrowing_passes``; it never changes the
-    outcome."""
+    ``widening_delay`` and ``narrowing_passes``; ``trie`` is a `DrawTrie`
+    shared by trials of this program under the same config.  Neither
+    changes the outcome.  A trial with ``rng`` or
+    ``trace`` bypasses the trie: the former's stream is not the seed's,
+    the latter prints every step."""
 
     if program.outcome is None:
         raise InterpError("program has no outcome")
+    if rng is not None or trace is not None:
+        trie = None
+    if trie is not None and (served := trie.lookup(seed, restriction)) is not None:
+        return served
     cfg = config or TrialConfig()
     ctx = TrialContext(
         rng=rng if rng is not None else random.Random(seed),
@@ -263,7 +365,7 @@ def analyze_trial(
         aborted = False
     except StepBudgetExceeded:
         env, hit, aborted = None, 1, True
-    return TrialOutcome(
+    outcome = TrialOutcome(
         hit=hit,
         env=env,
         table=ctx.table,
@@ -271,3 +373,6 @@ def analyze_trial(
         aborted=aborted,
         steps=ctx.steps,
     )
+    if trie is not None:
+        trie.insert(outcome)
+    return outcome

@@ -154,6 +154,21 @@ def test_oracle_int64_overflow_exit_1(tmp_path, capsys):
     assert one_line_error(err)
 
 
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+@pytest.mark.parametrize("mode", ["sampled", "exact"])
+def test_oracle_real_overflow_exit_1(tmp_path, capsys, mode):
+    # u overflows to inf and 0.0 * inf is nan: both modes estimated 1.0
+    # where every trial rules the outcome out
+    src = tmp_path / "overflow.amc"
+    src.write_text(
+        "double u, v; know (u >= 0.5 && u <= 1.0); u = 1e200 * (1e200 * u);"
+        " v = 0.0 * u; know (v != 0.0);"
+    )
+    code, out, err = run_cli(capsys, "oracle", str(src), "--mode", mode, "--n", "100")
+    assert code == 1 and out == ""
+    assert one_line_error(err) and "real overflow" in err
+
+
 @pytest.mark.parametrize(
     "source",
     [

@@ -1,6 +1,6 @@
 """Grammar properties: printing round-trips, generated programs run
-cleanly, the same with a fixpoint memo and soundly against concrete
-replays, and malformed text fails cleanly.
+cleanly, the same with a fixpoint memo or a draw trie and soundly against
+concrete replays, and malformed text fails cleanly.
 
 The first strategy writes well-kinded source text straight from the
 grammar in ``absmc.lang``: every assignment form, nested ``if``/``else``
@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from absmc import corpus
 from absmc.concrete import ChoiceSource, NondetSpec, OracleError, oracle_estimate, run_concrete
-from absmc.interp import TrialConfig, analyze_trial
+from absmc.interp import DrawTrie, TrialConfig, analyze_trial
 from absmc.intervals import DomainError
-from absmc.lang import MAX_DEPTH, RELOPS, LangError, parse, to_source
+from absmc.lang import MAX_DEPTH, RELOPS, LangError, generator_sites, parse, to_source
 
 INTS = ("a", "b")
 REALS = ("u", "v")
@@ -39,6 +39,12 @@ def _signed(literal):
 
 
 INT_LITERALS = _signed(st.integers(0, 10**20).map(str))
+# literals next to the replay grid, so refined bounds land on its points
+SMALL_INT_LITERALS = _signed(st.integers(0, 4).map(str))
+# conjunctions of bounds on the INT variables, the guards that refine them;
+# one flat choice of atom, so no operator or literal is favoured
+ATOMS = [f"{x} {op} {y}" for x in INTS for op in RELOPS for y in [*INTS, *map(str, range(-4, 5))]]
+BOUNDS = st.lists(st.sampled_from(ATOMS), min_size=1, max_size=3).map(" && ".join)
 REAL_LITERALS = _signed(
     st.sampled_from(["0.5", "1.", ".25", "2e-3", "1E+2", "3.0"])
     | st.floats(0, 1e12, allow_nan=False).map(repr)
@@ -46,13 +52,13 @@ REAL_LITERALS = _signed(
 
 
 @functools.lru_cache(maxsize=None)
-def exprs(real: bool, depth: int):
-    literal = REAL_LITERALS if real else INT_LITERALS
+def exprs(real: bool, depth: int, small: bool = False):
+    literal = REAL_LITERALS if real else SMALL_INT_LITERALS if small else INT_LITERALS
     leaf = st.sampled_from(REALS if real else INTS) | literal
     leaf |= st.just("uniform()" if real else "coin_flip()")
     if depth == 0:
         return leaf
-    sub = exprs(real, depth - 1)
+    sub = exprs(real, depth - 1, small)
     return st.one_of(
         leaf,
         st.tuples(sub, st.sampled_from(["+", "-"]), sub).map(" ".join),
@@ -63,37 +69,43 @@ def exprs(real: bool, depth: int):
 
 
 @functools.lru_cache(maxsize=None)
-def conds(depth: int):
+def conds(depth: int, small: bool = False):
     cmp = st.one_of(
-        [st.tuples(exprs(real, 1), st.sampled_from(RELOPS), exprs(real, 1)) for real in (False, True)]
+        [
+            st.tuples(exprs(real, 1, small), st.sampled_from(RELOPS), exprs(real, 1, small))
+            for real in ((False,) if small else (False, True))
+        ]
     ).map(" ".join)
+    if small:
+        cmp = BOUNDS | cmp
     if depth == 0:
         return cmp
-    sub = conds(depth - 1)
+    sub = conds(depth - 1, small)
     both = st.tuples(sub, st.sampled_from(["&&", "||"]), sub).map(" ".join)
     return st.one_of(cmp, both, both.map(lambda c: f"({c})"), cmp.map(lambda c: f"({c})"))
 
 
-def _assignment(name):
+def _assignment(name, small):
     real = name in REALS
-    compound = st.tuples(st.sampled_from(["=", "+=", "-="]), exprs(real, 2))
+    compound = st.tuples(st.sampled_from(["=", "+=", "-="]), exprs(real, 2, small))
     return compound.map(lambda t: f"{name} {t[0]} {t[1]};") | st.sampled_from(
         [f"{name}++;", f"{name}--;"]
     )
 
 
 @functools.lru_cache(maxsize=None)
-def stmts(depth: int):
-    simple = st.one_of([_assignment(name) for name in INTS + REALS])
-    simple |= conds(2).map(lambda c: f"know ({c});")
+def stmts(depth: int, small: bool = False):
+    simple = st.one_of([_assignment(name, small) for name in (INTS if small else INTS + REALS)])
+    simple |= conds(2, small).map(lambda c: f"know ({c});")
     if depth == 0:
         return simple
-    block = st.lists(stmts(depth - 1), max_size=3).map(lambda ss: "{ " + " ".join(ss) + " }")
+    block = st.lists(stmts(depth - 1, small), max_size=3).map(lambda ss: "{ " + " ".join(ss) + " }")
+    guard = conds(1, small)
     return st.one_of(
         simple,
-        st.tuples(conds(1), block).map(lambda t: f"if ({t[0]}) {t[1]}"),
-        st.tuples(conds(1), block, block).map(lambda t: f"if ({t[0]}) {t[1]} else {t[2]}"),
-        st.tuples(conds(1), block).map(lambda t: f"while ({t[0]}) {t[1]}"),
+        st.tuples(guard, block).map(lambda t: f"if ({t[0]}) {t[1]}"),
+        st.tuples(guard, block, block).map(lambda t: f"if ({t[0]}) {t[1]} else {t[2]}"),
+        st.tuples(guard, block).map(lambda t: f"while ({t[0]}) {t[1]}"),
         block,
     )
 
@@ -131,9 +143,10 @@ def test_generated_programs_run_cleanly(source, seed):
         oracle_estimate(p, mode="sampled", n=8, seed=seed, spec=SPEC, step_budget=50)
 
 
-def _trial(p, seed, memo):
+def _trial(p, seed, memo=None, trie=None, restriction=None):
+    config = TrialConfig(unroll_limit=2, step_budget=300)
     try:
-        out = analyze_trial(p, seed, TrialConfig(unroll_limit=2, step_budget=300), memo=memo)
+        out = analyze_trial(p, seed, config, memo=memo, trie=trie, restriction=restriction)
     except (DomainError, OverflowError) as e:
         return type(e)
     env = out.env and out.env.render()  # None when aborted
@@ -149,14 +162,20 @@ def test_fixpoint_memo_leaves_trials_unchanged(source, seed):
         assert _trial(p, seed + k, memo) == _trial(p, seed + k, None)
 
 
-# every declared variable, each at both ends and the middle of its range
-REPLAY_SPEC = NondetSpec({"a": (-3, 3), "b": (-3, 3), "u": (-1.0, 1.0), "v": (-1.0, 1.0)}, grid=3)
-
-
 @FAST
-@given(programs(), st.integers(0, 2**32))
-def test_verdict_zero_admits_no_concrete_hit(source, seed):
+@given(programs(), st.integers(0, 2**32), st.integers(0, 1))
+def test_draw_trie_leaves_trials_unchanged(source, seed, pin):
     p = parse(source)
+    coins = [g.site for g in generator_sites(p) if g.coin]
+    trie = DrawTrie()
+    # no restriction, then the first coin pinned to one value, in one trie
+    for restriction in (None, {coins[0]: (pin, pin)} if coins else None):
+        for k in range(8):
+            served = _trial(p, seed + k % 3, trie=trie, restriction=restriction)
+            assert served == _trial(p, seed + k % 3, restriction=restriction)
+
+
+def _replays_to_no_hit(p, seed, combos):
     try:
         trial = analyze_trial(p, seed, TrialConfig(unroll_limit=4, step_budget=300))
     except (DomainError, OverflowError):
@@ -165,8 +184,58 @@ def test_verdict_zero_admits_no_concrete_hit(source, seed):
         return
     # the recorded draws, then fresh ones for keys the trial never drew
     choices = ChoiceSource(trial.table, random.Random(seed))
-    for combo in REPLAY_SPEC.combos(p):
-        assert run_concrete(p, combo, choices, step_budget=300) == 0, combo
+    for combo in combos:
+        # a REAL overflow is an error of the concrete semantics: no final state
+        with suppress(OverflowError):
+            assert run_concrete(p, combo, choices, step_budget=300) == 0, combo
+
+
+# every declared variable, each at both ends and the middle of its range
+REPLAY_SPEC = NondetSpec({"a": (-3, 3), "b": (-3, 3), "u": (-1.0, 1.0), "v": (-1.0, 1.0)}, grid=3)
+
+
+@FAST
+@given(programs(), st.integers(0, 2**32))
+def test_verdict_zero_admits_no_concrete_hit(source, seed):
+    p = parse(source)
+    _replays_to_no_hit(p, seed, REPLAY_SPEC.combos(p))
+
+
+# statements over a and b alone with INT literals in -4..4, after a guard
+# that bounds both to the integers a replay visits, so that every later
+# guard cuts a bounded interval next to them
+SMALL_RANGE = "know (a >= -3 && a <= 3 && b >= -3 && b <= 3);"
+SMALL_STMTS = st.lists(
+    BOUNDS.map(lambda c: f"know ({c});") | stmts(1, small=True), min_size=1, max_size=4
+)
+SMALL_COMBOS = [{"a": a, "b": b, "u": 0.0, "v": 0.0} for a in range(-3, 4) for b in range(-3, 4)]
+
+
+def _ruled_out(env):
+    """A condition that holds exactly on the replayed values of a and b
+    that ``env`` excludes, or None if it excludes none."""
+
+    out = [
+        f"{x} == {k}"
+        for x in INTS
+        for k in range(-3, 4)
+        if env.is_bottom() or not env.get(x).lo <= k <= env.get(x).hi
+    ]
+    return " || ".join(out) or None
+
+
+@FAST
+@given(SMALL_STMTS, st.integers(0, 2**32))
+def test_verdict_zero_admits_no_concrete_hit_near_refined_bounds(body, seed):
+    # after each statement, an outcome made of the integers the trial rules
+    # out has verdict 0; a replay that reaches it shows an unsound bound
+    config = TrialConfig(unroll_limit=4, step_budget=300)
+    for i in range(1, len(body) + 1):
+        head = " ".join([DECLS, SMALL_RANGE, *body[:i]])
+        trial = analyze_trial(parse(f"{head} know (a == a);"), seed, config)
+        probe = None if trial.aborted else _ruled_out(trial.env)
+        if probe is not None:
+            _replays_to_no_hit(parse(f"{head} know ({probe});"), seed, SMALL_COMBOS)
 
 
 _TOKEN = re.compile(

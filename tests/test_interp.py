@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from absmc import lang
+from absmc import interp, lang
 from absmc.intervals import AbstractEnv, Interval
 from absmc.interp import (
+    DrawTrie,
     InterpError,
     TrialConfig,
     TrialContext,
@@ -239,7 +240,8 @@ know (x>0.9 && x<1.1);
 
 
 def _summary(out):
-    return out.hit, out.table, out.widened_loops, out.steps, out.aborted, out.env.render()
+    env = out.env and out.env.render()  # None when aborted
+    return out.hit, out.table, out.widened_loops, out.steps, out.aborted, env
 
 
 def test_memo_keeps_the_sign_of_zero():
@@ -292,6 +294,139 @@ def test_traced_trial_bypasses_memo():
     assert lines == plain + plain
 
 
+# --- the draw trie ----------------------------------------------------------
+
+
+class CountingRandom(random.Random):
+    """random.Random that logs its instances and calls."""
+
+    log: list = []
+
+    def __init__(self, seed=None):
+        self.log.append(("new", seed))
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.log.append(("bits", k))
+        return super().getrandbits(k)
+
+    def random(self):
+        self.log.append(("random",))
+        return super().random()
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    monkeypatch.setattr(CountingRandom, "log", [])
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    return CountingRandom.log
+
+
+def test_trie_serves_coin_paths(figs):
+    p = figs["fig1"]
+    trie = DrawTrie()
+    for seed in range(200):
+        assert _summary(analyze_trial(p, seed, trie=trie)) == _summary(analyze_trial(p, seed))
+    assert trie.size == 63  # 5 coins: 31 draws and 32 leaves
+    served = analyze_trial(p, 7, trie=trie)
+    served.table.clear()  # a served trial owns its table
+    assert _summary(analyze_trial(p, 7, trie=trie)) == _summary(analyze_trial(p, 7))
+
+
+def test_trie_pinned_coin_draws_nothing(counting):
+    p = parse("int c, d; c = coin_flip(); d = coin_flip(); know (c + d > 1);")
+    first = p.body[0].expr.site
+    trie = DrawTrie()
+    for pin in (0, 1):
+        restriction = {first: (pin, pin)}
+        analyze_trial(p, 3, restriction=restriction, trie=trie)  # inserts
+        counting.clear()
+        served = analyze_trial(p, 3, restriction=restriction, trie=trie)
+        walk = list(counting)
+        counting.clear()
+        full = analyze_trial(p, 3, restriction=restriction)
+        assert _summary(served) == _summary(full)
+        assert walk == counting == [("new", 3), ("bits", 1)]  # only the free coin
+
+
+def test_trie_with_only_pinned_coins_never_seeds(counting):
+    p = parse("int c; c = coin_flip(); know (c > 0);")
+    restriction = {p.body[0].expr.site: (1, 1)}
+    trie = DrawTrie()
+    analyze_trial(p, 5, restriction=restriction, trie=trie)
+    counting.clear()
+    assert analyze_trial(p, 5, restriction=restriction, trie=trie).hit == 1
+    assert counting == []
+
+
+def test_trie_uniform_after_a_coin_runs_in_full(counting):
+    p = parse("int c; double r; c = coin_flip(); r = uniform(); know (r < 0.5);")
+    trie = DrawTrie()
+    for seed in range(20):
+        assert _summary(analyze_trial(p, seed, trie=trie)) == _summary(analyze_trial(p, seed))
+    root = trie.entry[None]
+    assert all(node.children is None for node in root.children.values())
+    assert trie.size == 3  # the coin and one uniform under each value
+    counting.clear()
+    analyze_trial(p, 4, trie=trie)
+    walk_and_full = list(counting)
+    counting.clear()
+    analyze_trial(p, 4)
+    # the walk draws the coin, then the full trial redraws it from its seed
+    assert walk_and_full == [("new", 4), ("bits", 1)] + counting
+
+
+def test_trie_stores_a_step_budget_abort(figs):
+    p = figs["fig1"]
+    small = TrialConfig(step_budget=10)
+    trie = DrawTrie()
+    first = analyze_trial(p, 0, small, trie=trie)
+    assert first.aborted and trie.size > 1
+    size = trie.size
+    served = analyze_trial(p, 0, small, trie=trie)
+    assert trie.size == size  # served from its leaf
+    assert served.aborted and served.env is None and served.hit == 1
+    assert _summary(served) == _summary(analyze_trial(p, 0, small))
+
+
+def test_trie_bypassed_by_trace_and_rng(figs):
+    p = figs["fig1"]
+    trie = DrawTrie()
+    lines, plain = [], []
+    analyze_trial(p, 1, trace=lines.append, trie=trie)
+    analyze_trial(p, 1, rng=ScriptedRandom(bits=[1, 1, 1, 1, 1]), trie=trie)
+    assert trie.size == 0
+    analyze_trial(p, 1, trie=trie)
+    assert trie.size > 0
+    analyze_trial(p, 1, trace=lines.append, trie=trie)
+    analyze_trial(p, 1, trace=plain.append)
+    assert lines == plain + plain
+    # an rng script the trie's paths do not follow still rules the trial
+    scripted = analyze_trial(p, 1, rng=ScriptedRandom(bits=[1, 1, 1, 1, 1]), trie=trie)
+    assert list(scripted.table.values()) == [1, 1, 1, 1, 1]
+
+
+def test_trie_serves_any_restriction():
+    # the same draws lead to the same outcome whatever span they came from
+    p = parse("int c, d; c = coin_flip(); d = coin_flip(); know (c + d > 1);")
+    first = p.body[0].expr.site
+    trie = DrawTrie()
+    for seed in range(40):
+        for restriction in (None, {first: (0, 0)}, {first: (1, 1)}, {first: (0, 1)}):
+            served = analyze_trial(p, seed, restriction=restriction, trie=trie)
+            assert _summary(served) == _summary(analyze_trial(p, seed, restriction=restriction))
+    assert trie.size == 7
+
+
+def test_trie_stops_growing_at_its_cap(figs, monkeypatch):
+    monkeypatch.setattr(interp, "_TRIE_CAP", 10)
+    p = figs["fig1"]
+    trie = DrawTrie()
+    for seed in range(100):
+        assert _summary(analyze_trial(p, seed, trie=trie)) == _summary(analyze_trial(p, seed))
+    assert trie.size == 10
+
+
 @pytest.mark.parametrize(
     "src",
     [
@@ -325,6 +460,15 @@ def test_traced_trial_bypasses_memo():
         if (b < a) { b += uniform(); } else { b -= 0.5 * uniform(); }
         know (b > 0.75 && b < 1.5);
         """,
+        # u overflows to inf and 0.0 * inf is nan, which no interval holds:
+        # the concrete semantics makes the overflow an error, not a hit
+        """
+        double u, v;
+        know (u >= 0.5 && u <= 1.0);
+        u = 1e200 * (1e200 * u);
+        v = 0.0 * u;
+        know (v != 0.0);
+        """,
     ],
 )
 def test_trials_over_approximate_concrete_replays(src):
@@ -338,7 +482,10 @@ def test_trials_over_approximate_concrete_replays(src):
         for r in range(40):
             rng = random.Random(derive_seed(9000 + s, r))
             init = {v: rng.choice(pts) for v, pts in grids.items()}
-            concrete = run_concrete(p, init, ChoiceSource(trial.table, rng), step_budget=2000)
+            try:
+                concrete = run_concrete(p, init, ChoiceSource(trial.table, rng), step_budget=2000)
+            except OverflowError:  # an error of the concrete semantics: no final state
+                continue
             assert not (concrete == 1 and trial.hit == 0)
 
 
