@@ -193,12 +193,13 @@ def _cmd_curves(args) -> int:
             raise _UsageError("need 0 < --t-min < --t-max <= 1")
         if args.alpha * args.t_max >= 1 or args.alpha <= 0:
             raise _UsageError("alpha * t must stay inside (0, 1)")
-        print("t,epsilon,n")
         ratio = args.t_max / args.t_min
+        rows = []  # all planned before printing, so an error prints no table
         for k in range(args.points):
             t = args.t_min * ratio ** (k / (args.points - 1))
             eps = args.alpha * t
-            print(f"{t!r},{eps!r},{estimator.plan_trials(t, eps)}")
+            rows.append(f"{t!r},{eps!r},{estimator.plan_trials(t, eps)}")
+        print("t,epsilon,n", *rows, sep="\n")
     else:
         if not 0 < args.t <= 1:
             raise _UsageError("need 0 < --t <= 1")
@@ -228,10 +229,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except (
+        _UsageError,
         ValueError,
         OverflowError,
         intervals.DomainError,
@@ -240,10 +239,7 @@ def main(argv=None) -> int:
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except lang.LangError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (lang.LangError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -309,7 +309,10 @@ class NondetSpec:
                         {int(round(lo + (hi - lo) * k / (self.grid - 1))) for k in range(self.grid)}
                     )
             else:
-                pts = [lo + (hi - lo) * k / (self.grid - 1) for k in range(self.grid)]
+                last = self.grid - 1
+                pts = [lo + (hi - lo) * k / last for k in range(self.grid)]
+                if not all(map(math.isfinite, pts)):  # hi - lo overflowed: weigh the ends
+                    pts = [lo * (1 - k / last) + hi * (k / last) for k in range(self.grid)]
                 pts[0], pts[-1] = float(lo), float(hi)  # endpoints exactly
             points[name] = pts
         return points

@@ -35,6 +35,14 @@ from . import lang
 from .interp import DrawTrie, TrialConfig, analyze_trial
 
 
+def _log_reciprocal(epsilon: float) -> float:
+    """ln(1/epsilon); -ln(epsilon) only once 1/epsilon overflows, because
+    the two differ in the last bit for some epsilon, 0.01 among them."""
+
+    reciprocal = 1.0 / epsilon
+    return math.log(reciprocal) if reciprocal < math.inf else -math.log(epsilon)
+
+
 def hoeffding_margin(n: int, epsilon: float) -> float:
     """t such that n trials underestimate the mean by more than t with
     probability at most epsilon."""
@@ -43,7 +51,7 @@ def hoeffding_margin(n: int, epsilon: float) -> float:
         raise ValueError("n must be >= 1")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must be in (0, 1]")
-    return math.sqrt(math.log(1.0 / epsilon) / (2.0 * n))
+    return math.sqrt(_log_reciprocal(epsilon) / (2.0 * n))
 
 
 def plan_trials(t: float, epsilon: float) -> int:
@@ -53,7 +61,10 @@ def plan_trials(t: float, epsilon: float) -> int:
         raise ValueError("t must be in (0, 1]")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
-    return max(1, math.ceil(math.log(1.0 / epsilon) / (2.0 * t * t)))
+    n = _log_reciprocal(epsilon) / (2.0 * t * t) if t * t else math.inf  # t * t may underflow
+    if not math.isfinite(n):
+        raise ValueError(f"the trial count for t = {t!r} is too large to represent")
+    return max(1, math.ceil(n))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -159,8 +170,7 @@ class Report:
 def _trial_chunk(args) -> tuple[int, int, int]:
     program, config, restriction, master_seed, start, stop = args
     hits = widened = aborted = 0
-    # loop fixpoints and coin paths, shared by this chunk's trials only
-    memo: dict = {}
+    # coin paths, shared by this chunk's trials only
     trie = DrawTrie()
     for index in range(start, stop):
         outcome = analyze_trial(
@@ -168,14 +178,11 @@ def _trial_chunk(args) -> tuple[int, int, int]:
             derive_seed(master_seed, index),
             config,
             restriction=restriction,
-            memo=memo,
             trie=trie,
         )
         hits += outcome.hit
-        if outcome.widened_loops:
-            widened += 1
-        if outcome.aborted:
-            aborted += 1
+        widened += outcome.widened_loops > 0
+        aborted += outcome.aborted
     return hits, widened, aborted
 
 
@@ -211,12 +218,8 @@ def run(
             (program, cfg, sites, master_seed, lo, min(lo + chunk, n))
             for lo in range(0, n, chunk)
         ]
-        hits = widened = aborted = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for h, w, a in pool.map(_trial_chunk, tasks):
-                hits += h
-                widened += w
-                aborted += a
+            hits, widened, aborted = map(sum, zip(*pool.map(_trial_chunk, tasks)))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     raw_mean = hits / n

@@ -23,17 +23,20 @@ joining ``widening_delay`` times before widening, then refines with
 ``narrowing_passes`` descending iterations; the loop's result is the
 fixpoint filtered by the negated guard.
 
-A loop fixpoint draws nothing, so it is a pure function of the loop and
-its entry environment.  Trials of one run may share a memo of fixpoints
-keyed by both; a hit replays the stored result together with the steps
-and widenings it cost, so counters and verdicts match a recomputation.
+Inside a fixpoint the body draws nothing, so a pass is a pure function
+of the environment it enters with.  A pass whose filtered entry equals
+the previous pass's (as the first narrowing pass's does, entering where
+the ascending passes stopped) reuses that pass's body result and replays
+the steps and widenings it cost, so counters and verdicts match a
+recomputation.  A traced trial recomputes every pass.
 
 A trial is a pure function of its draw sequence.  Trials of one run may
-share a `DrawTrie` of their coin paths: each inner node is a draw and
-each leaf the outcome its path led to.  A trial walks the trie, drawing
-coins from its own stream exactly as the full trial would, and returns
-the leaf it reaches; a path the trie lacks, or one that reaches a
-`uniform` draw, runs the full trial (and the former is inserted).
+share a `DrawTrie` of their coin paths, the only state trials share:
+each inner node is a draw and each leaf the outcome its path led to.  A
+trial walks the trie, drawing coins from its own stream exactly as the
+full trial would, and returns the leaf it reaches; a path the trie
+lacks, or one that reaches a `uniform` draw, runs the full trial (and
+the former is inserted).
 
 A trial's verdict is 1 when the outcome event cannot be ruled out for
 some choice of the unconstrained inputs consistent with the recorded
@@ -78,9 +81,6 @@ class TrialConfig:
 
 ChoiceKey = tuple[int, tuple[int, ...]]
 
-# Most (loop, entry environment) pairs one fixpoint memo stores; later
-# pairs are recomputed each time they occur.
-_MEMO_CAP = 1024
 # Most nodes, inner and leaf, one draw trie stores; later paths run in full.
 _TRIE_CAP = 1024
 
@@ -98,9 +98,6 @@ class TrialContext:
     steps: int = 0
     widened_loops: int = 0
     trace: Callable[[str], None] | None = None
-    # (site, entry bounds) -> (result, steps, widened loops); one program
-    # and one set of fixpoint knobs per memo
-    memo: dict | None = None
 
     def tick(self) -> None:
         self.steps += 1
@@ -269,31 +266,35 @@ def eval_loop(stmt: lang.While, env: AbstractEnv, ctx: TrialContext) -> Abstract
                 ctx.word[-1] += 1
         finally:
             ctx.word.pop()
-    return _loop_fixpoint(stmt, env, ctx)
-
-
-def _loop_fixpoint(stmt: lang.While, env: AbstractEnv, ctx: TrialContext) -> AbstractEnv:
-    # a traced trial prints every pass, so it bypasses the memo
-    memo = None if ctx.trace is not None or env.is_bottom() else ctx.memo
-    if memo is not None:
-        # -0.0 == 0.0 and both hash alike: a zero bound enters the key as
-        # its repr, so a replay never returns a result of the other zero
-        bounds = [b if b else repr(b) for iv in env.values.values() for b in (iv.lo, iv.hi)]
-        key = (stmt.site, *bounds)
-        stored = memo.get(key)
-        # past the step budget the loop runs for real, to abort at its step
-        if stored is not None and ctx.steps + stored[1] <= ctx.config.step_budget:
-            ctx.steps += stored[1]
-            ctx.widened_loops += stored[2]
-            return stored[0]
-        steps, widened_loops = ctx.steps, ctx.widened_loops
-    out = _fixpoint(stmt, env, ctx)
-    if memo is not None and len(memo) < _MEMO_CAP:
-        memo[key] = (out, ctx.steps - steps, ctx.widened_loops - widened_loops)
-    return out
+    return _fixpoint(stmt, env, ctx)
 
 
 def _fixpoint(stmt: lang.While, env: AbstractEnv, ctx: TrialContext) -> AbstractEnv:
+    # the last computed pass: entry key, body result, steps and widenings
+    last = None
+
+    def step(acc: AbstractEnv) -> AbstractEnv:
+        """One pass: tick, filter by the guard, evaluate the body."""
+
+        nonlocal last
+        ctx.tick()
+        entry = filter_env(acc, stmt.cond, True)
+        # a traced trial prints every pass, so it recomputes each one
+        if ctx.trace is not None or entry.is_bottom():
+            return eval_block(stmt.body, entry, ctx)
+        # -0.0 == 0.0: a zero bound enters the key as its repr, so a reused
+        # pass never returns a result of the other zero
+        key = [b if b else repr(b) for iv in entry.values.values() for b in (iv.lo, iv.hi)]
+        # past the step budget the pass runs for real, to abort at its step
+        if last is not None and last[0] == key and ctx.steps + last[2] <= ctx.config.step_budget:
+            ctx.steps += last[2]
+            ctx.widened_loops += last[3]
+            return last[1]
+        steps, widened_loops = ctx.steps, ctx.widened_loops
+        out = eval_block(stmt.body, entry, ctx)
+        last = (key, out, ctx.steps - steps, ctx.widened_loops - widened_loops)
+        return out
+
     saved = ctx.randomize
     ctx.randomize = False
     try:
@@ -301,8 +302,7 @@ def _fixpoint(stmt: lang.While, env: AbstractEnv, ctx: TrialContext) -> Abstract
         joins = 0
         widened = False
         while True:
-            ctx.tick()
-            nxt = acc.join(eval_block(stmt.body, filter_env(acc, stmt.cond, True), ctx))
+            nxt = acc.join(step(acc))
             if nxt == acc:
                 break
             if joins >= ctx.config.widening_delay:
@@ -312,9 +312,7 @@ def _fixpoint(stmt: lang.While, env: AbstractEnv, ctx: TrialContext) -> Abstract
                 acc = nxt
             joins += 1
         for _ in range(ctx.config.narrowing_passes):
-            ctx.tick()
-            refined = env.join(eval_block(stmt.body, filter_env(acc, stmt.cond, True), ctx))
-            nacc = acc.narrow(refined)
+            nacc = acc.narrow(env.join(step(acc)))
             if nacc == acc:
                 break
             acc = nacc
@@ -333,17 +331,15 @@ def analyze_trial(
     rng: random.Random | None = None,
     restriction: dict[int, tuple[float, float]] | None = None,
     trace: Callable[[str], None] | None = None,
-    memo: dict | None = None,
     trie: DrawTrie | None = None,
 ) -> TrialOutcome:
     """Run one trial.  Deterministic in (program, seed, config); the
-    optional ``rng`` overrides seeding for tests.  ``memo`` is a dict of
-    loop fixpoints shared by trials of this program under the same
-    ``widening_delay`` and ``narrowing_passes``; ``trie`` is a `DrawTrie`
-    shared by trials of this program under the same config.  Neither
-    changes the outcome.  A trial with ``rng`` or
-    ``trace`` bypasses the trie: the former's stream is not the seed's,
-    the latter prints every step."""
+    optional ``rng`` overrides seeding for tests.  ``trie`` is a
+    `DrawTrie` shared by trials of this program under the same config,
+    the only state trials share; it does not change the outcome.  A trial
+    with ``rng`` or ``trace`` bypasses the trie: the former's stream is
+    not the seed's, the latter prints every step.  A traced trial also
+    recomputes every fixpoint pass instead of reusing a repeated one."""
 
     if program.outcome is None:
         raise InterpError("program has no outcome")
@@ -357,7 +353,6 @@ def analyze_trial(
         config=cfg,
         restriction=restriction,
         trace=trace,
-        memo=memo,
     )
     try:
         env = eval_block(program.body, AbstractEnv.tops(program.kinds()), ctx)

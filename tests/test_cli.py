@@ -431,6 +431,27 @@ def test_plan_domain_error_exit_1(capsys):
     code, _, err = run_cli(capsys, "plan", "--t", "0", "--epsilon", "0.01")
     assert code == 1
     assert "t must be" in err
+    # t * t underflows to 0: a trial count past any float, not a traceback
+    for argv in (("plan", "--t", "1e-170", "--epsilon", "0.5"), ("curves", "--t-min", "1e-300")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "trial count" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in JSON output")
+
+
+def test_analyze_json_margin_finite_for_subnormal_epsilon(capsys):
+    # 1 / 1e-320 overflows to inf; the margin must not print as Infinity
+    code, out, _ = run_cli(
+        capsys, "analyze", FIG1, "--trials", "200", "--jobs", "1", "--epsilon", "1e-320",
+        "--format", "json",
+    )
+    assert code == 0
+    d = json.loads(out, parse_constant=_reject_constant)
+    assert d["margin"] == math.sqrt(-math.log(1e-320) / 400)
+    assert run_cli(capsys, "plan", "--t", "0.5", "--epsilon", "1e-320")[1].strip() == "1474"
 
 
 def test_usage_error_exit_1(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import asdict
 
@@ -78,6 +79,17 @@ def test_nondet_spec_grid_points(figs):
     spec = NondetSpec.from_program(figs["fig2"], grid=5)
     pts = spec.grid_points(figs["fig2"])["x"]
     assert pts == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def test_nondet_spec_grid_spans_the_double_range():
+    # hi - lo overflows; the interior points must stay finite and in order
+    p = parse("double u; know (u >= -1e308 && u <= 1e308); know (u > 0.5);")
+    pts = NondetSpec.from_program(p, grid=5).grid_points(p)["u"]
+    assert pts == [-1e308, -5e307, 0.0, 5e307, 1e308]
+    p = parse("double u; know (u >= -1e308 && u <= 7e307); know (u > 0.5);")
+    pts = NondetSpec.from_program(p, grid=5).grid_points(p)["u"]
+    assert all(map(math.isfinite, pts)) and pts == sorted(set(pts))
+    assert pts[0] == -1e308 and pts[-1] == 7e307
 
 
 def test_nondet_spec_unbounded_rejected():

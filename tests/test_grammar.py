@@ -1,6 +1,6 @@
 """Grammar properties: printing round-trips, generated programs run
-cleanly, the same with a fixpoint memo or a draw trie and soundly against
-concrete replays, and malformed text fails cleanly.
+cleanly, the same with fixpoint pass reuse or a draw trie and soundly
+against concrete replays, and malformed text fails cleanly.
 
 The first strategy writes well-kinded source text straight from the
 grammar in ``absmc.lang``: every assignment form, nested ``if``/``else``
@@ -143,10 +143,10 @@ def test_generated_programs_run_cleanly(source, seed):
         oracle_estimate(p, mode="sampled", n=8, seed=seed, spec=SPEC, step_budget=50)
 
 
-def _trial(p, seed, memo=None, trie=None, restriction=None):
+def _trial(p, seed, trie=None, restriction=None, trace=None):
     config = TrialConfig(unroll_limit=2, step_budget=300)
     try:
-        out = analyze_trial(p, seed, config, memo=memo, trie=trie, restriction=restriction)
+        out = analyze_trial(p, seed, config, trie=trie, restriction=restriction, trace=trace)
     except (DomainError, OverflowError) as e:
         return type(e)
     env = out.env and out.env.render()  # None when aborted
@@ -155,11 +155,11 @@ def _trial(p, seed, memo=None, trie=None, restriction=None):
 
 @FAST
 @given(programs(), st.integers(0, 2**32))
-def test_fixpoint_memo_leaves_trials_unchanged(source, seed):
+def test_fixpoint_pass_reuse_leaves_trials_unchanged(source, seed):
+    # a traced trial recomputes every fixpoint pass
     p = parse(source)
-    memo = {}
     for k in range(4):
-        assert _trial(p, seed + k, memo) == _trial(p, seed + k, None)
+        assert _trial(p, seed + k) == _trial(p, seed + k, trace=lambda line: None)
 
 
 @FAST

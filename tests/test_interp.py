@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -216,7 +217,7 @@ def test_trial_accounts_widening(figs):
     assert out.hit == 1
 
 
-# --- the fixpoint memo ----------------------------------------------------------
+# --- fixpoint pass reuse -------------------------------------------------------
 
 # fig4's branch in an inner loop, nested in an outer loop with an
 # unconstrained trip count: every trial runs both fixpoints
@@ -244,54 +245,101 @@ def _summary(out):
     return out.hit, out.table, out.widened_loops, out.steps, out.aborted, env
 
 
-def test_memo_keeps_the_sign_of_zero():
-    # -0.0 == 0.0 with equal hashes; each entry must replay its own zero
-    p = parse("double x, y; while (y < 5.0) { y = y + 1.0; } know (x < 2.0);")
-    memo = {}
-    for zero in (-0.0, 0.0):
-        env = AbstractEnv({"x": R(zero, 1.0), "y": R(0.0, 0.0)})
-        plain = eval_loop(p.body[0], env, ctx_with(unroll_limit=0))
-        ctx = ctx_with(unroll_limit=0)
-        ctx.memo = memo
-        assert eval_loop(p.body[0], env, ctx).render() == plain.render()
-        assert plain.render().startswith(f"x=[{zero!r}, ")
-    assert len(memo) == 2
+def _traced(*args, **kwargs):
+    """A trial that recomputes every fixpoint pass: the reference."""
+
+    return analyze_trial(*args, trace=lambda line: None, **kwargs)
 
 
-def test_memo_replay_replays_steps_and_widenings():
+@pytest.fixture
+def bodies(monkeypatch):
+    """Counts `eval_block` calls: fixpoint passes, branches and trial bodies."""
+
+    calls = []
+    real = interp.eval_block
+
+    def counted(stmts, env, ctx):
+        calls.append(stmts)
+        return real(stmts, env, ctx)
+
+    monkeypatch.setattr(interp, "eval_block", counted)
+    return calls
+
+
+def test_pass_reuse_matches_traced_trials():
     p = parse(NESTED)
-    memo = {}
-    analyze_trial(p, 0, memo=memo)
-    entries = dict(memo)
-    for seed in range(1, 12):
-        out = analyze_trial(p, seed, memo=memo)
+    # pinned: a change that drifts the counters changes every loop Report
+    assert analyze_trial(p, 0).steps == 281 and analyze_trial(p, 0).widened_loops == 7
+    for seed in range(12):
+        out = analyze_trial(p, seed)
         assert out.widened_loops > 1  # inner fixpoints widen inside the outer one
-        assert _summary(out) == _summary(analyze_trial(p, seed))
-    assert memo == entries  # no draw reaches a fixpoint's entry: every later one hits
+        assert _summary(out) == _summary(_traced(p, seed))
 
 
-def test_memo_replay_stops_at_the_step_budget():
+def test_untraced_trial_reuses_repeated_passes(bodies):
     p = parse(NESTED)
-    memo = {}
-    full = analyze_trial(p, 1, memo=memo)
+    _traced(p, 0)
+    recomputed = len(bodies)
+    bodies.clear()
+    analyze_trial(p, 0)
+    # the outer loop's first narrowing pass repeats its last ascending one
+    assert len(bodies) < recomputed
+    lines, again = [], []
+    analyze_trial(p, 0, trace=lines.append)
+    analyze_trial(p, 0, trace=again.append)
+    assert lines == again and len(lines) > 100
+
+
+def test_pass_reuse_stops_at_the_step_budget():
+    p = parse(NESTED)
+    full = analyze_trial(p, 1)
     for budget in (full.steps - 1, full.steps // 2):
         small = TrialConfig(step_budget=budget)
-        replay = analyze_trial(p, 1, small, memo=memo)
-        assert replay.aborted and replay.steps == budget + 1
-        assert replay.steps == analyze_trial(p, 1, small).steps
-    assert analyze_trial(p, 1, memo=memo).steps == full.steps
+        out = analyze_trial(p, 1, small)
+        assert out.aborted and out.steps == budget + 1
+        assert _summary(out) == _summary(_traced(p, 1, small))
+    assert analyze_trial(p, 1).steps == full.steps
 
 
-def test_traced_trial_bypasses_memo():
-    p = parse(NESTED)
-    memo = {}
-    lines, plain = [], []
-    analyze_trial(p, 1, memo=memo, trace=lines.append)
-    assert memo == {}
-    analyze_trial(p, 1, memo=memo)
-    analyze_trial(p, 1, memo=memo, trace=lines.append)
-    analyze_trial(p, 1, trace=plain.append)
-    assert lines == plain + plain
+def _loop_ctx(traced):
+    ctx = ctx_with(unroll_limit=0)
+    if traced:
+        ctx.trace = lambda line: None
+    return ctx
+
+
+def test_pass_reuse_keeps_the_sign_of_zero(monkeypatch, bodies):
+    # -0.0 == 0.0 with equal hashes; each entry must render its own zero
+    p = parse("double x, y; while (y < 5.0) { y = y + 1.0; } know (x < 2.0);")
+    loop = p.body[0]
+    for zero in (-0.0, 0.0):
+        env = AbstractEnv({"x": R(zero, 1.0), "y": R(0.0, 0.0)})
+        out = eval_loop(loop, env, _loop_ctx(False))
+        assert out.render() == eval_loop(loop, env, _loop_ctx(True)).render()
+        assert out.render().startswith(f"x=[{zero!r}, ")
+
+    # a guard filter that gives x a zero lower bound on each pass: when the
+    # zero alternates, no entry repeats the last one, although all compare
+    # equal, so every pass recomputes
+    real = interp.filter_env
+    for alternate in (False, True):
+        passes = itertools.count()
+
+        def zeroing(env, cond, polarity=True):
+            out = real(env, cond, polarity)
+            if cond is loop.cond and polarity and not out.is_bottom():
+                zero = -0.0 if alternate and next(passes) % 2 else 0.0
+                out = out.assign("x", R(zero, out.get("x").hi))
+            return out
+
+        monkeypatch.setattr(interp, "filter_env", zeroing)
+        counts = []
+        for traced in (True, False):
+            bodies.clear()
+            eval_loop(loop, AbstractEnv({"x": R(0.0, 1.0), "y": R(0.0, 0.0)}), _loop_ctx(traced))
+            counts.append(len(bodies))
+        recomputed, untraced = counts
+        assert untraced == recomputed if alternate else untraced < recomputed
 
 
 # --- the draw trie ----------------------------------------------------------
