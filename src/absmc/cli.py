@@ -29,6 +29,11 @@ class _UsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching; the subcommands' parsers are of this class
+        # too, so `analyze --n 5` cannot set --narrowing-passes
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse would exit(2); usage errors are exit 1
         raise _UsageError(message)
 

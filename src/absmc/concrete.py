@@ -456,11 +456,14 @@ class _VectorRun:
     caller's table, mirroring the shared product measure.
 
     INT lanes hold int64, which wraps silently, so `_bound` checks each
-    expression and condition before it is evaluated.  REAL lanes run with
-    numpy's overflow and invalid-operation traps raised, so a value past
-    the double range is an OverflowError, as in the scalar semantics.
-    Both checks look at every lane, including lanes that the current
-    branch or loop does not run.
+    expression and condition before it is evaluated; it looks at every
+    lane, including lanes that the current branch or loop does not run.
+    REAL lanes run with numpy's overflow and invalid-operation traps
+    raised.  A trap is only the fast path: the statement whose evaluation
+    fired it is evaluated again with the traps off (draws are memoised
+    per key, so nothing else changes), and a value past the double range
+    is an OverflowError, as in the scalar semantics, only on a live lane
+    that runs the statement.
     """
 
     def __init__(self, program, table, rng, m, step_budget=1_000_000):
@@ -515,12 +518,10 @@ class _VectorRun:
         self.alive = np.ones(self.m, dtype=bool)
         self.word: list[int] = []
         self.budget = self.step_budget
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                self._block(self.program.body, np.ones(self.m, dtype=bool))
-                return self._holds(self.program.outcome) & self.alive
-        except FloatingPointError:
-            raise OverflowError(_REAL_OVERFLOW) from None
+        everyone = np.ones(self.m, dtype=bool)
+        with np.errstate(over="raise", invalid="raise"):
+            self._block(self.program.body, everyone)
+            return self._holds(self.program.outcome, everyone) & self.alive
 
     def _bound(self, node) -> int:
         """Bound on the magnitude of ``node``'s values; OverflowError if
@@ -535,9 +536,30 @@ class _VectorRun:
                 raise OverflowError("integer overflow: sampled-oracle lanes hold int64")
         return a * self.limit + b
 
-    def _holds(self, cond) -> np.ndarray:
+    def _evaluate(self, node, mask):
+        """``evaluate`` on every lane; OverflowError if a REAL value left
+        the double range on a live lane of ``mask``."""
+
+        try:
+            return evaluate(node, self.env, self._draw)
+        except FloatingPointError:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._check_finite(node, mask & self.alive)
+                return evaluate(node, self.env, self._draw)
+
+    def _check_finite(self, node, mask) -> None:
+        # inf and nan stay non-finite through + - *, so the value of an
+        # expression, or of each comparison operand in a condition, shows
+        # whether one arose inside it
+        if isinstance(node, lang.Binary) and node.op in ("&&", "||", *lang.RELOPS):
+            self._check_finite(node.left, mask)
+            self._check_finite(node.right, mask)
+        elif (mask & ~np.isfinite(evaluate(node, self.env, self._draw))).any():
+            raise OverflowError(_REAL_OVERFLOW)
+
+    def _holds(self, cond, mask) -> np.ndarray:
         self._bound(cond)
-        out = evaluate(cond, self.env, self._draw)
+        out = self._evaluate(cond, mask)
         # a condition over literals only yields one bool for every lane
         return out if isinstance(out, np.ndarray) else np.full(self.m, out)
 
@@ -548,19 +570,19 @@ class _VectorRun:
             if isinstance(s, lang.Assign):
                 bound = self._bound(s.expr)
                 # the value stays an unnamed temporary, so numpy may reuse its buffer
-                np.copyto(self.env[s.name], evaluate(s.expr, self.env, self._draw), where=mask)
+                np.copyto(self.env[s.name], self._evaluate(s.expr, mask), where=mask)
                 self.limit = max(self.limit, bound)
             elif isinstance(s, lang.Know):
-                self.alive &= ~mask | self._holds(s.cond)
+                self.alive &= ~mask | self._holds(s.cond, mask)
             elif isinstance(s, lang.If):
-                hold = self._holds(s.cond)
+                hold = self._holds(s.cond, mask)
                 self._block(s.then, mask & hold)
                 self._block(s.orelse, mask & ~hold)
             elif isinstance(s, lang.While):
                 self.word.append(1)
                 try:
                     written = self.drawless.get(id(s))
-                    active = mask & self._holds(s.cond) & self.alive
+                    active = mask & self._holds(s.cond, mask) & self.alive
                     while active.any():
                         self.budget -= 1
                         if self.budget < 0:
@@ -581,7 +603,7 @@ class _VectorRun:
                                 self.alive &= ~stuck
                                 self.notes[_REPEAT_NOTE] = None
                         self.word[-1] += 1
-                        active = active & self._holds(s.cond) & self.alive
+                        active = active & self._holds(s.cond, active) & self.alive
                 finally:
                     self.word.pop()
             else:

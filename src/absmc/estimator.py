@@ -13,7 +13,11 @@ for a target margin t: n = ceil(ln(1/epsilon) / (2 t^2)).
 Per-trial seeds derive from the master seed by a counter-based split
 (SHA-256 of "master:index"), so results are independent of scheduling:
 a run with any worker count produces the identical Report, field by
-field, except for elapsed time.
+field, except for elapsed time.  A worker runs its chunk of trials in
+blocks of `lanes.BLOCK`: each trial still goes through `analyze_trial`,
+which serves it from the chunk's draw trie, runs it as one lane of the
+block's `lanes.LaneBlock` when it reaches a `uniform` draw, or runs it
+on the scalar engine; all three give the same outcome.
 
 Rare-event sharpening: when every hit is known to draw its value at some
 generator site inside a sub-range R of the support, sampling that site
@@ -33,6 +37,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import lang
 from .interp import DrawTrie, TrialConfig, analyze_trial
+from .lanes import BLOCK, LaneBlock
 
 
 def _log_reciprocal(epsilon: float) -> float:
@@ -172,17 +177,17 @@ def _trial_chunk(args) -> tuple[int, int, int]:
     hits = widened = aborted = 0
     # coin paths, shared by this chunk's trials only
     trie = DrawTrie()
-    for index in range(start, stop):
-        outcome = analyze_trial(
-            program,
-            derive_seed(master_seed, index),
-            config,
-            restriction=restriction,
-            trie=trie,
-        )
-        hits += outcome.hit
-        widened += outcome.widened_loops > 0
-        aborted += outcome.aborted
+    for lo in range(start, stop, BLOCK):
+        seeds = [derive_seed(master_seed, index) for index in range(lo, min(lo + BLOCK, stop))]
+        # the block's trials that reach a uniform draw, run as lanes
+        block = LaneBlock(program, config, restriction, seeds, trie)
+        for seed in seeds:
+            outcome = analyze_trial(
+                program, seed, config, restriction=restriction, trie=trie, lanes=block
+            )
+            hits += outcome.hit
+            widened += outcome.widened_loops > 0
+            aborted += outcome.aborted
     return hits, widened, aborted
 
 

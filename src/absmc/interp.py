@@ -1,6 +1,9 @@
-"""Randomized abstract interpretation trials.
+"""Randomized abstract interpretation trials: the scalar engine.
 
 One trial propagates an interval environment forward through the program.
+This engine runs one trial at a time and is the reference semantics;
+`lanes` runs many trials at once with the same outcomes, and hands back
+to this engine every trial it cannot compute exactly.
 Random generators behave in two modes, tracked by the context's
 ``randomize`` flag:
 
@@ -31,12 +34,15 @@ the steps and widenings it cost, so counters and verdicts match a
 recomputation.  A traced trial recomputes every pass.
 
 A trial is a pure function of its draw sequence.  Trials of one run may
-share a `DrawTrie` of their coin paths, the only state trials share:
-each inner node is a draw and each leaf the outcome its path led to.  A
+share a `DrawTrie` of their coin paths, which with a `lanes.LaneBlock`
+is the only state trials share: each inner node is a draw and each leaf
+the outcome its path led to.  A
 trial walks the trie, drawing coins from its own stream exactly as the
 full trial would, and returns the leaf it reaches; a path the trie
-lacks, or one that reaches a `uniform` draw, runs the full trial (and
-the former is inserted).
+lacks runs the full trial and is inserted.  A walk that stops at a
+`uniform` draw runs the full trial as one lane of a `lanes.LaneBlock`
+when the caller passes one, else on this engine.  A traced trial, or one
+with its own ``rng``, always runs here.
 
 A trial's verdict is 1 when the outcome event cannot be ruled out for
 some choice of the unconstrained inputs consistent with the recorded
@@ -186,17 +192,20 @@ class DrawTrie:
         self.entry: dict[None, _TrieNode | TrialOutcome] = {}
         self.size = 0
 
-    def lookup(self, seed: int | None, restriction: dict | None) -> TrialOutcome | None:
-        """The outcome of trial ``seed`` if its coin path leads to a leaf."""
+    def walk(self, seed: int | None, restriction: dict | None) -> _TrieNode | TrialOutcome | None:
+        """Where trial ``seed``'s coin path ends: at a leaf, at the node of
+        a `uniform` draw, or (None) at a child the trie lacks."""
 
-        rng = _LazyRandom(seed)
+        rng = None
         node = self.entry.get(None)
-        while type(node) is _TrieNode:
-            if node.children is None:
-                return None
+        while type(node) is _TrieNode and node.children is not None:
+            rng = rng or _LazyRandom(seed)
             span = restriction.get(node.key[0]) if restriction else None
             node = node.children.get(lang.draw_value(rng, lang.Kind.INT, span))
-        return None if node is None else node.copy()
+        return node
+
+    def stops_at_uniform(self, seed: int | None, restriction: dict | None) -> bool:
+        return type(self.walk(seed, restriction)) is _TrieNode
 
     def insert(self, outcome: TrialOutcome) -> None:
         """Store a full trial's path, up to its first `uniform`, and its
@@ -332,21 +341,29 @@ def analyze_trial(
     restriction: dict[int, tuple[float, float]] | None = None,
     trace: Callable[[str], None] | None = None,
     trie: DrawTrie | None = None,
+    lanes=None,
 ) -> TrialOutcome:
     """Run one trial.  Deterministic in (program, seed, config); the
     optional ``rng`` overrides seeding for tests.  ``trie`` is a
     `DrawTrie` shared by trials of this program under the same config,
-    the only state trials share; it does not change the outcome.  A trial
-    with ``rng`` or ``trace`` bypasses the trie: the former's stream is
-    not the seed's, the latter prints every step.  A traced trial also
-    recomputes every fixpoint pass instead of reusing a repeated one."""
+    and does not change the outcome.  ``lanes``, a `lanes.LaneBlock` of
+    the same trials, runs a trial whose trie walk stops at a `uniform`
+    draw as one lane of a batch, with the same outcome; the two are the
+    only state trials share.  A trial with ``rng`` or ``trace`` bypasses both: the
+    former's stream is not the seed's, the latter prints every step.  A
+    traced trial also recomputes every fixpoint pass instead of reusing a
+    repeated one."""
 
     if program.outcome is None:
         raise InterpError("program has no outcome")
     if rng is not None or trace is not None:
         trie = None
-    if trie is not None and (served := trie.lookup(seed, restriction)) is not None:
-        return served
+    if trie is not None:
+        end = trie.walk(seed, restriction)
+        if type(end) is TrialOutcome:
+            return end.copy()
+        if end is not None and lanes is not None and (lane := lanes.outcome(seed)) is not None:
+            return lane
     cfg = config or TrialConfig()
     ctx = TrialContext(
         rng=rng if rng is not None else random.Random(seed),

@@ -54,10 +54,11 @@ class DomainError(Exception):
 
 
 def _sum_is_exact(a: float, b: float, s: float) -> bool:
-    # TwoSum error term; zero iff a + b == s exactly.
+    # TwoSum error term; zero iff a + b == s exactly.  `&` rather than
+    # `and`, so that `lanes` applies it to arrays too
     bv = s - a
     av = s - bv
-    return (a - av) == 0.0 and (b - bv) == 0.0
+    return ((a - av) == 0.0) & ((b - bv) == 0.0)
 
 
 def _mul_is_exact(a: float, b: float, p: float) -> bool:

@@ -169,6 +169,37 @@ def test_oracle_real_overflow_exit_1(tmp_path, capsys, mode):
     assert one_line_error(err) and "real overflow" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "body",
+    [
+        # the branch that overflows for x > 0.18 only runs for x < 0.1
+        "if (x < 0.1) { y = 1e308 * (10.0 * x); }",
+        # the lanes that overflow were pruned by a know before
+        "know (x < 0.1); y = 1e308 * (10.0 * x);",
+        # ... and inside a condition
+        "know (x < 0.1); know (1e308 * (10.0 * x) > 0.0); y = 1.0;",
+    ],
+)
+def test_sampled_oracle_overflow_off_the_running_lanes(tmp_path, capsys, body):
+    src = tmp_path / "branch.amc"
+    src.write_text(f"double x, y; y = 0.0; x = uniform(); {body} know (y > 0.5);")
+    code, out, _ = run_cli(
+        capsys, "oracle", str(src), "--mode", "sampled", "--n", "20000", "--format", "json"
+    )
+    assert code == 0
+    assert abs(json.loads(out)["estimate"] - 0.1) < 0.01
+
+
+@pytest.mark.filterwarnings("error")
+def test_sampled_oracle_overflow_in_a_running_condition_exit_1(tmp_path, capsys):
+    src = tmp_path / "cond.amc"
+    src.write_text("double x; x = uniform(); know (1e308 * (10.0 * x) > 0.5); know (x > 0.5);")
+    code, out, err = run_cli(capsys, "oracle", str(src), "--mode", "sampled", "--n", "100")
+    assert code == 1 and out == ""
+    assert one_line_error(err) and "real overflow" in err
+
+
 @pytest.mark.parametrize(
     "source",
     [
@@ -457,6 +488,15 @@ def test_analyze_json_margin_finite_for_subnormal_epsilon(capsys):
 def test_usage_error_exit_1(capsys):
     code, _, err = run_cli(capsys, "plan", "--t", "0.1")
     assert code == 1  # missing required --epsilon
+
+
+@pytest.mark.parametrize("flag", ["--n", "--narrowing", "--unr", "--tri"])
+def test_abbreviated_flag_is_a_usage_error(capsys, flag):
+    # --n is the oracle's sample count; as a prefix of --narrowing-passes it
+    # silently changed the analysis
+    code, out, err = run_cli(capsys, "analyze", FIG1, "--jobs", "1", flag, "5")
+    assert code == 1 and out == ""
+    assert one_line_error(err) and f"unrecognized arguments: {flag} 5" in err
 
 
 def test_curves_speed_rows_match_closed_form(capsys):

@@ -1,6 +1,7 @@
 """Grammar properties: printing round-trips, generated programs run
-cleanly, the same with fixpoint pass reuse or a draw trie and soundly
-against concrete replays, and malformed text fails cleanly.
+cleanly, the same with fixpoint pass reuse, a draw trie or as numpy
+lanes and soundly against concrete replays, and malformed text fails
+cleanly.
 
 The first strategy writes well-kinded source text straight from the
 grammar in ``absmc.lang``: every assignment form, nested ``if``/``else``
@@ -21,7 +22,9 @@ from absmc import corpus
 from absmc.concrete import ChoiceSource, NondetSpec, OracleError, oracle_estimate, run_concrete
 from absmc.interp import DrawTrie, TrialConfig, analyze_trial
 from absmc.intervals import DomainError
+from absmc.lanes import run_lanes
 from absmc.lang import MAX_DEPTH, RELOPS, LangError, generator_sites, parse, to_source
+from helpers import summary
 
 INTS = ("a", "b")
 REALS = ("u", "v")
@@ -117,6 +120,26 @@ def programs(draw):
     return "{ " + text + " }" if draw(st.booleans()) else text
 
 
+# bounds both INT inputs to the integers a replay visits
+SMALL_RANGE = "know (a >= -3 && a <= 3 && b >= -3 && b <= 3);"
+# steps that move a loop along, or may not
+PROGRESS = ["a++;", "b--;", "a += coin_flip();", "u += uniform();", "v = 0.5 * (v - uniform());"]
+
+
+@st.composite
+def loop_programs(draw):
+    """A loop over bounded inputs, nested or after other statements, so
+    trials unroll, widen, narrow and abort more often than in `programs`."""
+
+    small = draw(st.booleans())
+    body = draw(st.lists(stmts(1, small) | st.sampled_from(PROGRESS), min_size=1, max_size=4))
+    loop = f"while ({draw(conds(0, small))}) {{ {' '.join(body)} }}"
+    if draw(st.booleans()):
+        loop = f"while ({draw(conds(0, small))}) {{ {loop} {draw(st.sampled_from(PROGRESS))} }}"
+    head = " ".join(draw(st.lists(stmts(1, small), max_size=2)))
+    return f"{DECLS} {SMALL_RANGE} {head} {loop} know ({draw(conds(1, small))});"
+
+
 @FAST
 @given(programs())
 @example("int a; know (a < 1 && (a < 2 && a < 3) || (a < 4 || a < 5));")
@@ -175,6 +198,45 @@ def test_draw_trie_leaves_trials_unchanged(source, seed, pin):
             assert served == _trial(p, seed + k % 3, restriction=restriction)
 
 
+# a default-like config, one that enters every fixpoint at once and widens
+# at the first join, and a step budget small enough to abort
+LANE_CONFIGS = (
+    TrialConfig(unroll_limit=3, step_budget=400),
+    TrialConfig(unroll_limit=0, widening_delay=0),
+    TrialConfig(unroll_limit=4, step_budget=40),
+)
+
+
+def _restriction(p, pin):
+    """Pins the first coin outside a loop, and narrows the first uniform
+    outside one, when the program has them."""
+
+    spans = {}
+    for g in generator_sites(p):
+        if not g.inside_loop:
+            spans.setdefault(g.coin, (g.site, (pin, pin) if g.coin else (0.25, 0.75)))
+    return dict(spans.values()) or None
+
+
+# the example count is the profile's: 100 locally, 1,000 under the ci profile
+@settings(deadline=None, suppress_health_check=FAST.suppress_health_check)
+@given(programs() | loop_programs(), st.integers(0, 2**32), st.integers(0, 1))
+def test_lanes_match_scalar_trials(source, seed, pin):
+    p = parse(source)
+    seeds = [seed + k for k in range(6)]
+    for config in LANE_CONFIGS:
+        for restriction in (None, _restriction(p, pin)):
+            lanes = run_lanes(p, seeds, config, restriction)
+            for s, lane in zip(seeds, lanes):
+                try:
+                    scalar = analyze_trial(p, s, config, restriction=restriction)
+                except RUN_ERRORS:
+                    assert lane is None  # a scalar error is past the lanes' domain
+                    continue
+                if lane is not None:
+                    assert summary(lane) == summary(scalar)
+
+
 def _replays_to_no_hit(p, seed, combos):
     try:
         trial = analyze_trial(p, seed, TrialConfig(unroll_limit=4, step_budget=300))
@@ -204,7 +266,6 @@ def test_verdict_zero_admits_no_concrete_hit(source, seed):
 # statements over a and b alone with INT literals in -4..4, after a guard
 # that bounds both to the integers a replay visits, so that every later
 # guard cuts a bounded interval next to them
-SMALL_RANGE = "know (a >= -3 && a <= 3 && b >= -3 && b <= 3);"
 SMALL_STMTS = st.lists(
     BOUNDS.map(lambda c: f"know ({c});") | stmts(1, small=True), min_size=1, max_size=4
 )
