@@ -429,25 +429,25 @@ _REPEAT_NOTE = "nonterminating paths repeat a loop state; counted as misses"
 _DRAW_TABLE_BYTES = 1 << 30  # cap on one batch's draw table
 
 
-def _growth(node, kinds: dict[str, Kind]) -> tuple[int, int]:
-    """(a, b) such that |value| <= a * m + b, and so does every sum inside
-    it, on lanes whose INT variables all lie in [-m, m].  A condition takes
-    the larger of its operands' (a, b); REAL nodes give (0, 0)."""
+def _growth(node, kinds: dict[str, Kind]) -> list[tuple[int, int]]:
+    """(a, b) with |value| <= a * m + b, and so for every sum inside it, on
+    lanes whose INT variables lie in [-m, m]: one pair for an expression,
+    one per compared value for a condition; REAL nodes give (0, 0)."""
 
     if isinstance(node, lang.Var):
-        return (1, 0) if kinds[node.name] is Kind.INT else (0, 0)
+        return [(1, 0) if kinds[node.name] is Kind.INT else (0, 0)]
     if isinstance(node, lang.Lit) and node.kind is Kind.INT:
-        return 0, abs(node.value)
+        return [(0, abs(node.value))]
     if isinstance(node, lang.Draw) and node.kind is Kind.INT:
-        return 0, 1
+        return [(0, 1)]
     if isinstance(node, lang.Binary):
-        (a, b), (c, d) = _growth(node.left, kinds), _growth(node.right, kinds)
-        if node.op == "*":  # the left is a literal: b is the coefficient's magnitude
-            return b * c, b * d
-        if node.op in ("+", "-"):
-            return a + c, b + d
-        return max(a, c), max(b, d)
-    return 0, 0
+        left, right = _growth(node.left, kinds), _growth(node.right, kinds)
+        if node.op not in ("+", "-", "*"):
+            return left + right
+        ((a, b),), ((c, d),) = left, right
+        # a product's left is a literal: b is the coefficient's magnitude
+        return [(b * c, b * d) if node.op == "*" else (a + c, b + d)]
+    return [(0, 0)]
 
 
 class _VectorRun:
@@ -456,8 +456,8 @@ class _VectorRun:
     caller's table, mirroring the shared product measure.
 
     INT lanes hold int64, which wraps silently, so `_bound` checks each
-    expression and condition before it is evaluated; it looks at every
-    lane, including lanes that the current branch or loop does not run.
+    expression and condition before it is evaluated, on the live lanes
+    that run it: the values of the others are discarded.
     REAL lanes run with numpy's overflow and invalid-operation traps
     raised.  A trap is only the fast path: the statement whose evaluation
     fired it is evaluated again with the traps off (draws are memoised
@@ -476,7 +476,9 @@ class _VectorRun:
         self.notes: dict[str, None] = {}  # diagnostics, in first-seen order
         stmts = list(lang.iter_stmts(program.body))
         nodes = [s.expr if isinstance(s, lang.Assign) else s.cond for s in stmts]
-        self.growth = {id(n): _growth(n, self.kinds) for n in nodes + [program.outcome]}
+        growth = [(id(n), _growth(n, self.kinds)) for n in nodes + [program.outcome]]
+        # the largest a and b bound all of a node's values at once: the fast check
+        self.growth = {k: (max(a for a, _ in g), max(b for _, b in g), g) for k, g in growth}
         # loops whose guard and body draw nothing, with the variables their
         # body assigns: a lane that one iteration leaves unchanged repeats
         # that iteration forever
@@ -523,18 +525,26 @@ class _VectorRun:
             self._block(self.program.body, everyone)
             return self._holds(self.program.outcome, everyone) & self.alive
 
-    def _bound(self, node) -> int:
-        """Bound on the magnitude of ``node``'s values; OverflowError if
-        they, or a sum inside them, may leave int64."""
+    def _bound(self, node, mask) -> int:
+        """Bound on the magnitude of ``node``'s values on the live lanes of
+        ``mask``; OverflowError if they, or a sum inside them, may leave
+        int64 there."""
 
-        a, b = self.growth[id(node)]
+        a, b, pairs = self.growth[id(node)]
         if a * self.limit + b > _INT64_MAX:
-            # ``limit`` only grows with assignments: tighten it to the lanes
-            ints = [v for v in self.env.values() if v.dtype == np.int64]
-            self.limit = max((max(int(v.max()), -int(v.min())) for v in ints), default=0)
-            if a * self.limit + b > _INT64_MAX:
-                raise OverflowError("integer overflow: sampled-oracle lanes hold int64")
+            # ``limit`` only grows with assignments: tighten it to the live
+            # lanes (dead ones never count again), then to those running ``node``
+            self.limit = self._magnitude(self.alive)
+            for limit in (self.limit, self._magnitude(mask & self.alive)):
+                bound = max(c * limit + d for c, d in pairs)
+                if bound <= _INT64_MAX:
+                    return bound
+            raise OverflowError("integer overflow: sampled-oracle lanes hold int64")
         return a * self.limit + b
+
+    def _magnitude(self, mask) -> int:
+        ints = [v[mask] for v in self.env.values() if v.dtype == np.int64]
+        return max((max(int(v.max()), -int(v.min())) for v in ints if v.size), default=0)
 
     def _evaluate(self, node, mask):
         """``evaluate`` on every lane; OverflowError if a REAL value left
@@ -558,7 +568,7 @@ class _VectorRun:
             raise OverflowError(_REAL_OVERFLOW)
 
     def _holds(self, cond, mask) -> np.ndarray:
-        self._bound(cond)
+        self._bound(cond, mask)
         out = self._evaluate(cond, mask)
         # a condition over literals only yields one bool for every lane
         return out if isinstance(out, np.ndarray) else np.full(self.m, out)
@@ -568,7 +578,7 @@ class _VectorRun:
             if not mask.any():
                 return
             if isinstance(s, lang.Assign):
-                bound = self._bound(s.expr)
+                bound = self._bound(s.expr, mask)
                 # the value stays an unnamed temporary, so numpy may reuse its buffer
                 np.copyto(self.env[s.name], self._evaluate(s.expr, mask), where=mask)
                 self.limit = max(self.limit, bound)

@@ -13,11 +13,13 @@ for a target margin t: n = ceil(ln(1/epsilon) / (2 t^2)).
 Per-trial seeds derive from the master seed by a counter-based split
 (SHA-256 of "master:index"), so results are independent of scheduling:
 a run with any worker count produces the identical Report, field by
-field, except for elapsed time.  A worker runs its chunk of trials in
-blocks of `lanes.BLOCK`: each trial still goes through `analyze_trial`,
-which serves it from the chunk's draw trie, runs it as one lane of the
-block's `lanes.LaneBlock` when it reaches a `uniform` draw, or runs it
-on the scalar engine; all three give the same outcome.
+field, except for elapsed time.
+
+Each worker runs one contiguous chunk of the trials, whose `DrawTrie`
+is the only state they share.  `analyze_trial` asks it first: it serves
+coin paths it has seen and runs trials that reach a `uniform` as `lanes`
+batches; the scalar engine (`interp`) runs new coin paths and hand-backs.
+All three give the same outcome.
 
 Rare-event sharpening: when every hit is known to draw its value at some
 generator site inside a sub-range R of the support, sampling that site
@@ -29,15 +31,17 @@ is the caller's assertion; restricted Reports are flagged accordingly.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
+import random
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-from . import lang
-from .interp import DrawTrie, TrialConfig, analyze_trial
-from .lanes import BLOCK, LaneBlock
+from . import lang, lanes
+from .interp import ChoiceKey, TrialConfig, TrialOutcome, analyze_trial
 
 
 def _log_reciprocal(epsilon: float) -> float:
@@ -147,6 +151,125 @@ class RestrictionSpec:
 
 
 # ---------------------------------------------------------------------------
+# Trials shared within a chunk
+# ---------------------------------------------------------------------------
+
+# Most nodes, inner and leaf, one draw trie stores; later paths run in full.
+_TRIE_CAP = 1024
+# Most seeds one lane batch spans: memory follows it, not the trial count.
+BLOCK = 256
+
+
+@dataclass(slots=True)
+class _TrieNode:
+    """One draw of a trial path: its choice key and the next node or leaf
+    by coin value; ``children`` is None for a `uniform`."""
+
+    key: ChoiceKey
+    children: dict[int, "_TrieNode | TrialOutcome"] | None
+
+
+class _LazyRandom:
+    """`random.Random(seed)` for coin draws, seeded on its first call: a
+    walk that draws nothing, or only pinned coins, never pays for it."""
+
+    __slots__ = ("seed", "rng")
+
+    def __init__(self, seed: int | None):
+        self.seed = seed
+        self.rng: random.Random | None = None
+
+    def getrandbits(self, k: int) -> int:
+        if self.rng is None:
+            self.rng = random.Random(self.seed)
+        return self.rng.getrandbits(k)
+
+
+class DrawTrie:
+    """The trials of one chunk, of one program under one config and
+    restriction: iterating gives the chunk's ``seeds`` in order, and
+    `serve` gives a trial's outcome without the scalar engine when it can.
+
+    The trie keys the outcomes of full trials by their coin draws: the
+    entry edge (``None``) leads to a trial's first draw, or to its leaf
+    when it draws nothing, and a served trial gets a copy of the leaf.
+    Past `_TRIE_CAP` nodes nothing new is stored.  The first trial whose
+    walk stops at a `uniform` runs as a lane batch with every later one
+    among the next `BLOCK` - 1 seeds, whose outcomes wait in ``pending``
+    for their turn; a seed walked ahead keeps where its walk ended.
+    """
+
+    def __init__(self, program, config=None, restriction=None, seeds=()):
+        self.program = program
+        self.config = config
+        self.restriction = restriction
+        self.seeds = iter(seeds)
+        self.ahead: deque[int] = deque()  # seeds walked ahead of their turn
+        self.ends: dict = {}  # where those walks ended
+        self.pending: dict[int, TrialOutcome | None] = {}  # None: handed back
+        self.entry: dict[None, _TrieNode | TrialOutcome] = {}
+        self.size = 0
+
+    def __iter__(self):
+        while self.ahead or (seed := next(self.seeds, None)) is not None:
+            yield self.ahead.popleft() if self.ahead else seed
+
+    def walk(self, seed: int | None) -> _TrieNode | TrialOutcome | None:
+        """Where trial ``seed``'s coin path ends: at a leaf, at the node of
+        a `uniform` draw, or (None) at a child the trie lacks."""
+
+        rng = None
+        node = self.entry.get(None)
+        while type(node) is _TrieNode and node.children is not None:
+            rng = rng or _LazyRandom(seed)
+            span = self.restriction.get(node.key[0]) if self.restriction else None
+            node = node.children.get(lang.draw_value(rng, lang.Kind.INT, span))
+        return node
+
+    def serve(self, seed: int | None) -> TrialOutcome | None:
+        """Trial ``seed``'s outcome from a leaf or a lane batch; None when
+        the scalar engine must run it."""
+
+        end = self.ends.pop(seed) if self.ends and seed in self.ends else self.walk(seed)
+        if type(end) is TrialOutcome:
+            return end.copy()
+        if end is None:
+            return None
+        if seed not in self.pending:
+            # a batch: this seed and the later ones among the next
+            # BLOCK - 1 whose walks stop at a uniform too
+            batch = [seed]
+            for later in itertools.islice(self.seeds, BLOCK - 1):
+                self.ahead.append(later)
+                end = self.ends[later] = self.walk(later)
+                if type(end) is _TrieNode:
+                    batch.append(later)
+            outcomes = lanes.run_lanes(self.program, batch, self.config, self.restriction)
+            self.pending.update(zip(batch, outcomes))
+        return self.pending.pop(seed)
+
+    def insert(self, outcome: TrialOutcome) -> None:
+        """Store a full trial's path, up to its first `uniform`, and its
+        leaf if the path draws coins only."""
+
+        children, edge = self.entry, None
+        for key, value in outcome.table.items():
+            node = children.get(edge)
+            if node is None:
+                if self.size >= _TRIE_CAP:
+                    return
+                # a coin draws an int, a uniform a float
+                node = children[edge] = _TrieNode(key, None if isinstance(value, float) else {})
+                self.size += 1
+            if node.children is None:
+                return
+            children, edge = node.children, value
+        if edge not in children and self.size < _TRIE_CAP:
+            children[edge] = outcome.copy()
+            self.size += 1
+
+
+# ---------------------------------------------------------------------------
 # Reports and the trial loop
 # ---------------------------------------------------------------------------
 
@@ -175,19 +298,13 @@ class Report:
 def _trial_chunk(args) -> tuple[int, int, int]:
     program, config, restriction, master_seed, start, stop = args
     hits = widened = aborted = 0
-    # coin paths, shared by this chunk's trials only
-    trie = DrawTrie()
-    for lo in range(start, stop, BLOCK):
-        seeds = [derive_seed(master_seed, index) for index in range(lo, min(lo + BLOCK, stop))]
-        # the block's trials that reach a uniform draw, run as lanes
-        block = LaneBlock(program, config, restriction, seeds, trie)
-        for seed in seeds:
-            outcome = analyze_trial(
-                program, seed, config, restriction=restriction, trie=trie, lanes=block
-            )
-            hits += outcome.hit
-            widened += outcome.widened_loops > 0
-            aborted += outcome.aborted
+    seeds = (derive_seed(master_seed, index) for index in range(start, stop))
+    trials = DrawTrie(program, config, restriction, seeds)
+    for seed in trials:
+        outcome = analyze_trial(program, seed, config, restriction=restriction, reuse=trials)
+        hits += outcome.hit
+        widened += outcome.widened_loops > 0
+        aborted += outcome.aborted
     return hits, widened, aborted
 
 
@@ -218,10 +335,10 @@ def run(
     if workers == 1 or n < 2 * workers:
         hits, widened, aborted = _trial_chunk((program, cfg, sites, master_seed, 0, n))
     else:
-        chunk = max(1, -(-n // (workers * 4)))
+        # one contiguous chunk per worker: each learns one trie
         tasks = [
-            (program, cfg, sites, master_seed, lo, min(lo + chunk, n))
-            for lo in range(0, n, chunk)
+            (program, cfg, sites, master_seed, n * k // workers, n * (k + 1) // workers)
+            for k in range(workers)
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             hits, widened, aborted = map(sum, zip(*pool.map(_trial_chunk, tasks)))

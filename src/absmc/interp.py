@@ -1,9 +1,7 @@
 """Randomized abstract interpretation trials: the scalar engine.
 
 One trial propagates an interval environment forward through the program.
-This engine runs one trial at a time and is the reference semantics;
-`lanes` runs many trials at once with the same outcomes, and hands back
-to this engine every trial it cannot compute exactly.
+This engine runs one trial at a time and is the reference semantics.
 Random generators behave in two modes, tracked by the context's
 ``randomize`` flag:
 
@@ -33,16 +31,11 @@ the ascending passes stopped) reuses that pass's body result and replays
 the steps and widenings it cost, so counters and verdicts match a
 recomputation.  A traced trial recomputes every pass.
 
-A trial is a pure function of its draw sequence.  Trials of one run may
-share a `DrawTrie` of their coin paths, which with a `lanes.LaneBlock`
-is the only state trials share: each inner node is a draw and each leaf
-the outcome its path led to.  A
-trial walks the trie, drawing coins from its own stream exactly as the
-full trial would, and returns the leaf it reaches; a path the trie
-lacks runs the full trial and is inserted.  A walk that stops at a
-`uniform` draw runs the full trial as one lane of a `lanes.LaneBlock`
-when the caller passes one, else on this engine.  A traced trial, or one
-with its own ``rng``, always runs here.
+A trial is a pure function of its draw sequence, so `analyze_trial` may
+take its outcome from the `estimator.DrawTrie` of its chunk, which
+serves coin paths it has seen and runs trials that reach a `uniform` as
+`lanes`, many at once with the same outcomes.  This engine runs the
+rest: new coin paths, the trials lanes hand back, every traced trial.
 
 A trial's verdict is 1 when the outcome event cannot be ruled out for
 some choice of the unconstrained inputs consistent with the recorded
@@ -86,9 +79,6 @@ class TrialConfig:
 
 
 ChoiceKey = tuple[int, tuple[int, ...]]
-
-# Most nodes, inner and leaf, one draw trie stores; later paths run in full.
-_TRIE_CAP = 1024
 
 
 @dataclass
@@ -146,86 +136,6 @@ class TrialOutcome:
         return TrialOutcome(
             self.hit, self.env, dict(self.table), self.widened_loops, self.aborted, self.steps
         )
-
-
-@dataclass(slots=True)
-class _TrieNode:
-    """One draw of a trial path: its choice key and the next node or leaf
-    by coin value; ``children`` is None for a `uniform`, whose trials run
-    in full."""
-
-    key: ChoiceKey
-    children: dict[int, "_TrieNode | TrialOutcome"] | None
-
-
-class _LazyRandom:
-    """`random.Random(seed)` for coin draws, seeded on its first call: a
-    walk that draws nothing, or only pinned coins, never pays for it."""
-
-    __slots__ = ("seed", "rng")
-
-    def __init__(self, seed: int | None):
-        self.seed = seed
-        self.rng: random.Random | None = None
-
-    def getrandbits(self, k: int) -> int:
-        if self.rng is None:
-            self.rng = random.Random(self.seed)
-        return self.rng.getrandbits(k)
-
-
-class DrawTrie:
-    """Outcomes of full trials keyed by their coin draws, shared by the
-    trials of one program under one config.
-
-    The entry edge (``None``) leads to the trial's first draw, or to its
-    leaf when it draws nothing.  Leaves are the `TrialOutcome`s of full
-    trials, aborted ones included; a served trial gets a copy with its own
-    table.  A restriction changes which values a trial draws, never what
-    the same values lead to, so it is applied on each walk and the trie
-    does not depend on it.  Past `_TRIE_CAP` nodes nothing new is stored.
-    """
-
-    __slots__ = ("entry", "size")
-
-    def __init__(self):
-        self.entry: dict[None, _TrieNode | TrialOutcome] = {}
-        self.size = 0
-
-    def walk(self, seed: int | None, restriction: dict | None) -> _TrieNode | TrialOutcome | None:
-        """Where trial ``seed``'s coin path ends: at a leaf, at the node of
-        a `uniform` draw, or (None) at a child the trie lacks."""
-
-        rng = None
-        node = self.entry.get(None)
-        while type(node) is _TrieNode and node.children is not None:
-            rng = rng or _LazyRandom(seed)
-            span = restriction.get(node.key[0]) if restriction else None
-            node = node.children.get(lang.draw_value(rng, lang.Kind.INT, span))
-        return node
-
-    def stops_at_uniform(self, seed: int | None, restriction: dict | None) -> bool:
-        return type(self.walk(seed, restriction)) is _TrieNode
-
-    def insert(self, outcome: TrialOutcome) -> None:
-        """Store a full trial's path, up to its first `uniform`, and its
-        leaf if the path draws coins only."""
-
-        children, edge = self.entry, None
-        for key, value in outcome.table.items():
-            node = children.get(edge)
-            if node is None:
-                if self.size >= _TRIE_CAP:
-                    return
-                # a coin draws an int, a uniform a float
-                node = children[edge] = _TrieNode(key, None if isinstance(value, float) else {})
-                self.size += 1
-            if node.children is None:
-                return
-            children, edge = node.children, value
-        if edge not in children and self.size < _TRIE_CAP:
-            children[edge] = outcome.copy()
-            self.size += 1
 
 
 def eval_block(stmts, env: AbstractEnv, ctx: TrialContext) -> AbstractEnv:
@@ -340,30 +250,22 @@ def analyze_trial(
     rng: random.Random | None = None,
     restriction: dict[int, tuple[float, float]] | None = None,
     trace: Callable[[str], None] | None = None,
-    trie: DrawTrie | None = None,
-    lanes=None,
+    reuse=None,
 ) -> TrialOutcome:
     """Run one trial.  Deterministic in (program, seed, config); the
-    optional ``rng`` overrides seeding for tests.  ``trie`` is a
-    `DrawTrie` shared by trials of this program under the same config,
-    and does not change the outcome.  ``lanes``, a `lanes.LaneBlock` of
-    the same trials, runs a trial whose trie walk stops at a `uniform`
-    draw as one lane of a batch, with the same outcome; the two are the
-    only state trials share.  A trial with ``rng`` or ``trace`` bypasses both: the
-    former's stream is not the seed's, the latter prints every step.  A
-    traced trial also recomputes every fixpoint pass instead of reusing a
-    repeated one."""
+    optional ``rng`` overrides seeding for tests.  ``reuse``, an
+    `estimator.DrawTrie` of the same program, config and restriction,
+    serves the trial when it can and stores what this engine computes; it
+    never changes the outcome.  A trial with ``rng`` or ``trace`` bypasses
+    it: the former's stream is not the seed's, the latter prints every
+    step and recomputes every fixpoint pass instead of reusing one."""
 
     if program.outcome is None:
         raise InterpError("program has no outcome")
     if rng is not None or trace is not None:
-        trie = None
-    if trie is not None:
-        end = trie.walk(seed, restriction)
-        if type(end) is TrialOutcome:
-            return end.copy()
-        if end is not None and lanes is not None and (lane := lanes.outcome(seed)) is not None:
-            return lane
+        reuse = None
+    if reuse is not None and (served := reuse.serve(seed)) is not None:
+        return served
     cfg = config or TrialConfig()
     ctx = TrialContext(
         rng=rng if rng is not None else random.Random(seed),
@@ -385,6 +287,6 @@ def analyze_trial(
         aborted=aborted,
         steps=ctx.steps,
     )
-    if trie is not None:
-        trie.insert(outcome)
+    if reuse is not None:
+        reuse.insert(outcome)
     return outcome

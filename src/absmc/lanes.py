@@ -1,4 +1,4 @@
-"""Batched interval trials: a block of seeds run at once as numpy lanes.
+"""Batched interval trials: a batch of seeds run at once as numpy lanes.
 
 The same semantics as `interp` (the scalar engine, which stays the
 reference), evaluated for many trials at once.  Each variable is a pair
@@ -23,8 +23,9 @@ domain: INT bounds are exact in float64 while their magnitude stays
 below 2**53, and a REAL product's exactness test (Dekker's TwoProduct
 standing in for `intervals._mul_is_exact`) holds only for factors
 within `_PRODUCT_RANGE`.  A lane that leaves the domain, or meets a
-NaN, is handed back: `LaneBlock.outcome` returns None for it and the
-caller runs the scalar engine from its seed.
+NaN, is handed back: `run_lanes` gives None for it and the caller runs
+the scalar engine from its seed.  `estimator.DrawTrie` decides which
+trials of a chunk run here, up to `estimator.BLOCK` at a time.
 """
 
 from __future__ import annotations
@@ -35,12 +36,9 @@ import sys
 import numpy as np
 
 from . import lang
-from .interp import DrawTrie, TrialConfig, TrialOutcome
+from .interp import TrialConfig, TrialOutcome
 from .intervals import _MIRROR, _NEGATED, GENERATOR_RANGE, AbstractEnv, Interval, _sum_is_exact
 from .lang import Kind
-
-# Most lanes one block runs at once: memory follows it, not the trial count.
-BLOCK = 256
 
 _INF = float("inf")
 _MAX = sys.float_info.max
@@ -159,7 +157,7 @@ def _outside_product_range(x):
 
 
 class _Lanes:
-    """One block of trials run together; `run` gives their outcomes."""
+    """One batch of trials run together; `run` gives their outcomes."""
 
     def __init__(self, program: lang.Program, seeds, config: TrialConfig, restriction):
         self.program = program
@@ -538,32 +536,3 @@ def run_lanes(
 
     return _Lanes(program, seeds, config or TrialConfig(), restriction).run()
 
-
-class LaneBlock:
-    """The trials of one block of a chunk that reach a `uniform` draw,
-    run together as lanes.
-
-    The first trial whose trie walk stops at a `uniform` runs itself and
-    every later trial of the block whose walk stops at one too; the
-    others are served by the trie or run on the scalar engine as before.
-    A block lives for at most `BLOCK` trials of one chunk.
-    """
-
-    def __init__(self, program, config, restriction, seeds: list[int], trie: DrawTrie):
-        self.program = program
-        self.config = config
-        self.restriction = restriction
-        self.seeds = seeds
-        self.trie = trie
-        self.outcomes: dict[int, TrialOutcome | None] | None = None
-
-    def outcome(self, seed: int) -> TrialOutcome | None:
-        """The lane outcome of trial ``seed``, whose walk stops at a
-        `uniform`; None when the scalar engine must run it."""
-
-        if self.outcomes is None:
-            later = self.seeds[self.seeds.index(seed):]
-            batch = [s for s in later if self.trie.stops_at_uniform(s, self.restriction)]
-            outs = run_lanes(self.program, batch, self.config, self.restriction)
-            self.outcomes = dict(zip(batch, outs))
-        return self.outcomes.pop(seed, None)

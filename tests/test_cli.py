@@ -231,6 +231,37 @@ def test_sampled_oracle_bound_tightens_to_lanes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "source, grid, estimate",
+    [
+        # no lane with x < 2 overflows; x <= 9e18 compares, it adds nothing
+        (
+            "int x, y; know (x >= 0 && x <= 9000000000000000000); y = 0;"
+            " if (x < 2) { y = x + x; } know (y >= 1);",
+            "4",
+            0.0,
+        ),
+        # the lanes with c == 1 hold 5e18, but only the others run y + y
+        (
+            "int x, y, c; know (x >= 0 && x <= 3); c = coin_flip();"
+            " if (c == 1) { y = 5000000000000000000; } else { y = 1; }"
+            " if (c == 0) { y = y + y; } know (y == 2);",
+            "64",
+            0.5,
+        ),
+    ],
+)
+def test_sampled_oracle_int_overflow_off_the_running_lanes(tmp_path, capsys, source, grid, estimate):
+    src = tmp_path / "int_branch.amc"
+    src.write_text(source)
+    common = ("oracle", str(src), "--grid", grid, "--format", "json")
+    code, out, _ = run_cli(capsys, *common, "--mode", "exact")
+    assert code == 0 and json.loads(out)["estimate"] == estimate
+    code, out, _ = run_cli(capsys, *common, "--mode", "sampled", "--n", "20000")
+    assert code == 0
+    assert abs(json.loads(out)["estimate"] - estimate) < 0.02
+
+
+@pytest.mark.parametrize(
     "source",
     [
         "int x; know (" + "(" * 400 + "x" + ")" * 400 + " < 1);",

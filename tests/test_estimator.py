@@ -127,7 +127,7 @@ def test_run_jobs_do_not_change_results(figs):
     assert da == db
 
 
-@pytest.mark.parametrize("cpus, pools, chunks", [(2, [2], 8), (None, [], 0)])
+@pytest.mark.parametrize("cpus, pools, chunks", [(2, [2], 2), (None, [], 0)])
 def test_run_caps_workers_at_cpu_count(figs, monkeypatch, cpus, pools, chunks):
     sizes, tasks = [], []
 
@@ -156,6 +156,32 @@ def test_run_caps_workers_at_cpu_count(figs, monkeypatch, cpus, pools, chunks):
         d.pop("elapsed_ms")
         d.pop("jobs")
     assert da == db
+
+
+def test_run_walks_each_trial_once(figs, monkeypatch):
+    walks = []
+    real = estimator.DrawTrie.walk
+
+    def walk(self, seed):
+        walks.append(seed)
+        return real(self, seed)
+
+    monkeypatch.setattr(estimator.DrawTrie, "walk", walk)
+    run(figs["fig3"], 1000, 0.01, master_seed=5, jobs=1)
+    # a trial walked ahead into a lane batch keeps its walk's end
+    assert len(walks) <= 1000
+
+
+@pytest.mark.parametrize("n", [7, 1001])
+def test_uneven_chunks_do_not_change_results(figs, monkeypatch, n):
+    # one chunk per worker: 7 trials split 2 + 2 + 3 at jobs=3
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: 3)
+    for name in ("fig1", "fig3"):
+        reports = [run(figs[name], n, 0.01, master_seed=4, jobs=jobs).to_dict() for jobs in (1, 2, 3)]
+        for d in reports:
+            d.pop("elapsed_ms")
+            d.pop("jobs")
+        assert reports[0] == reports[1] == reports[2]
 
 
 def test_run_validates_arguments(figs):

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from absmc import corpus
 from absmc.concrete import ChoiceSource, NondetSpec, OracleError, oracle_estimate, run_concrete
-from absmc.interp import DrawTrie, TrialConfig, analyze_trial
+from absmc.estimator import DrawTrie
+from absmc.interp import TrialConfig, analyze_trial
 from absmc.intervals import DomainError
 from absmc.lanes import run_lanes
 from absmc.lang import MAX_DEPTH, RELOPS, LangError, generator_sites, parse, to_source
@@ -166,10 +167,12 @@ def test_generated_programs_run_cleanly(source, seed):
         oracle_estimate(p, mode="sampled", n=8, seed=seed, spec=SPEC, step_budget=50)
 
 
+TRIAL_CONFIG = TrialConfig(unroll_limit=2, step_budget=300)
+
+
 def _trial(p, seed, trie=None, restriction=None, trace=None):
-    config = TrialConfig(unroll_limit=2, step_budget=300)
     try:
-        out = analyze_trial(p, seed, config, trie=trie, restriction=restriction, trace=trace)
+        out = analyze_trial(p, seed, TRIAL_CONFIG, reuse=trie, restriction=restriction, trace=trace)
     except (DomainError, OverflowError) as e:
         return type(e)
     env = out.env and out.env.render()  # None when aborted
@@ -190,9 +193,9 @@ def test_fixpoint_pass_reuse_leaves_trials_unchanged(source, seed):
 def test_draw_trie_leaves_trials_unchanged(source, seed, pin):
     p = parse(source)
     coins = [g.site for g in generator_sites(p) if g.coin]
-    trie = DrawTrie()
-    # no restriction, then the first coin pinned to one value, in one trie
+    # no restriction, then the first coin pinned to one value
     for restriction in (None, {coins[0]: (pin, pin)} if coins else None):
+        trie = DrawTrie(p, TRIAL_CONFIG, restriction)
         for k in range(8):
             served = _trial(p, seed + k % 3, trie=trie, restriction=restriction)
             assert served == _trial(p, seed + k % 3, restriction=restriction)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from absmc import interp, lang
+from absmc import estimator, interp, lang
+from absmc.estimator import DrawTrie
 from absmc.intervals import AbstractEnv, Interval
 from absmc.interp import (
-    DrawTrie,
     InterpError,
     TrialConfig,
     TrialContext,
@@ -372,24 +372,24 @@ def counting(monkeypatch):
 
 def test_trie_serves_coin_paths(figs):
     p = figs["fig1"]
-    trie = DrawTrie()
+    trie = DrawTrie(p)
     for seed in range(200):
-        assert _summary(analyze_trial(p, seed, trie=trie)) == _summary(analyze_trial(p, seed))
+        assert _summary(analyze_trial(p, seed, reuse=trie)) == _summary(analyze_trial(p, seed))
     assert trie.size == 63  # 5 coins: 31 draws and 32 leaves
-    served = analyze_trial(p, 7, trie=trie)
+    served = analyze_trial(p, 7, reuse=trie)
     served.table.clear()  # a served trial owns its table
-    assert _summary(analyze_trial(p, 7, trie=trie)) == _summary(analyze_trial(p, 7))
+    assert _summary(analyze_trial(p, 7, reuse=trie)) == _summary(analyze_trial(p, 7))
 
 
 def test_trie_pinned_coin_draws_nothing(counting):
     p = parse("int c, d; c = coin_flip(); d = coin_flip(); know (c + d > 1);")
     first = p.body[0].expr.site
-    trie = DrawTrie()
     for pin in (0, 1):
         restriction = {first: (pin, pin)}
-        analyze_trial(p, 3, restriction=restriction, trie=trie)  # inserts
+        trie = DrawTrie(p, None, restriction)
+        analyze_trial(p, 3, restriction=restriction, reuse=trie)  # inserts
         counting.clear()
-        served = analyze_trial(p, 3, restriction=restriction, trie=trie)
+        served = analyze_trial(p, 3, restriction=restriction, reuse=trie)
         walk = list(counting)
         counting.clear()
         full = analyze_trial(p, 3, restriction=restriction)
@@ -400,38 +400,39 @@ def test_trie_pinned_coin_draws_nothing(counting):
 def test_trie_with_only_pinned_coins_never_seeds(counting):
     p = parse("int c; c = coin_flip(); know (c > 0);")
     restriction = {p.body[0].expr.site: (1, 1)}
-    trie = DrawTrie()
-    analyze_trial(p, 5, restriction=restriction, trie=trie)
+    trie = DrawTrie(p, None, restriction)
+    analyze_trial(p, 5, restriction=restriction, reuse=trie)
     counting.clear()
-    assert analyze_trial(p, 5, restriction=restriction, trie=trie).hit == 1
+    assert analyze_trial(p, 5, restriction=restriction, reuse=trie).hit == 1
     assert counting == []
 
 
 def test_trie_uniform_after_a_coin_runs_in_full(counting):
     p = parse("int c; double r; c = coin_flip(); r = uniform(); know (r < 0.5);")
-    trie = DrawTrie()
+    trie = DrawTrie(p)
     for seed in range(20):
-        assert _summary(analyze_trial(p, seed, trie=trie)) == _summary(analyze_trial(p, seed))
+        assert _summary(analyze_trial(p, seed, reuse=trie)) == _summary(analyze_trial(p, seed))
     root = trie.entry[None]
     assert all(node.children is None for node in root.children.values())
     assert trie.size == 3  # the coin and one uniform under each value
     counting.clear()
-    analyze_trial(p, 4, trie=trie)
-    walk_and_full = list(counting)
+    analyze_trial(p, 4, reuse=trie)
+    walk_and_lane = list(counting)
     counting.clear()
     analyze_trial(p, 4)
-    # the walk draws the coin, then the full trial redraws it from its seed
-    assert walk_and_full == [("new", 4), ("bits", 1)] + counting
+    # the walk draws the coin, then the trial, run as a lane, redraws it
+    # from its seed
+    assert walk_and_lane == [("new", 4), ("bits", 1)] + counting
 
 
 def test_trie_stores_a_step_budget_abort(figs):
     p = figs["fig1"]
     small = TrialConfig(step_budget=10)
-    trie = DrawTrie()
-    first = analyze_trial(p, 0, small, trie=trie)
+    trie = DrawTrie(p, small)
+    first = analyze_trial(p, 0, small, reuse=trie)
     assert first.aborted and trie.size > 1
     size = trie.size
-    served = analyze_trial(p, 0, small, trie=trie)
+    served = analyze_trial(p, 0, small, reuse=trie)
     assert trie.size == size  # served from its leaf
     assert served.aborted and served.env is None and served.hit == 1
     assert _summary(served) == _summary(analyze_trial(p, 0, small))
@@ -439,39 +440,41 @@ def test_trie_stores_a_step_budget_abort(figs):
 
 def test_trie_bypassed_by_trace_and_rng(figs):
     p = figs["fig1"]
-    trie = DrawTrie()
+    trie = DrawTrie(p)
     lines, plain = [], []
-    analyze_trial(p, 1, trace=lines.append, trie=trie)
-    analyze_trial(p, 1, rng=ScriptedRandom(bits=[1, 1, 1, 1, 1]), trie=trie)
+    analyze_trial(p, 1, trace=lines.append, reuse=trie)
+    analyze_trial(p, 1, rng=ScriptedRandom(bits=[1, 1, 1, 1, 1]), reuse=trie)
     assert trie.size == 0
-    analyze_trial(p, 1, trie=trie)
+    analyze_trial(p, 1, reuse=trie)
     assert trie.size > 0
-    analyze_trial(p, 1, trace=lines.append, trie=trie)
+    analyze_trial(p, 1, trace=lines.append, reuse=trie)
     analyze_trial(p, 1, trace=plain.append)
     assert lines == plain + plain
     # an rng script the trie's paths do not follow still rules the trial
-    scripted = analyze_trial(p, 1, rng=ScriptedRandom(bits=[1, 1, 1, 1, 1]), trie=trie)
+    scripted = analyze_trial(p, 1, rng=ScriptedRandom(bits=[1, 1, 1, 1, 1]), reuse=trie)
     assert list(scripted.table.values()) == [1, 1, 1, 1, 1]
 
 
 def test_trie_serves_any_restriction():
-    # the same draws lead to the same outcome whatever span they came from
+    # a walk draws each coin from the trie's restriction, as the full trial does
     p = parse("int c, d; c = coin_flip(); d = coin_flip(); know (c + d > 1);")
     first = p.body[0].expr.site
-    trie = DrawTrie()
-    for seed in range(40):
-        for restriction in (None, {first: (0, 0)}, {first: (1, 1)}, {first: (0, 1)}):
-            served = analyze_trial(p, seed, restriction=restriction, trie=trie)
+    sizes = []
+    for restriction in (None, {first: (0, 0)}, {first: (1, 1)}, {first: (0, 1)}):
+        trie = DrawTrie(p, None, restriction)
+        for seed in range(40):
+            served = analyze_trial(p, seed, restriction=restriction, reuse=trie)
             assert _summary(served) == _summary(analyze_trial(p, seed, restriction=restriction))
-    assert trie.size == 7
+        sizes.append(trie.size)
+    assert sizes == [7, 4, 4, 7]  # a pinned first coin leaves one subtree
 
 
 def test_trie_stops_growing_at_its_cap(figs, monkeypatch):
-    monkeypatch.setattr(interp, "_TRIE_CAP", 10)
+    monkeypatch.setattr(estimator, "_TRIE_CAP", 10)
     p = figs["fig1"]
-    trie = DrawTrie()
+    trie = DrawTrie(p)
     for seed in range(100):
-        assert _summary(analyze_trial(p, seed, trie=trie)) == _summary(analyze_trial(p, seed))
+        assert _summary(analyze_trial(p, seed, reuse=trie)) == _summary(analyze_trial(p, seed))
     assert trie.size == 10
 
 

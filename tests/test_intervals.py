@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from absmc import lang
@@ -217,6 +217,11 @@ def test_real_scale_outward_rounding_sound(a, b, k):
 
 
 @given(small_interval(), small_interval(), st.sampled_from(lang.RELOPS))
+# != cuts an endpoint only against a single value: y = [3, 4] keeps
+# x = [0, 3], y = [3, 3] cuts it to [0, 2], and x = y = [3, 3] is bottom
+@example(I(0, 3), I(3, 4), "!=")
+@example(I(0, 3), I(3, 3), "!=")
+@example(I(3, 3), I(3, 3), "!=")
 def test_filter_atom_soundness_and_exactness(xs, ys, op):
     env = env_of(x=xs, y=ys)
     cond = lang.Binary(lang.Var("x"), op, lang.Var("y"))
@@ -237,11 +242,12 @@ def test_filter_atom_soundness_and_exactness(xs, ys, op):
         ys_hull = {q for _, q in sat}
         assert gamma(out.get("x")) >= xs_hull
         assert gamma(out.get("y")) >= ys_hull
-        if op != "!=":  # != refines only exposed endpoints; soundness only
-            assert min(gamma(out.get("x"))) == min(xs_hull)
-            assert max(gamma(out.get("x"))) == max(xs_hull)
-            assert min(gamma(out.get("y"))) == min(ys_hull)
-            assert max(gamma(out.get("y"))) == max(ys_hull)
+        # exact for != too: a value it cannot cut has a partner on the
+        # other side that differs from it
+        assert min(gamma(out.get("x"))) == min(xs_hull)
+        assert max(gamma(out.get("x"))) == max(xs_hull)
+        assert min(gamma(out.get("y"))) == min(ys_hull)
+        assert max(gamma(out.get("y"))) == max(ys_hull)
 
 
 @given(small_interval(), small_interval(), st.sampled_from(lang.RELOPS))

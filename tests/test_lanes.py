@@ -1,6 +1,6 @@
 """The lane engine against the scalar engine: the numeric edges of its
 interval arithmetic, the lanes it hands back to the scalar engine, and
-the blocks a chunk runs."""
+the batches a chunk runs."""
 
 import itertools
 import random
@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from absmc import estimator, lanes, lang
-from absmc.interp import DrawTrie, TrialConfig, analyze_trial
+from absmc.estimator import DrawTrie
+from absmc.interp import TrialConfig, analyze_trial
 from absmc.intervals import AbstractEnv, Interval, _mul_is_exact
-from absmc.lanes import LaneBlock, run_lanes
+from absmc.lanes import run_lanes
 from absmc.lang import Kind, parse
 from helpers import summary
 
@@ -124,6 +125,20 @@ MEETS = (
 def test_join_and_meet_keep_the_scalar_zero_sign(source, rendered):
     for out in _lanes_equal_scalar(source):
         assert rendered in out.env.render()
+
+
+@pytest.mark.parametrize(
+    "ranges, rendered",
+    [
+        # != cuts an endpoint only against a single value
+        ("x >= 0 && x <= 3 && y >= 3 && y <= 4", "x=[0, 3] y=[3, 4]"),
+        ("x >= 0 && x <= 3 && y == 3", "x=[0, 2] y=[3, 3]"),
+        ("x == 3 && y == 3", "unreachable"),
+    ],
+)
+def test_not_equal_cuts_only_against_a_single_value(ranges, rendered):
+    for out in _lanes_equal_scalar(f"int x, y; know ({ranges}); know (x != y); know (x < 9);"):
+        assert out.env.render() == rendered
 
 
 def test_inexact_sum_rounds_outward():
@@ -280,27 +295,42 @@ def test_a_lane_aborts_at_the_step_budget():
 
 
 # ---------------------------------------------------------------------------
-# Blocks
+# Batches
 # ---------------------------------------------------------------------------
 
 
 def test_a_block_runs_only_the_trials_that_reach_a_uniform(monkeypatch):
     p = parse("int c; double u; c = coin_flip(); if (c == 1) { u = uniform(); } know (u > 0.5);")
-    batches = []
+    batches, walked = [], []
 
     def recording(program, seeds, config, restriction):
         batches.append(list(seeds))
         return run_lanes(program, seeds, config, restriction)
 
+    real_walk = DrawTrie.walk
+
+    def walk(self, seed):
+        walked.append(seed)
+        return real_walk(self, seed)
+
     monkeypatch.setattr(lanes, "run_lanes", recording)
+    monkeypatch.setattr(DrawTrie, "walk", walk)
+    monkeypatch.setattr(estimator, "BLOCK", 8)
     seeds = [estimator.derive_seed(3, i) for i in range(40)]
-    trie = DrawTrie()
-    block = LaneBlock(p, TrialConfig(), None, seeds, trie)
-    outs = [analyze_trial(p, s, TrialConfig(), trie=trie, lanes=block) for s in seeds]
+    trie = DrawTrie(p, TrialConfig(), None, seeds)
+    order, outs = [], []
+    for s in trie:  # the chunk's seeds in order, those walked ahead included
+        order.append(s)
+        outs.append(analyze_trial(p, s, TrialConfig(), reuse=trie))
+    assert order == seeds and sorted(walked) == sorted(seeds)  # each seed walked once
     assert [summary(o) for o in outs] == [summary(analyze_trial(p, s)) for s in seeds]
-    (batch,) = batches  # one batch per block
-    drew_uniform = {s for s, o in zip(seeds, outs) if len(o.table) == 2}
-    assert batch and set(batch) <= drew_uniform
-    # a trial that ran as a lane is gone from the block, and one that never
-    # was in the batch is not there
-    assert block.outcome(batch[0]) is None and block.outcome(seeds[0]) is None
+    drew_uniform = [s for s, o in zip(seeds, outs) if len(o.table) == 2]
+    # the first trial to draw the uniform ran on the scalar engine, which
+    # added its path; each later one ran in a batch: its first seed and the
+    # later seeds among the next 7 whose walk stops at the uniform
+    assert len(batches) > 1 and sum(batches, []) == drew_uniform[1:]
+    for batch in batches:
+        start = seeds.index(batch[0])
+        assert batch == [s for s in seeds[start:start + 8] if s in drew_uniform]
+    # nothing is left pending once every seed had its turn
+    assert not trie.pending and not trie.ends and not trie.ahead
