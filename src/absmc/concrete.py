@@ -71,7 +71,7 @@ class ChoiceSource:
             return self.values[key]
         if self.rng is None:
             raise MissingChoice(key)
-        value = self.values[key] = lang.draw_value(self.rng, kind)
+        value = self.values[key] = lang.draw_value(self.rng.getrandbits(64), kind)
         return value
 
 

@@ -10,10 +10,10 @@ at least 1 - epsilon, because Pr[E[V] >= mean + t] <= exp(-2 n t^2) for
 any [0,1]-valued V.  Inverting the bound gives the trial count needed
 for a target margin t: n = ceil(ln(1/epsilon) / (2 t^2)).
 
-Per-trial seeds derive from the master seed by a counter-based split
-(SHA-256 of "master:index"), so results are independent of scheduling:
-a run with any worker count produces the identical Report, field by
-field, except for elapsed time.
+Trial i's seed is ``lang.mix(key ^ i)``, the master seed's key being
+`lang.fold` of its sign and 64-bit limbs (`derive_seed`), and its draws
+derive from that seed (`lang`), so results are independent of scheduling:
+any worker count gives the identical Report, field by field, but elapsed_ms.
 
 Each worker runs one contiguous chunk of the trials, whose `DrawTrie`
 is the only state they share.  `analyze_trial` asks it first: it serves
@@ -30,11 +30,10 @@ is the caller's assertion; restricted Reports are flagged accordingly.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import itertools
 import math
 import os
-import random
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -76,13 +75,21 @@ def plan_trials(t: float, epsilon: float) -> int:
     return max(1, math.ceil(n))
 
 
+@functools.lru_cache(maxsize=64)
+def _master_key(master_seed: int) -> int:
+    """A master seed of any sign and size in 64 bits: `lang.fold` of its sign
+    (1 when negative), then its magnitude's 64-bit limbs, lowest first."""
+
+    rest = abs(master_seed)
+    limbs = [rest >> shift & lang.M64 for shift in range(0, rest.bit_length() or 1, 64)]
+    return lang.fold((master_seed < 0, *limbs))
+
+
 def derive_seed(master_seed: int, index: int) -> int:
     """Counter-based per-trial seed; fixed derivation, documented here:
-    the first 8 bytes of SHA-256("{master}:{index}") as a big-endian
-    integer."""
+    ``lang.mix(_master_key(master_seed) ^ index)``."""
 
-    digest = hashlib.sha256(f"{master_seed}:{index}".encode("ascii")).digest()
-    return int.from_bytes(digest[:8], "big")
+    return lang.mix(_master_key(master_seed) ^ index)
 
 
 # ---------------------------------------------------------------------------
@@ -162,27 +169,12 @@ BLOCK = 256
 
 @dataclass(slots=True)
 class _TrieNode:
-    """One draw of a trial path: its choice key and the next node or leaf
-    by coin value; ``children`` is None for a `uniform`."""
+    """One draw of a trial path: its choice key and the key's salt, and the
+    next node or leaf by coin value; ``children`` is None for a `uniform`."""
 
     key: ChoiceKey
+    salt: int
     children: dict[int, "_TrieNode | TrialOutcome"] | None
-
-
-class _LazyRandom:
-    """`random.Random(seed)` for coin draws, seeded on its first call: a
-    walk that draws nothing, or only pinned coins, never pays for it."""
-
-    __slots__ = ("seed", "rng")
-
-    def __init__(self, seed: int | None):
-        self.seed = seed
-        self.rng: random.Random | None = None
-
-    def getrandbits(self, k: int) -> int:
-        if self.rng is None:
-            self.rng = random.Random(self.seed)
-        return self.rng.getrandbits(k)
 
 
 class DrawTrie:
@@ -196,7 +188,10 @@ class DrawTrie:
     Past `_TRIE_CAP` nodes nothing new is stored.  The first trial whose
     walk stops at a `uniform` runs as a lane batch with every later one
     among the next `BLOCK` - 1 seeds, whose outcomes wait in ``pending``
-    for their turn; a seed walked ahead keeps where its walk ended.
+    for their turn.  A seed walked ahead keeps where its walk ended; one
+    that ended at a child the trie lacked walks again at its turn, and is
+    served if a path added since ends in a leaf (a `uniform` leaves it to
+    the scalar engine, so the batches stay as they were).
     """
 
     def __init__(self, program, config=None, restriction=None, seeds=()):
@@ -214,27 +209,27 @@ class DrawTrie:
         while self.ahead or (seed := next(self.seeds, None)) is not None:
             yield self.ahead.popleft() if self.ahead else seed
 
-    def walk(self, seed: int | None) -> _TrieNode | TrialOutcome | None:
+    def walk(self, seed: int) -> _TrieNode | TrialOutcome | None:
         """Where trial ``seed``'s coin path ends: at a leaf, at the node of
         a `uniform` draw, or (None) at a child the trie lacks."""
 
-        rng = None
         node = self.entry.get(None)
         while type(node) is _TrieNode and node.children is not None:
-            rng = rng or _LazyRandom(seed)
             span = self.restriction.get(node.key[0]) if self.restriction else None
-            node = node.children.get(lang.draw_value(rng, lang.Kind.INT, span))
+            bits = lang.mix(seed ^ node.salt)
+            node = node.children.get(lang.draw_value(bits, lang.Kind.INT, span))
         return node
 
-    def serve(self, seed: int | None) -> TrialOutcome | None:
+    def serve(self, seed: int) -> TrialOutcome | None:
         """Trial ``seed``'s outcome from a leaf or a lane batch; None when
         the scalar engine must run it."""
 
-        end = self.ends.pop(seed) if self.ends and seed in self.ends else self.walk(seed)
+        ahead = self.ends and seed in self.ends
+        end = (self.ends.pop(seed) if ahead else None) or self.walk(seed)
         if type(end) is TrialOutcome:
             return end.copy()
-        if end is None:
-            return None
+        if end is None or ahead and seed not in self.pending:
+            return None  # a new path, or a uniform reached by a second walk
         if seed not in self.pending:
             # a batch: this seed and the later ones among the next
             # BLOCK - 1 whose walks stop at a uniform too
@@ -258,8 +253,9 @@ class DrawTrie:
             if node is None:
                 if self.size >= _TRIE_CAP:
                     return
-                # a coin draws an int, a uniform a float
-                node = children[edge] = _TrieNode(key, None if isinstance(value, float) else {})
+                coin = not isinstance(value, float)  # a uniform draws a float
+                salt = lang.fold((key[0], *key[1]))
+                node = children[edge] = _TrieNode(key, salt, {} if coin else None)
                 self.size += 1
             if node.children is None:
                 return

@@ -6,15 +6,15 @@ Random generators behave in two modes, tracked by the context's
 ``randomize`` flag:
 
 * outside any fixpoint computation, a generator draws a concrete value
-  from the trial's random stream, records it in the choice table under
-  the key (site, iteration word), and evaluates to the singleton
-  interval;
+  at the key (site, iteration word), records it in the choice table
+  under that key, and evaluates to the singleton interval;
 * inside a fixpoint computation, a generator evaluates to its full range
   and records nothing.
 
 The iteration word is the vector of 1-based iteration counters of the
 enclosing loops, outermost first, so each dynamic draw has its own key
-and can be replayed exactly by the concrete semantics.
+and can be replayed exactly by the concrete semantics; its value is
+``lang.draw_value(lang.mix(seed ^ lang.fold((site, *word))))``.
 
 Loops run in two phases.  Phase 1 (dynamic unrolling, only while
 ``randomize`` is on) executes the body as long as the guard is definitely
@@ -45,7 +45,6 @@ budget abort conservatively with verdict 1.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -85,9 +84,10 @@ ChoiceKey = tuple[int, tuple[int, ...]]
 class TrialContext:
     """Mutable state owned by exactly one trial."""
 
-    rng: random.Random
+    seed: int
     config: TrialConfig
     restriction: dict[int, tuple[float, float]] | None = None
+    pinned: dict[ChoiceKey, int | float] | None = None
     table: dict[ChoiceKey, int | float] = field(default_factory=dict)
     randomize: bool = True
     word: list[int] = field(default_factory=list)
@@ -102,16 +102,20 @@ class TrialContext:
 
     def draw(self, gen: lang.Draw) -> Interval:
         """Generator hook for `eval_range`: the full range inside fixpoints,
-        otherwise a concrete draw from the (restricted) support, recorded
-        under its (site, iteration word) key."""
+        otherwise a concrete draw, pinned or from the (restricted) support,
+        recorded under its (site, iteration word) key."""
 
         if not self.randomize:
             return GENERATOR_RANGE[gen.kind]
         key: ChoiceKey = (gen.site, tuple(self.word))
         if key in self.table:
             raise InterpError(f"duplicate choice key {key}")
-        span = self.restriction.get(gen.site) if self.restriction else None
-        value = self.table[key] = lang.draw_value(self.rng, gen.kind, span)
+        if self.pinned and key in self.pinned:
+            value = self.table[key] = self.pinned[key]
+        else:
+            span = self.restriction.get(gen.site) if self.restriction else None
+            bits = lang.mix(self.seed ^ lang.fold((gen.site, *self.word)))
+            value = self.table[key] = lang.draw_value(bits, gen.kind, span)
         if self.trace is not None:
             name = lang.GENERATOR_NAME[gen.kind]
             self.trace(f"draw site {gen.site} w={key[1]} {name} -> {value!r}")
@@ -247,32 +251,28 @@ def analyze_trial(
     seed: int | None,
     config: TrialConfig | None = None,
     *,
-    rng: random.Random | None = None,
+    pinned: dict[ChoiceKey, int | float] | None = None,
     restriction: dict[int, tuple[float, float]] | None = None,
     trace: Callable[[str], None] | None = None,
     reuse=None,
 ) -> TrialOutcome:
-    """Run one trial.  Deterministic in (program, seed, config); the
-    optional ``rng`` overrides seeding for tests.  ``reuse``, an
-    `estimator.DrawTrie` of the same program, config and restriction,
-    serves the trial when it can and stores what this engine computes; it
-    never changes the outcome.  A trial with ``rng`` or ``trace`` bypasses
-    it: the former's stream is not the seed's, the latter prints every
-    step and recomputes every fixpoint pass instead of reusing one."""
+    """Run one trial.  Deterministic in (program, seed, config): a seed
+    counts modulo 2**64, None as 0; a draw whose key ``pinned`` holds takes
+    that value.  ``reuse``, an `estimator.DrawTrie` of the same program,
+    config and restriction, serves the trial when it can and stores what
+    this engine computes, never changing the outcome.  ``pinned`` or
+    ``trace`` bypass it: the former's draws are not the seed's, the latter
+    prints every step and recomputes every fixpoint pass."""
 
     if program.outcome is None:
         raise InterpError("program has no outcome")
-    if rng is not None or trace is not None:
+    seed = seed or 0
+    if pinned is not None or trace is not None:
         reuse = None
     if reuse is not None and (served := reuse.serve(seed)) is not None:
         return served
     cfg = config or TrialConfig()
-    ctx = TrialContext(
-        rng=rng if rng is not None else random.Random(seed),
-        config=cfg,
-        restriction=restriction,
-        trace=trace,
-    )
+    ctx = TrialContext(seed, cfg, restriction, pinned, trace=trace)
     try:
         env = eval_block(program.body, AbstractEnv.tops(program.kinds()), ctx)
         hit = 0 if filter_env(env, program.outcome, True).is_bottom() else 1

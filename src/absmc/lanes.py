@@ -13,10 +13,11 @@ lanes, then every lane that reaches the fixpoint iterates it with its
 own join count and widened flag until it is stable; fixpoints draw
 nothing, so lanes need not agree on when they stop.
 
-Each lane draws from its own ``random.Random(seed)`` through
-`lang.draw_value` and records its own draw table, counts its steps as
-`interp.TrialContext.tick` does and aborts at the step budget, so its
-`TrialOutcome` equals the scalar engine's field by field.
+A draw is one uint64 expression over the seed array, the `lang` rule
+``lang.draw_value(lang.mix(seeds ^ lang.fold((site, *word))))``.  Each lane
+records its own draw table, counts its steps as `interp.TrialContext.tick`
+does and aborts at the step budget, so its `TrialOutcome` equals the
+scalar engine's field by field.
 
 Lanes compute exactly what the scalar engine computes only inside a
 domain: INT bounds are exact in float64 while their magnitude stays
@@ -30,7 +31,6 @@ trials of a chunk run here, up to `estimator.BLOCK` at a time.
 
 from __future__ import annotations
 
-import random
 import sys
 
 import numpy as np
@@ -167,7 +167,7 @@ class _Lanes:
         self.row = {name: i for i, name in enumerate(self.kinds)}
         n = len(seeds)
         self.n = n
-        self.rngs = [random.Random(seed) for seed in seeds]
+        self.seeds = np.array([seed & lang.M64 for seed in seeds], dtype=np.uint64)
         self.tables: list[dict] = [{} for _ in range(n)]
         self.steps = np.zeros(n, dtype=np.int64)
         self.ceiling = 0  # no live lane has taken more steps than this
@@ -217,19 +217,17 @@ class _Lanes:
 
     def draw(self, gen: lang.Draw, mask):
         """A concrete draw of ``gen`` on each live lane of ``mask``, from
-        its own stream, recorded under the (site, iteration word) key that
+        its own seed, recorded under the (site, iteration word) key that
         all lanes share; 0 on the other lanes."""
 
         key = (gen.site, tuple(self.word))
         span = self.restriction.get(gen.site) if self.restriction else None
-        lanes = np.flatnonzero(mask & self.live).tolist()
-        rngs, tables, kind, draw_value = self.rngs, self.tables, gen.kind, lang.draw_value
-        values = [draw_value(rngs[i], kind, span) for i in lanes]
-        for i, value in zip(lanes, values):
-            tables[i][key] = value
-        out = np.zeros(self.n)
-        out[lanes] = values
-        return out
+        bits = lang.mix(self.seeds ^ lang.fold((gen.site, *self.word)))
+        values = lang.draw_value(bits, gen.kind, span)
+        lanes = np.flatnonzero(mask := mask & self.live)
+        for i, value in zip(lanes.tolist(), values[lanes].tolist()):
+            self.tables[i][key] = value
+        return np.where(mask, values, 0.0)
 
     # -- expressions ------------------------------------------------------
 

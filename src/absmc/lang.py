@@ -35,6 +35,10 @@ binary operator, keyed by the operator's text as `_PRECEDENCE` is.  A
 product keeps its literal coefficient on the left, whichever side the
 source wrote it on.  A generator's name, draw and range are read off its
 kind: `GENERATOR_NAME`, `draw_value` and ``intervals.GENERATOR_RANGE``.
+Draws are counter-based (Salmon et al., SC'11): a trial with seed s
+draws at key (site, iteration word) the bits ``mix(s ^ fold((site,
+*word)))``, a pure function of the key whichever engine, order or batch
+draws it, and `draw_value` turns them into the generator's value.
 
 ``x += e`` and ``x -= e`` are sugar for ``x = x + e`` and ``x = x - e``,
 and ``x++``/``x--`` for ``x += 1``/``x -= 1`` with a literal 1 of x's
@@ -57,6 +61,7 @@ and safe to share between threads and processes.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import re
@@ -116,21 +121,42 @@ class Draw(Expr):
 
 # The source name of the generator of each kind
 GENERATOR_NAME = {Kind.INT: "coin_flip", Kind.REAL: "uniform"}
+M64 = 2**64 - 1  # draws are 64-bit words
 
 
-def draw_value(rng, kind: Kind, span: tuple[float, float] | None = None) -> int | float:
-    """A generator's concrete draw from a `random.Random`, inside the
-    inclusive ``span`` when given: a coin the span pins to one value takes
-    it without an rng call."""
+def mix(z):
+    """splitmix64's step and output, on an int mod 2**64 or a uint64 array alike."""
+
+    z = (z + 0x9E3779B97F4A7C15) & M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+@functools.lru_cache(maxsize=4096)
+def fold(words: tuple[int, ...]) -> int:
+    """`mix` folded over ints from 0, ``key = mix(key ^ (w mod 2**64))``; a
+    draw key's salt is the fold of its site, then each word entry."""
+
+    key = 0
+    for w in words:
+        key = mix(key ^ (w & M64))
+    return key
+
+
+def draw_value(bits, kind: Kind, span: tuple[float, float] | None = None):
+    """A generator's draw from 64 bits (an int, or a uint64 array of lanes)
+    inside the inclusive ``span``: a coin is the top bit, or the one value
+    the span allows, a `uniform` lo + (hi - lo) * (the top 53 bits / 2**53)."""
 
     if kind is Kind.INT:
         if span is not None:
             allowed = [v for v in (0, 1) if span[0] <= v <= span[1]]
             if len(allowed) == 1:
-                return allowed[0]
-        return rng.getrandbits(1)
-    lo, hi = span or (0.0, 1.0)
-    return lo + (hi - lo) * rng.random()
+                return 0 * bits + allowed[0]  # an int, or an array like bits
+        return bits >> 63
+    u = (bits >> 11) * 2.0**-53
+    return u if span is None else span[0] + (span[1] - span[0]) * u
 
 
 RELOPS = ("<", "<=", ">", ">=", "==", "!=")

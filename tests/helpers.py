@@ -1,19 +1,13 @@
 """Shared test utilities."""
 
+from absmc.lang import generator_sites
 
-class ScriptedRandom:
-    """random.Random stand-in yielding a fixed script of draws."""
 
-    def __init__(self, uniforms=(), bits=()):
-        self._uniforms = list(uniforms)
-        self._bits = list(bits)
+def pinned(program, values):
+    """A draw table for `analyze_trial(pinned=)`: ``values`` for the
+    program's generators outside loops, in source order."""
 
-    def random(self):
-        return self._uniforms.pop(0)
-
-    def getrandbits(self, k):
-        assert k == 1
-        return self._bits.pop(0)
+    return {(g.site, ()): v for g, v in zip(generator_sites(program), values)}
 
 
 def summary(out):

@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import pytest
@@ -80,9 +79,12 @@ def test_planned_trials_achieve_margin(t, eps):
         assert hoeffding_margin(n - 1, eps) > t * (1 - 1e-12)
 
 
-def test_derive_seed_is_documented_sha256_split():
-    expected = int.from_bytes(hashlib.sha256(b"42:7").digest()[:8], "big")
-    assert derive_seed(42, 7) == expected
+def test_derive_seed_is_documented_splitmix_split():
+    # the master key folds the sign, then the magnitude's 64-bit limbs
+    assert derive_seed(42, 7) == lang.mix(lang.fold((0, 42)) ^ 7)
+    assert derive_seed(-42, 7) == lang.mix(lang.fold((1, 42)) ^ 7)
+    assert derive_seed(2**64 + 42, 7) == lang.mix(lang.fold((0, 42, 1)) ^ 7)
+    assert derive_seed(0, 7) == lang.mix(lang.fold((0, 0)) ^ 7)
     assert derive_seed(42, 7) != derive_seed(42, 8)
     assert derive_seed(42, 7) != derive_seed(43, 7)
 

@@ -17,14 +17,14 @@ from absmc.interp import (
     eval_stmt,
 )
 from absmc.lang import Kind, parse
-from helpers import ScriptedRandom
+from helpers import pinned
 
 I = lambda lo, hi: Interval.make(Kind.INT, lo, hi)  # noqa: E731
 R = lambda lo, hi: Interval.make(Kind.REAL, lo, hi)  # noqa: E731
 
 
-def ctx_with(rng=None, randomize=True, **cfg):
-    ctx = TrialContext(rng=rng or random.Random(0), config=TrialConfig(**cfg))
+def ctx_with(pins=None, randomize=True, **cfg):
+    ctx = TrialContext(0, TrialConfig(**cfg), pinned=pins)
     ctx.randomize = randomize
     return ctx
 
@@ -33,14 +33,14 @@ def ctx_with(rng=None, randomize=True, **cfg):
 
 
 def test_fig2_trial_low_samples(figs):
-    out = analyze_trial(figs["fig2"], 0, rng=ScriptedRandom(uniforms=[0.3, 0.4, 0.5]))
+    out = analyze_trial(figs["fig2"], 0, pinned=pinned(figs["fig2"], [0.3, 0.4, 0.5]))
     x = out.env.get("x")
     assert abs(x.lo - 1.2) < 1e-12 and abs(x.hi - 2.2) < 1e-12
     assert out.hit == 1
 
 
 def test_fig2_trial_high_samples(figs):
-    out = analyze_trial(figs["fig2"], 0, rng=ScriptedRandom(uniforms=[0.9, 0.8, 0.7]))
+    out = analyze_trial(figs["fig2"], 0, pinned=pinned(figs["fig2"], [0.9, 0.8, 0.7]))
     x = out.env.get("x")
     assert abs(x.lo - 2.4) < 1e-12 and abs(x.hi - 3.4) < 1e-12
     assert out.hit == 0
@@ -49,14 +49,15 @@ def test_fig2_trial_high_samples(figs):
 def test_fig1_trial_unrolls_and_records(figs):
     p = figs["fig1"]
     coin_site = lang.generator_sites(p)[0].site
-    out = analyze_trial(p, 0, rng=ScriptedRandom(bits=[0, 1, 0, 0, 0]))
+    coins = lambda bits: {(coin_site, (k,)): b for k, b in enumerate(bits, 1)}  # noqa: E731
+    out = analyze_trial(p, 0, pinned=coins([0, 1, 0, 0, 0]))
     assert out.env.get("x") == I(1, 3)
     assert out.env.get("i") == I(5, 5)
     assert out.hit == 1
     assert out.widened_loops == 0
-    assert out.table == {(coin_site, (k,)): b for k, b in zip(range(1, 6), [0, 1, 0, 0, 0])}
+    assert out.table == coins([0, 1, 0, 0, 0])
 
-    out = analyze_trial(p, 0, rng=ScriptedRandom(bits=[1, 1, 1, 0, 0]))
+    out = analyze_trial(p, 0, pinned=coins([1, 1, 1, 0, 0]))
     assert out.env.get("x") == I(3, 5)
     assert out.hit == 0
 
@@ -64,18 +65,18 @@ def test_fig1_trial_unrolls_and_records(figs):
 def test_fig4_join_of_branches(figs):
     # hand execution: x in [0, 0.1], z = 2 * 0.1, branch condition definite,
     # so x becomes [u2, u2 + 0.1]; u2 = 0.7 stays below the outcome window
-    out = analyze_trial(figs["fig4"], 0, rng=ScriptedRandom(uniforms=[0.1, 0.7, 0.5]))
+    out = analyze_trial(figs["fig4"], 0, pinned=pinned(figs["fig4"], [0.1, 0.7, 0.5]))
     x = out.env.get("x")
     assert abs(x.lo - 0.7) < 1e-12 and abs(x.hi - 0.8) < 1e-12
     assert out.hit == 0
     assert len(out.table) == 2  # else branch infeasible: its draw never happens
 
     # u2 = 0.85 straddles the window boundary 0.9: cannot be ruled out
-    out = analyze_trial(figs["fig4"], 0, rng=ScriptedRandom(uniforms=[0.1, 0.85, 0.5]))
+    out = analyze_trial(figs["fig4"], 0, pinned=pinned(figs["fig4"], [0.1, 0.85, 0.5]))
     assert out.hit == 1
 
     # first draw near 1 leaves both branches feasible: both sample
-    out = analyze_trial(figs["fig4"], 0, rng=ScriptedRandom(uniforms=[0.96, 0.85, 0.5]))
+    out = analyze_trial(figs["fig4"], 0, pinned=pinned(figs["fig4"], [0.96, 0.85, 0.5]))
     assert len(out.table) == 3
 
 
@@ -166,11 +167,14 @@ def test_trial_config_rejects_out_of_range_knobs(knobs):
 
 
 def test_generator_records_singleton():
-    ctx = ctx_with(rng=ScriptedRandom(bits=[1]))
+    ctx = ctx_with({(7, (2,)): 1})
     ctx.word[:] = [2]
     iv = ctx.draw(lang.Draw(7, Kind.INT))
     assert iv == I(1, 1)
-    assert ctx.table == {(7, (2,)): 1}
+    # a key the table does not pin draws from the seed (0 here) by lang's rule
+    u = ctx.draw(lang.Draw(8, Kind.REAL)).lo
+    assert u == lang.draw_value(lang.mix(0 ^ lang.fold((8, 2))), Kind.REAL)
+    assert ctx.table == {(7, (2,)): 1, (8, (2,)): u}
 
 
 def test_generator_full_range_inside_fixpoint():
@@ -181,7 +185,7 @@ def test_generator_full_range_inside_fixpoint():
 
 
 def test_duplicate_choice_key_rejected():
-    ctx = ctx_with(rng=ScriptedRandom(bits=[1, 0]))
+    ctx = ctx_with()
     ctx.draw(lang.Draw(7, Kind.INT))
     with pytest.raises(InterpError, match="duplicate"):
         ctx.draw(lang.Draw(7, Kind.INT))
@@ -345,31 +349,6 @@ def test_pass_reuse_keeps_the_sign_of_zero(monkeypatch, bodies):
 # --- the draw trie ----------------------------------------------------------
 
 
-class CountingRandom(random.Random):
-    """random.Random that logs its instances and calls."""
-
-    log: list = []
-
-    def __init__(self, seed=None):
-        self.log.append(("new", seed))
-        super().__init__(seed)
-
-    def getrandbits(self, k):
-        self.log.append(("bits", k))
-        return super().getrandbits(k)
-
-    def random(self):
-        self.log.append(("random",))
-        return super().random()
-
-
-@pytest.fixture
-def counting(monkeypatch):
-    monkeypatch.setattr(CountingRandom, "log", [])
-    monkeypatch.setattr(random, "Random", CountingRandom)
-    return CountingRandom.log
-
-
 def test_trie_serves_coin_paths(figs):
     p = figs["fig1"]
     trie = DrawTrie(p)
@@ -381,33 +360,32 @@ def test_trie_serves_coin_paths(figs):
     assert _summary(analyze_trial(p, 7, reuse=trie)) == _summary(analyze_trial(p, 7))
 
 
-def test_trie_pinned_coin_draws_nothing(counting):
+def test_trie_pinned_coin_draws_nothing():
+    # counter draws: pinning the first coin leaves the second coin's draw
+    # as it is without the pin, on the trie and in the full trial alike
     p = parse("int c, d; c = coin_flip(); d = coin_flip(); know (c + d > 1);")
-    first = p.body[0].expr.site
-    for pin in (0, 1):
-        restriction = {first: (pin, pin)}
-        trie = DrawTrie(p, None, restriction)
-        analyze_trial(p, 3, restriction=restriction, reuse=trie)  # inserts
-        counting.clear()
-        served = analyze_trial(p, 3, restriction=restriction, reuse=trie)
-        walk = list(counting)
-        counting.clear()
-        full = analyze_trial(p, 3, restriction=restriction)
-        assert _summary(served) == _summary(full)
-        assert walk == counting == [("new", 3), ("bits", 1)]  # only the free coin
+    first, second = (s.expr.site for s in p.body)
+    for seed in range(20):
+        free = analyze_trial(p, seed).table[(second, ())]
+        for pin in (0, 1):
+            restriction = {first: (pin, pin)}
+            trie = DrawTrie(p, None, restriction)
+            analyze_trial(p, seed, restriction=restriction, reuse=trie)  # inserts
+            served = analyze_trial(p, seed, restriction=restriction, reuse=trie)
+            assert _summary(served) == _summary(analyze_trial(p, seed, restriction=restriction))
+            assert served.table == {(first, ()): pin, (second, ()): free}
 
 
-def test_trie_with_only_pinned_coins_never_seeds(counting):
+def test_trie_with_only_pinned_coins_serves_one_leaf():
     p = parse("int c; c = coin_flip(); know (c > 0);")
     restriction = {p.body[0].expr.site: (1, 1)}
     trie = DrawTrie(p, None, restriction)
-    analyze_trial(p, 5, restriction=restriction, reuse=trie)
-    counting.clear()
-    assert analyze_trial(p, 5, restriction=restriction, reuse=trie).hit == 1
-    assert counting == []
+    for seed in range(20):
+        assert analyze_trial(p, seed, restriction=restriction, reuse=trie).hit == 1
+    assert trie.size == 2  # the pinned coin and its one leaf
 
 
-def test_trie_uniform_after_a_coin_runs_in_full(counting):
+def test_trie_uniform_after_a_coin_runs_in_full(monkeypatch):
     p = parse("int c; double r; c = coin_flip(); r = uniform(); know (r < 0.5);")
     trie = DrawTrie(p)
     for seed in range(20):
@@ -415,14 +393,18 @@ def test_trie_uniform_after_a_coin_runs_in_full(counting):
     root = trie.entry[None]
     assert all(node.children is None for node in root.children.values())
     assert trie.size == 3  # the coin and one uniform under each value
-    counting.clear()
+    mixed = []
+    real = lang.mix
+
+    def mix(z):
+        mixed.append(type(z).__name__)
+        return real(z)
+
+    monkeypatch.setattr(lang, "mix", mix)
     analyze_trial(p, 4, reuse=trie)
-    walk_and_lane = list(counting)
-    counting.clear()
-    analyze_trial(p, 4)
-    # the walk draws the coin, then the trial, run as a lane, redraws it
-    # from its seed
-    assert walk_and_lane == [("new", 4), ("bits", 1)] + counting
+    # the walk mixes once for the coin, then the trial, run as a one-lane
+    # batch, draws the coin and the uniform from its seed
+    assert mixed == ["int", "ndarray", "ndarray"]
 
 
 def test_trie_stores_a_step_budget_abort(figs):
@@ -438,20 +420,21 @@ def test_trie_stores_a_step_budget_abort(figs):
     assert _summary(served) == _summary(analyze_trial(p, 0, small))
 
 
-def test_trie_bypassed_by_trace_and_rng(figs):
+def test_trie_bypassed_by_trace_and_pinned(figs):
     p = figs["fig1"]
+    ones = {(lang.generator_sites(p)[0].site, (k,)): 1 for k in range(1, 6)}
     trie = DrawTrie(p)
     lines, plain = [], []
     analyze_trial(p, 1, trace=lines.append, reuse=trie)
-    analyze_trial(p, 1, rng=ScriptedRandom(bits=[1, 1, 1, 1, 1]), reuse=trie)
+    analyze_trial(p, 1, pinned=ones, reuse=trie)
     assert trie.size == 0
     analyze_trial(p, 1, reuse=trie)
     assert trie.size > 0
     analyze_trial(p, 1, trace=lines.append, reuse=trie)
     analyze_trial(p, 1, trace=plain.append)
     assert lines == plain + plain
-    # an rng script the trie's paths do not follow still rules the trial
-    scripted = analyze_trial(p, 1, rng=ScriptedRandom(bits=[1, 1, 1, 1, 1]), reuse=trie)
+    # a pinned table the trie's paths do not follow still rules the trial
+    scripted = analyze_trial(p, 1, pinned=ones, reuse=trie)
     assert list(scripted.table.values()) == [1, 1, 1, 1, 1]
 
 

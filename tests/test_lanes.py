@@ -334,3 +334,31 @@ def test_a_block_runs_only_the_trials_that_reach_a_uniform(monkeypatch):
         assert batch == [s for s in seeds[start:start + 8] if s in drew_uniform]
     # nothing is left pending once every seed had its turn
     assert not trie.pending and not trie.ends and not trie.ahead
+
+
+def test_a_seed_walked_ahead_to_a_missing_path_is_served_once_it_exists(monkeypatch):
+    p = parse(
+        "int c, d; double u; c = coin_flip(); d = coin_flip(); if (c == 1) { u = uniform(); }"
+        " know (u > 0.5 || d == 1);"
+    )
+    sites = [s.expr.site for s in p.body[:2]]
+    paths: dict[tuple, list[int]] = {}
+    for seed in range(100):
+        bits = [lang.mix(seed ^ lang.fold((site,))) for site in sites]
+        paths.setdefault(tuple(lang.draw_value(b, Kind.INT) for b in bits), []).append(seed)
+    # the second (1, 0) trial runs a batch and walks the two (0, 0) trials
+    # ahead, before either's path exists; the first of them adds it at its
+    # turn, so the second is served from its leaf
+    seeds = paths[(1, 0)][:2] + paths[(0, 0)][:2]
+    inserted = []
+    real_insert = DrawTrie.insert
+
+    def insert(self, outcome):
+        inserted.append(list(outcome.table.values())[:2])
+        real_insert(self, outcome)
+
+    monkeypatch.setattr(DrawTrie, "insert", insert)
+    trie = DrawTrie(p, TrialConfig(), None, seeds)
+    outs = [analyze_trial(p, s, TrialConfig(), reuse=trie) for s in trie]
+    assert [summary(o) for o in outs] == [summary(analyze_trial(p, s)) for s in seeds]
+    assert inserted == [[1, 0], [0, 0]]  # no scalar run for the last trial
