@@ -15,11 +15,13 @@ Trial i's seed is ``lang.mix(key ^ i)``, the master seed's key being
 derive from that seed (`lang`), so results are independent of scheduling:
 any worker count gives the identical Report, field by field, but elapsed_ms.
 
-Each worker runs one contiguous chunk of the trials, whose `DrawTrie`
-is the only state they share.  `analyze_trial` asks it first: it serves
-coin paths it has seen and runs trials that reach a `uniform` as `lanes`
-batches; the scalar engine (`interp`) runs new coin paths and hand-backs.
-All three give the same outcome.
+Each worker runs one contiguous chunk of the trials and returns three
+counts: hits, widened trials and aborted trials.  A chunk's first trial
+is a probe on the scalar engine (`interp`).  A probe that draws nothing
+stands for every trial of its chunk, since a trial is a pure function of
+its draws.  Otherwise the other trials run as `lanes` blocks, whose hit,
+widened and aborted arrays the chunk sums; the scalar engine runs the
+lanes a block hands back.  Both engines give the same outcome.
 
 Rare-event sharpening: when every hit is known to draw its value at some
 generator site inside a sub-range R of the support, sampling that site
@@ -31,16 +33,16 @@ is the caller's assertion; restricted Reports are flagged accordingly.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from . import lang, lanes
-from .interp import ChoiceKey, TrialConfig, TrialOutcome, analyze_trial
+from .interp import TrialConfig, analyze_trial
 
 
 def _log_reciprocal(epsilon: float) -> float:
@@ -158,114 +160,6 @@ class RestrictionSpec:
 
 
 # ---------------------------------------------------------------------------
-# Trials shared within a chunk
-# ---------------------------------------------------------------------------
-
-# Most nodes, inner and leaf, one draw trie stores; later paths run in full.
-_TRIE_CAP = 1024
-# Most seeds one lane batch spans: memory follows it, not the trial count.
-BLOCK = 256
-
-
-@dataclass(slots=True)
-class _TrieNode:
-    """One draw of a trial path: its choice key and the key's salt, and the
-    next node or leaf by coin value; ``children`` is None for a `uniform`."""
-
-    key: ChoiceKey
-    salt: int
-    children: dict[int, "_TrieNode | TrialOutcome"] | None
-
-
-class DrawTrie:
-    """The trials of one chunk, of one program under one config and
-    restriction: iterating gives the chunk's ``seeds`` in order, and
-    `serve` gives a trial's outcome without the scalar engine when it can.
-
-    The trie keys the outcomes of full trials by their coin draws: the
-    entry edge (``None``) leads to a trial's first draw, or to its leaf
-    when it draws nothing, and a served trial gets a copy of the leaf.
-    Past `_TRIE_CAP` nodes nothing new is stored.  The first trial whose
-    walk stops at a `uniform` runs as a lane batch with every later one
-    among the next `BLOCK` - 1 seeds, whose outcomes wait in ``pending``
-    for their turn.  A seed walked ahead keeps where its walk ended; one
-    that ended at a child the trie lacked walks again at its turn, and is
-    served if a path added since ends in a leaf (a `uniform` leaves it to
-    the scalar engine, so the batches stay as they were).
-    """
-
-    def __init__(self, program, config=None, restriction=None, seeds=()):
-        self.program = program
-        self.config = config
-        self.restriction = restriction
-        self.seeds = iter(seeds)
-        self.ahead: deque[int] = deque()  # seeds walked ahead of their turn
-        self.ends: dict = {}  # where those walks ended
-        self.pending: dict[int, TrialOutcome | None] = {}  # None: handed back
-        self.entry: dict[None, _TrieNode | TrialOutcome] = {}
-        self.size = 0
-
-    def __iter__(self):
-        while self.ahead or (seed := next(self.seeds, None)) is not None:
-            yield self.ahead.popleft() if self.ahead else seed
-
-    def walk(self, seed: int) -> _TrieNode | TrialOutcome | None:
-        """Where trial ``seed``'s coin path ends: at a leaf, at the node of
-        a `uniform` draw, or (None) at a child the trie lacks."""
-
-        node = self.entry.get(None)
-        while type(node) is _TrieNode and node.children is not None:
-            span = self.restriction.get(node.key[0]) if self.restriction else None
-            bits = lang.mix(seed ^ node.salt)
-            node = node.children.get(lang.draw_value(bits, lang.Kind.INT, span))
-        return node
-
-    def serve(self, seed: int) -> TrialOutcome | None:
-        """Trial ``seed``'s outcome from a leaf or a lane batch; None when
-        the scalar engine must run it."""
-
-        ahead = self.ends and seed in self.ends
-        end = (self.ends.pop(seed) if ahead else None) or self.walk(seed)
-        if type(end) is TrialOutcome:
-            return end.copy()
-        if end is None or ahead and seed not in self.pending:
-            return None  # a new path, or a uniform reached by a second walk
-        if seed not in self.pending:
-            # a batch: this seed and the later ones among the next
-            # BLOCK - 1 whose walks stop at a uniform too
-            batch = [seed]
-            for later in itertools.islice(self.seeds, BLOCK - 1):
-                self.ahead.append(later)
-                end = self.ends[later] = self.walk(later)
-                if type(end) is _TrieNode:
-                    batch.append(later)
-            outcomes = lanes.run_lanes(self.program, batch, self.config, self.restriction)
-            self.pending.update(zip(batch, outcomes))
-        return self.pending.pop(seed)
-
-    def insert(self, outcome: TrialOutcome) -> None:
-        """Store a full trial's path, up to its first `uniform`, and its
-        leaf if the path draws coins only."""
-
-        children, edge = self.entry, None
-        for key, value in outcome.table.items():
-            node = children.get(edge)
-            if node is None:
-                if self.size >= _TRIE_CAP:
-                    return
-                coin = not isinstance(value, float)  # a uniform draws a float
-                salt = lang.fold((key[0], *key[1]))
-                node = children[edge] = _TrieNode(key, salt, {} if coin else None)
-                self.size += 1
-            if node.children is None:
-                return
-            children, edge = node.children, value
-        if edge not in children and self.size < _TRIE_CAP:
-            children[edge] = outcome.copy()
-            self.size += 1
-
-
-# ---------------------------------------------------------------------------
 # Reports and the trial loop
 # ---------------------------------------------------------------------------
 
@@ -291,17 +185,38 @@ class Report:
         return asdict(self)
 
 
+# Most seeds one lane block spans, whatever the chunk's length.  A block
+# holds each live environment's bounds and mask, variables x BLOCK x 16
+# plus BLOCK bytes, and each draw's mask, BLOCK bytes.
+BLOCK = 4096
+
+
 def _trial_chunk(args) -> tuple[int, int, int]:
+    """Hits, widened trials and aborted trials among trials [start, stop):
+    a probe on the scalar engine, then lane blocks of `BLOCK` seeds."""
+
     program, config, restriction, master_seed, start, stop = args
-    hits = widened = aborted = 0
-    seeds = (derive_seed(master_seed, index) for index in range(start, stop))
-    trials = DrawTrie(program, config, restriction, seeds)
-    for seed in trials:
-        outcome = analyze_trial(program, seed, config, restriction=restriction, reuse=trials)
-        hits += outcome.hit
-        widened += outcome.widened_loops > 0
-        aborted += outcome.aborted
-    return hits, widened, aborted
+    probe = analyze_trial(program, derive_seed(master_seed, start), config, restriction=restriction)
+    hits, widened, aborted = probe.hit, probe.widened_loops > 0, probe.aborted
+    if not probe.table:
+        # no draw, so no branch depended on one: every trial is the probe
+        n = stop - start
+        return hits * n, widened * n, aborted * n
+    key = np.uint64(_master_key(master_seed))
+    for first in range(start + 1, stop, BLOCK):
+        seeds = lang.mix(np.arange(first, min(first + BLOCK, stop), dtype=np.uint64) ^ key)
+        block = lanes._Lanes(program, seeds, config, restriction)
+        _, hit = block.run()  # aborted lanes among the hits
+        back = block.handed_back
+        hits += np.count_nonzero(hit)
+        widened += np.count_nonzero((block.widened > 0) & ~back)
+        aborted += np.count_nonzero(block.aborted)
+        for seed in seeds[back].tolist():
+            outcome = analyze_trial(program, seed, config, restriction=restriction)
+            hits += outcome.hit
+            widened += outcome.widened_loops > 0
+            aborted += outcome.aborted
+    return int(hits), int(widened), int(aborted)
 
 
 def run(
@@ -331,7 +246,7 @@ def run(
     if workers == 1 or n < 2 * workers:
         hits, widened, aborted = _trial_chunk((program, cfg, sites, master_seed, 0, n))
     else:
-        # one contiguous chunk per worker: each learns one trie
+        # one contiguous chunk per worker, each with its own probe
         tasks = [
             (program, cfg, sites, master_seed, n * k // workers, n * (k + 1) // workers)
             for k in range(workers)

@@ -31,11 +31,9 @@ the ascending passes stopped) reuses that pass's body result and replays
 the steps and widenings it cost, so counters and verdicts match a
 recomputation.  A traced trial recomputes every pass.
 
-A trial is a pure function of its draw sequence, so `analyze_trial` may
-take its outcome from the `estimator.DrawTrie` of its chunk, which
-serves coin paths it has seen and runs trials that reach a `uniform` as
-`lanes`, many at once with the same outcomes.  This engine runs the
-rest: new coin paths, the trials lanes hand back, every traced trial.
+This engine runs every traced trial and, in `estimator.run`, each
+chunk's probe and the trials `lanes` hands back; `lanes` runs the rest
+of a chunk many at once, with the same outcomes.
 
 A trial's verdict is 1 when the outcome event cannot be ruled out for
 some choice of the unconstrained inputs consistent with the recorded
@@ -132,14 +130,6 @@ class TrialOutcome:
     widened_loops: int
     aborted: bool = False
     steps: int = 0
-
-    def copy(self) -> TrialOutcome:
-        """The same outcome with its own draw table (environments are
-        never written, so they are shared)."""
-
-        return TrialOutcome(
-            self.hit, self.env, dict(self.table), self.widened_loops, self.aborted, self.steps
-        )
 
 
 def eval_block(stmts, env: AbstractEnv, ctx: TrialContext) -> AbstractEnv:
@@ -254,23 +244,14 @@ def analyze_trial(
     pinned: dict[ChoiceKey, int | float] | None = None,
     restriction: dict[int, tuple[float, float]] | None = None,
     trace: Callable[[str], None] | None = None,
-    reuse=None,
 ) -> TrialOutcome:
     """Run one trial.  Deterministic in (program, seed, config): a seed
     counts modulo 2**64, None as 0; a draw whose key ``pinned`` holds takes
-    that value.  ``reuse``, an `estimator.DrawTrie` of the same program,
-    config and restriction, serves the trial when it can and stores what
-    this engine computes, never changing the outcome.  ``pinned`` or
-    ``trace`` bypass it: the former's draws are not the seed's, the latter
-    prints every step and recomputes every fixpoint pass."""
+    that value."""
 
     if program.outcome is None:
         raise InterpError("program has no outcome")
     seed = seed or 0
-    if pinned is not None or trace is not None:
-        reuse = None
-    if reuse is not None and (served := reuse.serve(seed)) is not None:
-        return served
     cfg = config or TrialConfig()
     ctx = TrialContext(seed, cfg, restriction, pinned, trace=trace)
     try:
@@ -279,7 +260,7 @@ def analyze_trial(
         aborted = False
     except StepBudgetExceeded:
         env, hit, aborted = None, 1, True
-    outcome = TrialOutcome(
+    return TrialOutcome(
         hit=hit,
         env=env,
         table=ctx.table,
@@ -287,6 +268,3 @@ def analyze_trial(
         aborted=aborted,
         steps=ctx.steps,
     )
-    if reuse is not None:
-        reuse.insert(outcome)
-    return outcome

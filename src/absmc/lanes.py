@@ -14,19 +14,22 @@ own join count and widened flag until it is stable; fixpoints draw
 nothing, so lanes need not agree on when they stop.
 
 A draw is one uint64 expression over the seed array, the `lang` rule
-``lang.draw_value(lang.mix(seeds ^ lang.fold((site, *word))))``.  Each lane
-records its own draw table, counts its steps as `interp.TrialContext.tick`
-does and aborts at the step budget, so its `TrialOutcome` equals the
-scalar engine's field by field.
+``lang.draw_value(lang.mix(seeds ^ lang.fold((site, *word))))``, recorded
+once for the batch as its generator, its iteration word and the mask of
+lanes that drew.  Lanes count their steps as `interp.TrialContext.tick`
+does and abort at the step budget.  `_Lanes.run` leaves the batch's
+arrays: final environments, hits, steps, widened loops, aborts and
+hand-backs.  `estimator` sums those of each block of `estimator.BLOCK`
+seeds; `run_lanes` builds each lane's `TrialOutcome` from them, drawing
+its values again, and it equals the scalar engine's field by field.
 
 Lanes compute exactly what the scalar engine computes only inside a
 domain: INT bounds are exact in float64 while their magnitude stays
 below 2**53, and a REAL product's exactness test (Dekker's TwoProduct
 standing in for `intervals._mul_is_exact`) holds only for factors
 within `_PRODUCT_RANGE`.  A lane that leaves the domain, or meets a
-NaN, is handed back: `run_lanes` gives None for it and the caller runs
-the scalar engine from its seed.  `estimator.DrawTrie` decides which
-trials of a chunk run here, up to `estimator.BLOCK` at a time.
+NaN, is handed back: `run_lanes` gives None for it, and the caller runs
+the scalar engine from its seed.
 """
 
 from __future__ import annotations
@@ -157,7 +160,7 @@ def _outside_product_range(x):
 
 
 class _Lanes:
-    """One batch of trials run together; `run` gives their outcomes."""
+    """One batch of trials, run together by `run`."""
 
     def __init__(self, program: lang.Program, seeds, config: TrialConfig, restriction):
         self.program = program
@@ -167,8 +170,8 @@ class _Lanes:
         self.row = {name: i for i, name in enumerate(self.kinds)}
         n = len(seeds)
         self.n = n
-        self.seeds = np.array([seed & lang.M64 for seed in seeds], dtype=np.uint64)
-        self.tables: list[dict] = [{} for _ in range(n)]
+        self.seeds = seeds  # uint64
+        self.draws: list[tuple[lang.Draw, tuple[int, ...], np.ndarray]] = []
         self.steps = np.zeros(n, dtype=np.int64)
         self.ceiling = 0  # no live lane has taken more steps than this
         self.widened = np.zeros(n, dtype=np.int64)
@@ -217,17 +220,19 @@ class _Lanes:
 
     def draw(self, gen: lang.Draw, mask):
         """A concrete draw of ``gen`` on each live lane of ``mask``, from
-        its own seed, recorded under the (site, iteration word) key that
-        all lanes share; 0 on the other lanes."""
+        its own seed, recorded once for all lanes as the generator, the
+        iteration word they share and the mask; 0 on the other lanes."""
 
-        key = (gen.site, tuple(self.word))
+        word = tuple(self.word)
+        mask = mask & self.live
+        self.draws.append((gen, word, mask))
+        return np.where(mask, self.values(gen, word), 0.0)
+
+    def values(self, gen: lang.Draw, word: tuple[int, ...]):
+        """The draw of ``gen`` at iteration word ``word`` on every lane."""
+
         span = self.restriction.get(gen.site) if self.restriction else None
-        bits = lang.mix(self.seeds ^ lang.fold((gen.site, *self.word)))
-        values = lang.draw_value(bits, gen.kind, span)
-        lanes = np.flatnonzero(mask := mask & self.live)
-        for i, value in zip(lanes.tolist(), values[lanes].tolist()):
-            self.tables[i][key] = value
-        return np.where(mask, values, 0.0)
+        return lang.draw_value(lang.mix(self.seeds ^ lang.fold((gen.site, *word))), gen.kind, span)
 
     # -- expressions ------------------------------------------------------
 
@@ -460,30 +465,17 @@ class _Lanes:
 
     # -- trials -----------------------------------------------------------
 
-    def run(self) -> list[TrialOutcome | None]:
-        """Each lane's outcome, or None for a lane handed back."""
+    def run(self):
+        """Run the batch: its final environments, and the lanes whose
+        outcome is possible, every aborted lane among them and no lane
+        handed back."""
 
         shape = (len(self.kinds), self.n)
         env = _Env(np.ones(self.n, dtype=bool), np.full(shape, -_INF), np.full(shape, _INF))
         with np.errstate(all="ignore"):
             env = self.block(self.program.body, env, False)
             hits = self.filter(env, self.program.outcome, True, env.reach & self.live).reach
-        names = list(self.kinds)
-        columns = [_intervals(self.kinds[x], env.lo[r], env.hi[r]) for r, x in enumerate(names)]
-        lanes = zip(
-            self.tables, zip(*columns), env.reach.tolist(), hits.tolist(), self.steps.tolist(),
-            self.widened.tolist(), self.aborted.tolist(), self.handed_back.tolist(),
-        )
-        out: list[TrialOutcome | None] = []
-        for table, intervals, reach, hit, steps, widened, aborted, handed_back in lanes:
-            if handed_back:
-                out.append(None)
-            elif aborted:
-                out.append(TrialOutcome(1, None, table, widened, True, steps))
-            else:
-                final = AbstractEnv(dict(zip(names, intervals)) if reach else None)
-                out.append(TrialOutcome(int(hit), final, table, widened, False, steps))
-        return out
+        return env, (hits & self.live) | self.aborted
 
 
 def _definitely_empty(op: str, a, b):
@@ -532,5 +524,25 @@ def run_lanes(
     """The outcome of the trial of each seed, as `interp.analyze_trial`
     gives it, or None for a lane handed back to the scalar engine."""
 
-    return _Lanes(program, seeds, config or TrialConfig(), restriction).run()
-
+    array = np.array([seed & lang.M64 for seed in seeds], dtype=np.uint64)
+    batch = _Lanes(program, array, config or TrialConfig(), restriction)
+    env, hits = batch.run()
+    tables: list[dict] = [{} for _ in seeds]
+    for gen, word, mask in batch.draws:
+        drew = np.flatnonzero(mask)
+        for i, value in zip(drew.tolist(), batch.values(gen, word)[drew].tolist()):
+            tables[i][gen.site, word] = value
+    names = list(batch.kinds)
+    columns = [_intervals(batch.kinds[x], env.lo[r], env.hi[r]) for r, x in enumerate(names)]
+    lanes = zip(
+        tables, zip(*columns), env.reach.tolist(), hits.tolist(), batch.steps.tolist(),
+        batch.widened.tolist(), batch.aborted.tolist(), batch.handed_back.tolist(),
+    )
+    out: list[TrialOutcome | None] = []
+    for table, intervals, reach, hit, steps, widened, aborted, handed_back in lanes:
+        if handed_back:
+            out.append(None)
+            continue
+        final = None if aborted else AbstractEnv(dict(zip(names, intervals)) if reach else None)
+        out.append(TrialOutcome(int(hit), final, table, widened, aborted, steps))
+    return out

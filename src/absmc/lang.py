@@ -125,11 +125,19 @@ M64 = 2**64 - 1  # draws are 64-bit words
 
 
 def mix(z):
-    """splitmix64's step and output, on an int mod 2**64 or a uint64 array alike."""
+    """splitmix64's step and output, on an int mod 2**64 or a uint64 array
+    alike; an array wraps by itself, so only an int is masked."""
 
-    z = (z + 0x9E3779B97F4A7C15) & M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    if isinstance(z, int):
+        z = (z + 0x9E3779B97F4A7C15) & M64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+        return z ^ (z >> 31)
+    z = z + 0x9E3779B97F4A7C15
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
     return z ^ (z >> 31)
 
 

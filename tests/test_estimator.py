@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from absmc.estimator import (
     plan_trials,
     run,
 )
-from absmc.interp import analyze_trial
+from absmc.interp import TrialConfig, analyze_trial
 from absmc.lang import parse
 
 
@@ -160,18 +161,105 @@ def test_run_caps_workers_at_cpu_count(figs, monkeypatch, cpus, pools, chunks):
     assert da == db
 
 
-def test_run_walks_each_trial_once(figs, monkeypatch):
-    walks = []
-    real = estimator.DrawTrie.walk
+# --- chunks: a scalar probe, then lane blocks ------------------------------------
 
-    def walk(self, seed):
-        walks.append(seed)
-        return real(self, seed)
 
-    monkeypatch.setattr(estimator.DrawTrie, "walk", walk)
+def _scalar_counts(p, config, restriction, master, start, stop):
+    outs = [
+        analyze_trial(p, derive_seed(master, i), config, restriction=restriction)
+        for i in range(start, stop)
+    ]
+    return (
+        sum(o.hit for o in outs),
+        sum(o.widened_loops > 0 for o in outs),
+        sum(o.aborted for o in outs),
+    )
+
+
+def test_a_chunk_runs_each_trial_once(figs, engines):
     run(figs["fig3"], 1000, 0.01, master_seed=5, jobs=1)
-    # a trial walked ahead into a lane batch keeps its walk's end
-    assert len(walks) <= 1000
+    # the probe on the scalar engine, then every later trial in one block
+    assert engines["scalar"] == [derive_seed(5, 0)]
+    assert [len(b) for b in engines["blocks"]] == [999]
+
+
+def test_chunk_counts_equal_scalar_trials_on_the_corpus(figs, monkeypatch):
+    monkeypatch.setattr(estimator, "BLOCK", 64)
+    for p in figs.values():
+        args = (p, TrialConfig(), None, 7, 3, 203)
+        assert estimator._trial_chunk(args) == _scalar_counts(*args)
+
+
+def test_a_chunk_splits_into_blocks_of_block_seeds(engines, monkeypatch):
+    monkeypatch.setattr(estimator, "BLOCK", 8)
+    p = parse("int c; double u; c = coin_flip(); if (c == 1) { u = uniform(); } know (u > 0.5);")
+    args = (p, TrialConfig(), None, 3, 0, 40)
+    assert estimator._trial_chunk(args) == _scalar_counts(*args)
+    assert engines["scalar"] == [derive_seed(3, 0)]  # no lane went back
+    # the trials after the probe, in order, BLOCK at a time
+    assert [len(b) for b in engines["blocks"]] == [8, 8, 8, 8, 7]
+    seeds = np.concatenate(engines["blocks"]).tolist()
+    assert seeds == [derive_seed(3, i) for i in range(1, 40)]
+
+
+def test_a_draw_free_probe_stands_for_its_chunk(engines):
+    # loops fig1's shape: the trip count is unconstrained, so the first
+    # iteration enters the fixpoint, where the coin draws nothing
+    p = parse(
+        "int x, i, n; know (x>=0 && x<=2); know (n>=0 && n<=100); i=0;"
+        " while (i < n) { x += coin_flip(); i++; } know (x>=55);"
+    )
+    config = TrialConfig()
+    for start, stop in [(0, 1000), (17, 18), (40, 4500)]:
+        engines["scalar"].clear()
+        got = estimator._trial_chunk((p, config, None, 2, start, stop))
+        assert engines["scalar"] == [derive_seed(2, start)]
+        assert got == (stop - start, stop - start, 0)  # every trial widens and may hit
+    assert engines["blocks"] == []
+
+
+def test_a_lane_handed_back_after_it_widened_counts_once(engines):
+    # every trial widens the loop; the lanes that then take the branch
+    # meet an INT literal of 2**53 and go back to the scalar engine
+    p = parse(
+        "int x, i, n, k; double u; know (n>=0 && n<=100); i=0;"
+        " while (i < n) { x += coin_flip(); i++; }"
+        " u = uniform(); if (u < 0.5) { k = 9007199254740992; } know (x >= 3);"
+    )
+    args = (p, TrialConfig(), None, 1, 0, 40)
+    got = estimator._trial_chunk(args)
+    assert got == _scalar_counts(*args) == (40, 40, 0)
+    assert 1 < len(engines["scalar"]) < 40
+
+
+def test_an_aborted_lane_counts_as_a_hit(figs):
+    p, small = figs["fig1"], TrialConfig(step_budget=10)
+    args = (p, small, None, 0, 0, 50)
+    assert estimator._trial_chunk(args) == _scalar_counts(*args) == (50, 0, 50)
+
+
+@pytest.mark.parametrize("master", [0, -1, 2**64 + 1, -(2**64) - 1])
+def test_block_seeds_equal_derive_seed(figs, monkeypatch, engines, master):
+    monkeypatch.setattr(estimator, "BLOCK", 8)
+    estimator._trial_chunk((figs["fig3"], TrialConfig(), None, master, 5, 30))
+    blocks = engines["blocks"]
+    assert [b.dtype for b in blocks] == [np.uint64] * 3
+    # blocks [6, 14), [14, 22), [22, 30): each crosses a multiple of 8
+    assert [b.tolist() for b in blocks] == [
+        [derive_seed(master, i) for i in range(first, first + 8)] for first in (6, 14, 22)
+    ]
+
+
+def test_chunk_counts_under_any_restriction():
+    # a pinned coin is still a draw; the probe and each lane record it
+    p = parse("int c, d; c = coin_flip(); d = coin_flip(); know (c + d > 1);")
+    first = p.body[0].expr.site
+    for restriction in (None, {first: (0, 0)}, {first: (1, 1)}, {first: (0, 1)}):
+        args = (p, TrialConfig(), restriction, 3, 0, 80)
+        assert estimator._trial_chunk(args) == _scalar_counts(*args)
+    only = parse("int c; c = coin_flip(); know (c > 0);")
+    restriction = {only.body[0].expr.site: (1, 1)}
+    assert estimator._trial_chunk((only, TrialConfig(), restriction, 3, 0, 80)) == (80, 0, 0)
 
 
 @pytest.mark.parametrize("n", [7, 1001])

@@ -1,7 +1,7 @@
 """Grammar properties: printing round-trips, generated programs run
-cleanly, the same with fixpoint pass reuse, a draw trie or as numpy
-lanes and soundly against concrete replays, and malformed text fails
-cleanly.
+cleanly, the same with fixpoint pass reuse, as numpy lanes and as the
+probe and lane blocks of a chunk, and soundly against concrete replays,
+and malformed text fails cleanly.
 
 The first strategy writes well-kinded source text straight from the
 grammar in ``absmc.lang``: every assignment form, nested ``if``/``else``
@@ -14,13 +14,15 @@ import functools
 import random
 import re
 from contextlib import suppress
+from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from absmc import corpus
+from absmc import corpus, estimator
 from absmc.concrete import ChoiceSource, NondetSpec, OracleError, oracle_estimate, run_concrete
-from absmc.estimator import DrawTrie
+from absmc.estimator import derive_seed
 from absmc.interp import TrialConfig, analyze_trial
 from absmc.intervals import DomainError
 from absmc.lanes import run_lanes
@@ -170,9 +172,9 @@ def test_generated_programs_run_cleanly(source, seed):
 TRIAL_CONFIG = TrialConfig(unroll_limit=2, step_budget=300)
 
 
-def _trial(p, seed, trie=None, restriction=None, trace=None):
+def _trial(p, seed, trace=None):
     try:
-        out = analyze_trial(p, seed, TRIAL_CONFIG, reuse=trie, restriction=restriction, trace=trace)
+        out = analyze_trial(p, seed, TRIAL_CONFIG, trace=trace)
     except (DomainError, OverflowError) as e:
         return type(e)
     env = out.env and out.env.render()  # None when aborted
@@ -186,19 +188,6 @@ def test_fixpoint_pass_reuse_leaves_trials_unchanged(source, seed):
     p = parse(source)
     for k in range(4):
         assert _trial(p, seed + k) == _trial(p, seed + k, trace=lambda line: None)
-
-
-@FAST
-@given(programs(), st.integers(0, 2**32), st.integers(0, 1))
-def test_draw_trie_leaves_trials_unchanged(source, seed, pin):
-    p = parse(source)
-    coins = [g.site for g in generator_sites(p) if g.coin]
-    # no restriction, then the first coin pinned to one value
-    for restriction in (None, {coins[0]: (pin, pin)} if coins else None):
-        trie = DrawTrie(p, TRIAL_CONFIG, restriction)
-        for k in range(8):
-            served = _trial(p, seed + k % 3, trie=trie, restriction=restriction)
-            assert served == _trial(p, seed + k % 3, restriction=restriction)
 
 
 # a default-like config, one that enters every fixpoint at once and widens
@@ -238,6 +227,30 @@ def test_lanes_match_scalar_trials(source, seed, pin):
                     continue
                 if lane is not None:
                     assert summary(lane) == summary(scalar)
+
+
+@FAST
+@given(programs() | loop_programs(), st.integers(-(2**65), 2**65), st.integers(0, 1))
+def test_chunk_counts_equal_scalar_sums(source, master, pin):
+    p = parse(source)
+    for config in LANE_CONFIGS:
+        for restriction in (None, _restriction(p, pin)):
+            chunk = (p, config, restriction, master, 3, 13)
+            try:
+                outs = [
+                    analyze_trial(p, derive_seed(master, i), config, restriction=restriction)
+                    for i in range(3, 13)
+                ]
+            except RUN_ERRORS:
+                # the trial that fails runs on the scalar engine in the chunk too
+                with pytest.raises(RUN_ERRORS), mock.patch.object(estimator, "BLOCK", 4):
+                    estimator._trial_chunk(chunk)
+                continue
+            counts = [sum(o.hit for o in outs), sum(o.widened_loops > 0 for o in outs)]
+            counts.append(sum(o.aborted for o in outs))
+            # the probe, then blocks of 4, 4 and 1 lanes
+            with mock.patch.object(estimator, "BLOCK", 4):
+                assert estimator._trial_chunk(chunk) == tuple(counts)
 
 
 def _replays_to_no_hit(p, seed, combos):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from absmc import estimator, interp, lang
-from absmc.estimator import DrawTrie
+from absmc import interp, lang
 from absmc.intervals import AbstractEnv, Interval
 from absmc.interp import (
     InterpError,
@@ -16,6 +15,7 @@ from absmc.interp import (
     eval_loop,
     eval_stmt,
 )
+from absmc.lanes import run_lanes
 from absmc.lang import Kind, parse
 from helpers import pinned
 
@@ -346,119 +346,36 @@ def test_pass_reuse_keeps_the_sign_of_zero(monkeypatch, bodies):
         assert untraced == recomputed if alternate else untraced < recomputed
 
 
-# --- the draw trie ----------------------------------------------------------
+# --- pinned draws and traces --------------------------------------------------
 
 
-def test_trie_serves_coin_paths(figs):
-    p = figs["fig1"]
-    trie = DrawTrie(p)
-    for seed in range(200):
-        assert _summary(analyze_trial(p, seed, reuse=trie)) == _summary(analyze_trial(p, seed))
-    assert trie.size == 63  # 5 coins: 31 draws and 32 leaves
-    served = analyze_trial(p, 7, reuse=trie)
-    served.table.clear()  # a served trial owns its table
-    assert _summary(analyze_trial(p, 7, reuse=trie)) == _summary(analyze_trial(p, 7))
-
-
-def test_trie_pinned_coin_draws_nothing():
+def test_pinned_coin_leaves_the_other_draws():
     # counter draws: pinning the first coin leaves the second coin's draw
-    # as it is without the pin, on the trie and in the full trial alike
+    # as it is without the pin, on the scalar engine and in lanes alike
     p = parse("int c, d; c = coin_flip(); d = coin_flip(); know (c + d > 1);")
     first, second = (s.expr.site for s in p.body)
-    for seed in range(20):
-        free = analyze_trial(p, seed).table[(second, ())]
-        for pin in (0, 1):
-            restriction = {first: (pin, pin)}
-            trie = DrawTrie(p, None, restriction)
-            analyze_trial(p, seed, restriction=restriction, reuse=trie)  # inserts
-            served = analyze_trial(p, seed, restriction=restriction, reuse=trie)
-            assert _summary(served) == _summary(analyze_trial(p, seed, restriction=restriction))
-            assert served.table == {(first, ()): pin, (second, ()): free}
+    seeds = list(range(20))
+    for pin in (0, 1):
+        restriction = {first: (pin, pin)}
+        lanes = run_lanes(p, seeds, None, restriction)
+        for seed, lane in zip(seeds, lanes):
+            free = analyze_trial(p, seed).table[(second, ())]
+            pinned_trial = analyze_trial(p, seed, restriction=restriction)
+            assert pinned_trial.table == {(first, ()): pin, (second, ()): free}
+            assert _summary(lane) == _summary(pinned_trial)
 
 
-def test_trie_with_only_pinned_coins_serves_one_leaf():
-    p = parse("int c; c = coin_flip(); know (c > 0);")
-    restriction = {p.body[0].expr.site: (1, 1)}
-    trie = DrawTrie(p, None, restriction)
-    for seed in range(20):
-        assert analyze_trial(p, seed, restriction=restriction, reuse=trie).hit == 1
-    assert trie.size == 2  # the pinned coin and its one leaf
-
-
-def test_trie_uniform_after_a_coin_runs_in_full(monkeypatch):
-    p = parse("int c; double r; c = coin_flip(); r = uniform(); know (r < 0.5);")
-    trie = DrawTrie(p)
-    for seed in range(20):
-        assert _summary(analyze_trial(p, seed, reuse=trie)) == _summary(analyze_trial(p, seed))
-    root = trie.entry[None]
-    assert all(node.children is None for node in root.children.values())
-    assert trie.size == 3  # the coin and one uniform under each value
-    mixed = []
-    real = lang.mix
-
-    def mix(z):
-        mixed.append(type(z).__name__)
-        return real(z)
-
-    monkeypatch.setattr(lang, "mix", mix)
-    analyze_trial(p, 4, reuse=trie)
-    # the walk mixes once for the coin, then the trial, run as a one-lane
-    # batch, draws the coin and the uniform from its seed
-    assert mixed == ["int", "ndarray", "ndarray"]
-
-
-def test_trie_stores_a_step_budget_abort(figs):
-    p = figs["fig1"]
-    small = TrialConfig(step_budget=10)
-    trie = DrawTrie(p, small)
-    first = analyze_trial(p, 0, small, reuse=trie)
-    assert first.aborted and trie.size > 1
-    size = trie.size
-    served = analyze_trial(p, 0, small, reuse=trie)
-    assert trie.size == size  # served from its leaf
-    assert served.aborted and served.env is None and served.hit == 1
-    assert _summary(served) == _summary(analyze_trial(p, 0, small))
-
-
-def test_trie_bypassed_by_trace_and_pinned(figs):
+def test_trace_and_pinned_rule_the_trial(figs):
     p = figs["fig1"]
     ones = {(lang.generator_sites(p)[0].site, (k,)): 1 for k in range(1, 6)}
-    trie = DrawTrie(p)
-    lines, plain = [], []
-    analyze_trial(p, 1, trace=lines.append, reuse=trie)
-    analyze_trial(p, 1, pinned=ones, reuse=trie)
-    assert trie.size == 0
-    analyze_trial(p, 1, reuse=trie)
-    assert trie.size > 0
-    analyze_trial(p, 1, trace=lines.append, reuse=trie)
-    analyze_trial(p, 1, trace=plain.append)
-    assert lines == plain + plain
-    # a pinned table the trie's paths do not follow still rules the trial
-    scripted = analyze_trial(p, 1, pinned=ones, reuse=trie)
-    assert list(scripted.table.values()) == [1, 1, 1, 1, 1]
-
-
-def test_trie_serves_any_restriction():
-    # a walk draws each coin from the trie's restriction, as the full trial does
-    p = parse("int c, d; c = coin_flip(); d = coin_flip(); know (c + d > 1);")
-    first = p.body[0].expr.site
-    sizes = []
-    for restriction in (None, {first: (0, 0)}, {first: (1, 1)}, {first: (0, 1)}):
-        trie = DrawTrie(p, None, restriction)
-        for seed in range(40):
-            served = analyze_trial(p, seed, restriction=restriction, reuse=trie)
-            assert _summary(served) == _summary(analyze_trial(p, seed, restriction=restriction))
-        sizes.append(trie.size)
-    assert sizes == [7, 4, 4, 7]  # a pinned first coin leaves one subtree
-
-
-def test_trie_stops_growing_at_its_cap(figs, monkeypatch):
-    monkeypatch.setattr(estimator, "_TRIE_CAP", 10)
-    p = figs["fig1"]
-    trie = DrawTrie(p)
-    for seed in range(100):
-        assert _summary(analyze_trial(p, seed, reuse=trie)) == _summary(analyze_trial(p, seed))
-    assert trie.size == 10
+    first, second = [], []
+    analyze_trial(p, 1, trace=first.append)
+    analyze_trial(p, 1, trace=second.append)
+    assert first == second and len(first) > 1
+    assert _summary(_traced(p, 1)) == _summary(analyze_trial(p, 1))
+    # a pinned table rules the draws it names, whatever the seed
+    for seed in (1, 2):
+        assert list(analyze_trial(p, seed, pinned=ones).table.values()) == [1, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize(

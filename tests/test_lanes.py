@@ -1,6 +1,5 @@
 """The lane engine against the scalar engine: the numeric edges of its
-interval arithmetic, the lanes it hands back to the scalar engine, and
-the batches a chunk runs."""
+interval arithmetic and the lanes it hands back to the scalar engine."""
 
 import itertools
 import random
@@ -10,7 +9,6 @@ import numpy as np
 import pytest
 
 from absmc import estimator, lanes, lang
-from absmc.estimator import DrawTrie
 from absmc.interp import TrialConfig, analyze_trial
 from absmc.intervals import AbstractEnv, Interval, _mul_is_exact
 from absmc.lanes import run_lanes
@@ -274,7 +272,7 @@ def test_products_inside_the_two_product_range_stay_in_lanes():
     _lanes_equal_scalar("double u, v; u = uniform(); v = -3.0 * v + u; know (v > 0.5);")
 
 
-def test_a_chunk_runs_handed_back_trials_on_the_scalar_engine():
+def test_a_chunk_runs_handed_back_trials_on_the_scalar_engine(engines):
     # lanes whose draw makes k reach 2**53 go back; the others stay
     p = parse(
         "int k; double u; k = 4503599627370496 + 4503599627370495; u = uniform();"
@@ -285,6 +283,9 @@ def test_a_chunk_runs_handed_back_trials_on_the_scalar_engine():
     outs = [analyze_trial(p, estimator.derive_seed(5, i), config) for i in range(40)]
     assert got == (sum(o.hit for o in outs), 0, 0)
     assert 0 < got[0] < 40
+    # the probe, then each lane that went back, in order: the hits after the probe
+    back = [estimator.derive_seed(5, i) for i in range(1, 40) if outs[i].hit]
+    assert engines["scalar"] == [estimator.derive_seed(5, 0), *back]
 
 
 def test_a_lane_aborts_at_the_step_budget():
@@ -292,73 +293,3 @@ def test_a_lane_aborts_at_the_step_budget():
     for out in _lanes_equal_scalar(source, TrialConfig(step_budget=6)):
         assert out.aborted and out.hit == 1 and out.steps == 7 and out.env is None
         assert len(out.table) == 1  # the seventh step would have drawn again
-
-
-# ---------------------------------------------------------------------------
-# Batches
-# ---------------------------------------------------------------------------
-
-
-def test_a_block_runs_only_the_trials_that_reach_a_uniform(monkeypatch):
-    p = parse("int c; double u; c = coin_flip(); if (c == 1) { u = uniform(); } know (u > 0.5);")
-    batches, walked = [], []
-
-    def recording(program, seeds, config, restriction):
-        batches.append(list(seeds))
-        return run_lanes(program, seeds, config, restriction)
-
-    real_walk = DrawTrie.walk
-
-    def walk(self, seed):
-        walked.append(seed)
-        return real_walk(self, seed)
-
-    monkeypatch.setattr(lanes, "run_lanes", recording)
-    monkeypatch.setattr(DrawTrie, "walk", walk)
-    monkeypatch.setattr(estimator, "BLOCK", 8)
-    seeds = [estimator.derive_seed(3, i) for i in range(40)]
-    trie = DrawTrie(p, TrialConfig(), None, seeds)
-    order, outs = [], []
-    for s in trie:  # the chunk's seeds in order, those walked ahead included
-        order.append(s)
-        outs.append(analyze_trial(p, s, TrialConfig(), reuse=trie))
-    assert order == seeds and sorted(walked) == sorted(seeds)  # each seed walked once
-    assert [summary(o) for o in outs] == [summary(analyze_trial(p, s)) for s in seeds]
-    drew_uniform = [s for s, o in zip(seeds, outs) if len(o.table) == 2]
-    # the first trial to draw the uniform ran on the scalar engine, which
-    # added its path; each later one ran in a batch: its first seed and the
-    # later seeds among the next 7 whose walk stops at the uniform
-    assert len(batches) > 1 and sum(batches, []) == drew_uniform[1:]
-    for batch in batches:
-        start = seeds.index(batch[0])
-        assert batch == [s for s in seeds[start:start + 8] if s in drew_uniform]
-    # nothing is left pending once every seed had its turn
-    assert not trie.pending and not trie.ends and not trie.ahead
-
-
-def test_a_seed_walked_ahead_to_a_missing_path_is_served_once_it_exists(monkeypatch):
-    p = parse(
-        "int c, d; double u; c = coin_flip(); d = coin_flip(); if (c == 1) { u = uniform(); }"
-        " know (u > 0.5 || d == 1);"
-    )
-    sites = [s.expr.site for s in p.body[:2]]
-    paths: dict[tuple, list[int]] = {}
-    for seed in range(100):
-        bits = [lang.mix(seed ^ lang.fold((site,))) for site in sites]
-        paths.setdefault(tuple(lang.draw_value(b, Kind.INT) for b in bits), []).append(seed)
-    # the second (1, 0) trial runs a batch and walks the two (0, 0) trials
-    # ahead, before either's path exists; the first of them adds it at its
-    # turn, so the second is served from its leaf
-    seeds = paths[(1, 0)][:2] + paths[(0, 0)][:2]
-    inserted = []
-    real_insert = DrawTrie.insert
-
-    def insert(self, outcome):
-        inserted.append(list(outcome.table.values())[:2])
-        real_insert(self, outcome)
-
-    monkeypatch.setattr(DrawTrie, "insert", insert)
-    trie = DrawTrie(p, TrialConfig(), None, seeds)
-    outs = [analyze_trial(p, s, TrialConfig(), reuse=trie) for s in trie]
-    assert [summary(o) for o in outs] == [summary(analyze_trial(p, s)) for s in seeds]
-    assert inserted == [[1, 0], [0, 0]]  # no scalar run for the last trial

@@ -1,6 +1,6 @@
 """The counter-based draw stream: the bits of a draw are
 ``lang.mix(seed ^ lang.fold((site, *word)))``, on a Python int in the scalar
-engine and the trie walk and on a uint64 seed array in the lanes."""
+engine and on a uint64 seed array in the lanes."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from absmc import lang
-from absmc.estimator import DrawTrie, derive_seed
+from absmc.estimator import derive_seed
 from absmc.interp import analyze_trial
 from absmc.lanes import run_lanes
 from absmc.lang import Kind
@@ -92,9 +92,6 @@ def test_a_trial_without_a_seed_is_seed_0(figs):
     for p in figs.values():
         zero = summary(analyze_trial(p, 0))
         assert summary(analyze_trial(p, None)) == zero
-        trie = DrawTrie(p)
-        analyze_trial(p, 1, reuse=trie)  # stores a path
-        assert summary(analyze_trial(p, None, reuse=trie)) == zero
 
 
 def test_a_seed_counts_modulo_2_64(figs):
