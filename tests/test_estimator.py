@@ -176,7 +176,7 @@ def _scalar_counts(p, config, restriction, master, start, stop):
     )
 
 
-def test_a_chunk_runs_each_trial_once(figs, engines):
+def test_run_walks_each_trial_once(figs, engines):
     run(figs["fig3"], 1000, 0.01, master_seed=5, jobs=1)
     # the probe on the scalar engine, then every later trial in one block
     assert engines["scalar"] == [derive_seed(5, 0)]

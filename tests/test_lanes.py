@@ -1,5 +1,6 @@
 """The lane engine against the scalar engine: the numeric edges of its
-interval arithmetic and the lanes it hands back to the scalar engine."""
+interval arithmetic, the lanes it hands back to the scalar engine and
+the draws of a chunk's blocks."""
 
 import itertools
 import random
@@ -293,3 +294,35 @@ def test_a_lane_aborts_at_the_step_budget():
     for out in _lanes_equal_scalar(source, TrialConfig(step_budget=6)):
         assert out.aborted and out.hit == 1 and out.steps == 7 and out.env is None
         assert len(out.table) == 1  # the seventh step would have drawn again
+
+
+# ---------------------------------------------------------------------------
+# Blocks
+# ---------------------------------------------------------------------------
+
+
+def test_a_block_runs_only_the_trials_that_reach_a_uniform(monkeypatch):
+    # every lane of a block draws the coin; the uniform's draw runs on the
+    # lanes whose coin took the branch and on no other
+    p = parse("int c; double u; c = coin_flip(); if (c == 1) { u = uniform(); } know (u > 0.5);")
+    blocks = []
+
+    class Recording(lanes._Lanes):
+        def __init__(self, *args):
+            super().__init__(*args)
+            blocks.append(self)
+
+    monkeypatch.setattr(lanes, "_Lanes", Recording)
+    monkeypatch.setattr(estimator, "BLOCK", 8)
+    config = TrialConfig()
+    got = estimator._trial_chunk((p, config, None, 3, 0, 40))
+    outs = [analyze_trial(p, estimator.derive_seed(3, i), config) for i in range(40)]
+    assert got == (sum(o.hit for o in outs), 0, 0)
+    reached = [len(o.table) == 2 for o in outs[1:]]  # the trials after the probe
+    assert 0 < sum(reached) < len(reached)
+    assert len(blocks) == 5
+    for k, block in enumerate(blocks):
+        (coin, _, everyone), (uniform, _, taken) = block.draws
+        assert (coin.kind, uniform.kind) == (Kind.INT, Kind.REAL)
+        assert everyone.all()
+        assert taken.tolist() == reached[8 * k : 8 * k + 8]
