@@ -15,13 +15,18 @@ Trial i's seed is ``lang.mix(key ^ i)``, the master seed's key being
 derive from that seed (`lang`), so results are independent of scheduling:
 any worker count gives the identical Report, field by field, but elapsed_ms.
 
-Each worker runs one contiguous chunk of the trials and returns three
-counts: hits, widened trials and aborted trials.  A chunk's first trial
-is a probe on the scalar engine (`interp`).  A probe that draws nothing
-stands for every trial of its chunk, since a trial is a pure function of
-its draws.  Otherwise the other trials run as `lanes` blocks, whose hit,
-widened and aborted arrays the chunk sums; the scalar engine runs the
+A run needs three counts: hits, widened trials and aborted trials.  Its
+first trial is a probe on the scalar engine (`interp`).  A probe that
+draws nothing stands for every trial, since a trial is a pure function
+of its draws.  Otherwise the other trials run as `lanes` blocks, whose
+hit, widened and aborted arrays the run sums; the scalar engine runs the
 lanes a block hands back.  Both engines give the same outcome.
+
+The probe and the first block run in the calling process, timed.  The
+trials left go to a process pool, one contiguous range per worker, only
+when their in-process time scaled from the first block's, T, exceeds the
+pool's fixed cost `POOL_COST_S` plus T shared among the workers; else
+they run in-process too.  Small runs thus start no pool.
 
 Rare-event sharpening: when every hit is known to draw its value at some
 generator site inside a sub-range R of the support, sampling that site
@@ -36,7 +41,6 @@ import functools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -190,20 +194,23 @@ class Report:
 # plus BLOCK bytes, and each draw's mask, BLOCK bytes.
 BLOCK = 4096
 
+# A process pool's fixed cost in seconds: start-up, handing each worker
+# its range, and teardown.  Measured on a 2-CPU VM (Python 3.11.7, fork
+# start) as t(jobs=2) - t(jobs=1)/2 of `run` with every run pooled: 20-26
+# ms on fig1, fig2 and fig3 at 20,000-200,000 trials, one size reading 57
+# ms (median of 7 master seeds each).
+POOL_COST_S = 0.03
 
-def _trial_chunk(args) -> tuple[int, int, int]:
-    """Hits, widened trials and aborted trials among trials [start, stop):
-    a probe on the scalar engine, then lane blocks of `BLOCK` seeds."""
+
+def _lane_counts(args) -> tuple[int, int, int]:
+    """Hits, widened trials and aborted trials among trials [start, stop),
+    run as lane blocks of `BLOCK` seeds; the scalar engine runs the lanes a
+    block hands back."""
 
     program, config, restriction, master_seed, start, stop = args
-    probe = analyze_trial(program, derive_seed(master_seed, start), config, restriction=restriction)
-    hits, widened, aborted = probe.hit, probe.widened_loops > 0, probe.aborted
-    if not probe.table:
-        # no draw, so no branch depended on one: every trial is the probe
-        n = stop - start
-        return hits * n, widened * n, aborted * n
+    hits = widened = aborted = 0
     key = np.uint64(_master_key(master_seed))
-    for first in range(start + 1, stop, BLOCK):
+    for first in range(start, stop, BLOCK):
         seeds = lang.mix(np.arange(first, min(first + BLOCK, stop), dtype=np.uint64) ^ key)
         block = lanes._Lanes(program, seeds, config, restriction)
         _, hit = block.run()  # aborted lanes among the hits
@@ -217,6 +224,39 @@ def _trial_chunk(args) -> tuple[int, int, int]:
             widened += outcome.widened_loops > 0
             aborted += outcome.aborted
     return int(hits), int(widened), int(aborted)
+
+
+def _trial_chunk(args, workers: int = 1) -> tuple[int, int, int]:
+    """Hits, widened trials and aborted trials among trials [start, stop):
+    a probe on the scalar engine, then lane blocks of `BLOCK` seeds.
+
+    The probe and the first block run here, timed.  The other trials run
+    in a pool of ``workers`` processes only when that pays: when their
+    time in this process, scaled from the first block's, exceeds
+    `POOL_COST_S` plus that time shared among the workers."""
+
+    program, config, restriction, master_seed, start, stop = args
+    started = time.perf_counter()
+    probe = analyze_trial(program, derive_seed(master_seed, start), config, restriction=restriction)
+    hits, widened, aborted = probe.hit, probe.widened_loops > 0, probe.aborted
+    if not probe.table:
+        # no draw, so no branch depended on one: every trial is the probe
+        n = stop - start
+        return hits * n, widened * n, aborted * n
+    first = min(stop, start + 1 + BLOCK)
+    counts = [(hits, widened, aborted), _lane_counts((*args[:4], start + 1, first))]
+    rest = (time.perf_counter() - started) * (stop - first) / (first - start)
+    if workers > 1 and rest > POOL_COST_S * workers / (workers - 1):
+        from concurrent.futures import ProcessPoolExecutor
+
+        # one contiguous range of [first, stop) per worker, none probed again
+        bounds = [first + (stop - first) * k // workers for k in range(workers + 1)]
+        tasks = [(*args[:4], lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            counts.extend(pool.map(_lane_counts, tasks))
+    else:
+        counts.append(_lane_counts((*args[:4], first, stop)))
+    return tuple(int(sum(c)) for c in zip(*counts))
 
 
 def run(
@@ -242,17 +282,10 @@ def run(
     cfg = config or TrialConfig()
     sites = restriction.sites if restriction is not None else None
     workers = min(jobs, os.cpu_count() or 1)
+    if n < 2 * workers:
+        workers = 1  # fewer than two trials a worker
     started = time.perf_counter()
-    if workers == 1 or n < 2 * workers:
-        hits, widened, aborted = _trial_chunk((program, cfg, sites, master_seed, 0, n))
-    else:
-        # one contiguous chunk per worker, each with its own probe
-        tasks = [
-            (program, cfg, sites, master_seed, n * k // workers, n * (k + 1) // workers)
-            for k in range(workers)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits, widened, aborted = map(sum, zip(*pool.map(_trial_chunk, tasks)))
+    hits, widened, aborted = _trial_chunk((program, cfg, sites, master_seed, 0, n), workers)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     raw_mean = hits / n

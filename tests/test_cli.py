@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import absmc
 from absmc import concrete, corpus, lang
 from absmc.cli import main
 
@@ -24,6 +29,19 @@ def test_analyze_text(capsys):
     )
     assert code == 0
     assert "p_prime:" in out and "p_hat:" in out
+
+
+def test_import_loads_no_process_pool():
+    # a pool's modules load only when a run starts one
+    src = str(Path(absmc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import absmc.cli, sys;"
+        " print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_analyze_json_schema_and_reproducibility(capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -120,23 +121,33 @@ def test_run_report_fields(figs):
     assert d["config"]["unroll_limit"] == 64
 
 
-def test_run_jobs_do_not_change_results(figs):
-    a = run(figs["fig1"], 600, 0.01, master_seed=9, jobs=1)
-    b = run(figs["fig1"], 600, 0.01, master_seed=9, jobs=2)
-    da, db = a.to_dict(), b.to_dict()
-    for d in (da, db):
-        d.pop("elapsed_ms")
-        d.pop("jobs")
-    assert da == db
+# loops fig1's shape: the trip count is unconstrained, so the first
+# iteration enters the fixpoint, where the coin draws nothing
+LOOPS_FIG1 = (
+    "int x, i, n; know (x>=0 && x<=2); know (n>=0 && n<=100); i=0;"
+    " while (i < n) { x += coin_flip(); i++; } know (x>=55);"
+)
 
 
-@pytest.mark.parametrize("cpus, pools, chunks", [(2, [2], 2), (None, [], 0)])
-def test_run_caps_workers_at_cpu_count(figs, monkeypatch, cpus, pools, chunks):
-    sizes, tasks = [], []
+def _without_timing(report):
+    d = report.to_dict()
+    d.pop("elapsed_ms")
+    d.pop("jobs")  # echoes the request
+    return d
 
-    class InlinePool:  # stands in for the process pool: records its size, maps inline
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Stands in for the process pool `estimator` imports when it starts
+    one: records each pool's size and the tasks it maps, then maps them in
+    this process."""
+
+    pools = []
+
+    class InlinePool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            self.tasks = []
+            pools.append((max_workers, self.tasks))
 
         def __enter__(self):
             return self
@@ -144,21 +155,89 @@ def test_run_caps_workers_at_cpu_count(figs, monkeypatch, cpus, pools, chunks):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, chunk_args):
-            tasks.extend(chunk_args)
-            return map(fn, chunk_args)
+        def map(self, fn, tasks):
+            self.tasks.extend(tasks)
+            return map(fn, tasks)
 
-    monkeypatch.setattr(estimator, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return pools
+
+
+@pytest.fixture
+def real_pools(monkeypatch):
+    """The size of each real process pool that `estimator` starts."""
+
+    sizes = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class RecordedPool(real):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    return sizes
+
+
+def test_run_jobs_do_not_change_results(figs, monkeypatch, real_pools):
+    # a free pool and small blocks: the trials after the first 101 go to the pool
+    monkeypatch.setattr(estimator, "POOL_COST_S", 0.0)
+    monkeypatch.setattr(estimator, "BLOCK", 100)
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: 2)
+    a = run(figs["fig1"], 600, 0.01, master_seed=9, jobs=1)
+    b = run(figs["fig1"], 600, 0.01, master_seed=9, jobs=2)
+    assert real_pools == [2]
+    assert _without_timing(a) == _without_timing(b)
+
+
+@pytest.mark.parametrize("cpus, pools, chunks", [(2, [2], 2), (None, [], 0)])
+def test_run_caps_workers_at_cpu_count(figs, monkeypatch, inline_pools, cpus, pools, chunks):
+    monkeypatch.setattr(estimator, "POOL_COST_S", 0.0)
+    monkeypatch.setattr(estimator, "BLOCK", 64)
     monkeypatch.setattr(estimator.os, "cpu_count", lambda: cpus)
     capped = run(figs["fig1"], 400, 0.01, master_seed=9, jobs=5000)
-    assert sizes == pools and len(tasks) == chunks
+    assert [size for size, _ in inline_pools] == pools
+    assert sum(len(tasks) for _, tasks in inline_pools) == chunks
     assert capped.jobs == 5000
     inline = run(figs["fig1"], 400, 0.01, master_seed=9, jobs=1)
-    da, db = capped.to_dict(), inline.to_dict()
-    for d in (da, db):
-        d.pop("elapsed_ms")
-        d.pop("jobs")
-    assert da == db
+    assert _without_timing(capped) == _without_timing(inline)
+
+
+def test_a_benchmark_sized_run_starts_no_pool(figs, monkeypatch, inline_pools):
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: 2)
+    pooled = run(figs["fig1"], 400, 0.01, master_seed=9, jobs=2)
+    assert inline_pools == []
+    assert _without_timing(pooled) == _without_timing(run(figs["fig1"], 400, 0.01, master_seed=9))
+
+
+def test_the_pool_maps_the_trials_after_the_first_block(figs, monkeypatch, inline_pools, engines):
+    monkeypatch.setattr(estimator, "POOL_COST_S", 0.0)
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: 3)
+    n, first = 10_000, 1 + estimator.BLOCK
+    pooled = run(figs["fig3"], n, 0.01, master_seed=6, jobs=3)
+    [(size, tasks)] = inline_pools
+    assert size == 3
+    # three contiguous ranges that cover [first, n) and nothing else
+    assert [task[4:] for task in tasks] == [(4097, 6064), (6064, 8032), (8032, 10000)]
+    assert all(task[3] == 6 for task in tasks)
+    # the probe runs once, in this process; no worker probes again
+    assert engines["scalar"] == [derive_seed(6, 0)]
+    assert [len(b) for b in engines["blocks"]] == [first - 1, 1967, 1968, 1968]
+    assert _without_timing(pooled) == _without_timing(run(figs["fig3"], n, 0.01, master_seed=6))
+
+
+@pytest.mark.parametrize("cost", [estimator.POOL_COST_S, 0.0], ids=["in-process", "pooled"])
+@pytest.mark.parametrize("extra", [0, 1, 2], ids=["BLOCK", "BLOCK+1", "BLOCK+2"])
+def test_reports_equal_across_jobs_on_both_paths(figs, monkeypatch, real_pools, cost, extra):
+    monkeypatch.setattr(estimator, "POOL_COST_S", cost)
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: 3)
+    n = estimator.BLOCK + extra
+    for p in (figs["fig3"], parse(LOOPS_FIG1)):
+        reports = [_without_timing(run(p, n, 0.01, master_seed=13, jobs=jobs)) for jobs in (1, 2, 3)]
+        assert reports[0] == reports[1] == reports[2]
+    # only a free pool takes a trial past the probe and the first block;
+    # the draw-free probe stands for all n trials
+    assert real_pools == ([2, 3] if cost == 0.0 and extra == 2 else [])
 
 
 # --- chunks: a scalar probe, then lane blocks ------------------------------------
@@ -203,12 +282,7 @@ def test_a_chunk_splits_into_blocks_of_block_seeds(engines, monkeypatch):
 
 
 def test_a_draw_free_probe_stands_for_its_chunk(engines):
-    # loops fig1's shape: the trip count is unconstrained, so the first
-    # iteration enters the fixpoint, where the coin draws nothing
-    p = parse(
-        "int x, i, n; know (x>=0 && x<=2); know (n>=0 && n<=100); i=0;"
-        " while (i < n) { x += coin_flip(); i++; } know (x>=55);"
-    )
+    p = parse(LOOPS_FIG1)
     config = TrialConfig()
     for start, stop in [(0, 1000), (17, 18), (40, 4500)]:
         engines["scalar"].clear()
@@ -262,15 +336,15 @@ def test_chunk_counts_under_any_restriction():
     assert estimator._trial_chunk((only, TrialConfig(), restriction, 3, 0, 80)) == (80, 0, 0)
 
 
-@pytest.mark.parametrize("n", [7, 1001])
-def test_uneven_chunks_do_not_change_results(figs, monkeypatch, n):
-    # one chunk per worker: 7 trials split 2 + 2 + 3 at jobs=3
+@pytest.mark.parametrize("n, block", [(7, 2), (1001, 99)], ids=["7", "1001"])
+def test_uneven_chunks_do_not_change_results(figs, monkeypatch, n, block):
+    # a free pool takes the trials after the first block, one range per
+    # worker: 7 trials are a probe, a block of 2, then 1 + 1 + 2 at jobs=3
+    monkeypatch.setattr(estimator, "POOL_COST_S", 0.0)
+    monkeypatch.setattr(estimator, "BLOCK", block)
     monkeypatch.setattr(estimator.os, "cpu_count", lambda: 3)
     for name in ("fig1", "fig3"):
-        reports = [run(figs[name], n, 0.01, master_seed=4, jobs=jobs).to_dict() for jobs in (1, 2, 3)]
-        for d in reports:
-            d.pop("elapsed_ms")
-            d.pop("jobs")
+        reports = [_without_timing(run(figs[name], n, 0.01, master_seed=4, jobs=jobs)) for jobs in (1, 2, 3)]
         assert reports[0] == reports[1] == reports[2]
 
 
