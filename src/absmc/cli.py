@@ -107,7 +107,7 @@ def _load_restriction(program: lang.Program, path: str) -> estimator.Restriction
     entries: dict[int, tuple[float, float]] = {}
     for key, value in generators.items():
         if not (
-            key.isdigit()
+            key.isdecimal()
             and isinstance(value, dict)
             and all(_is_number(value.get(bound)) for bound in ("lo", "hi"))
         ):
@@ -134,6 +134,7 @@ def _cmd_analyze(args) -> int:
     if args.restrict:
         restriction = _load_restriction(program, args.restrict)
     if args.trace:
+        estimator.check_run(args.trials, args.epsilon, jobs)  # no trace of a run that cannot start
         print(f"-- trace of trial 0 (seed {estimator.derive_seed(args.seed, 0)})", file=sys.stderr)
         interp.analyze_trial(
             program,

@@ -191,7 +191,7 @@ class Report:
 
 # Most seeds one lane block spans, whatever the chunk's length.  A block
 # holds each live environment's bounds and mask, variables x BLOCK x 16
-# plus BLOCK bytes, and each draw's mask, BLOCK bytes.
+# plus BLOCK bytes, and its per-lane counters; it keeps nothing per draw.
 BLOCK = 4096
 
 # A process pool's fixed cost in seconds: start-up, handing each worker
@@ -259,6 +259,16 @@ def _trial_chunk(args, workers: int = 1) -> tuple[int, int, int]:
     return tuple(int(sum(c)) for c in zip(*counts))
 
 
+def check_run(n: int, epsilon: float, jobs: int) -> float:
+    """The margin of a run of n trials at ``epsilon``; ValueError for an
+    ``n``, ``epsilon`` or ``jobs`` that `run` rejects."""
+
+    t = hoeffding_margin(n, epsilon)
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    return t
+
+
 def run(
     program: lang.Program,
     n: int,
@@ -274,11 +284,7 @@ def run(
     ``jobs`` value (except elapsed_ms); at most one worker process runs
     per CPU, whatever ``jobs`` asks for."""
 
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    t = hoeffding_margin(n, epsilon)
+    t = check_run(n, epsilon, jobs)
     cfg = config or TrialConfig()
     sites = restriction.sites if restriction is not None else None
     workers = min(jobs, os.cpu_count() or 1)

@@ -14,22 +14,21 @@ own join count and widened flag until it is stable; fixpoints draw
 nothing, so lanes need not agree on when they stop.
 
 A draw is one uint64 expression over the seed array, the `lang` rule
-``lang.draw_value(lang.mix(seeds ^ lang.fold((site, *word))))``, recorded
-once for the batch as its generator, its iteration word and the mask of
-lanes that drew.  Lanes count their steps as `interp.TrialContext.tick`
-does and abort at the step budget.  `_Lanes.run` leaves the batch's
-arrays: final environments, hits, steps, widened loops, aborts and
-hand-backs.  `estimator` sums those of each block of `estimator.BLOCK`
-seeds; `run_lanes` builds each lane's `TrialOutcome` from them, drawing
-its values again, and it equals the scalar engine's field by field.
+``lang.draw_value(lang.mix(seeds ^ lang.fold((site, *word))))``; the
+block keeps nothing of it once the expression that drew has used it.
+Lanes count their steps as `interp.TrialContext.tick` does and abort at
+the step budget.  `_Lanes.run` leaves the batch's arrays: final
+environments, hits, steps, widened loops, aborts and hand-backs, and
+`estimator` sums those of each block of `estimator.BLOCK` seeds.  A
+lane's verdict, steps, widenings and abort equal the scalar engine's
+trial of its seed, and so do its final environment and draws.
 
 Lanes compute exactly what the scalar engine computes only inside a
 domain: INT bounds are exact in float64 while their magnitude stays
 below 2**53, and a REAL product's exactness test (Dekker's TwoProduct
 standing in for `intervals._mul_is_exact`) holds only for factors
 within `_PRODUCT_RANGE`.  A lane that leaves the domain, or meets a
-NaN, is handed back: `run_lanes` gives None for it, and the caller runs
-the scalar engine from its seed.
+NaN, is handed back: the caller runs the scalar engine from its seed.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ import sys
 import numpy as np
 
 from . import lang
-from .interp import TrialConfig, TrialOutcome
-from .intervals import _MIRROR, _NEGATED, GENERATOR_RANGE, AbstractEnv, Interval, _sum_is_exact
+from .interp import TrialConfig
+from .intervals import _MIRROR, _NEGATED, GENERATOR_RANGE, _sum_is_exact
 from .lang import Kind
 
 _INF = float("inf")
@@ -171,7 +170,6 @@ class _Lanes:
         n = len(seeds)
         self.n = n
         self.seeds = seeds  # uint64
-        self.draws: list[tuple[lang.Draw, tuple[int, ...], np.ndarray]] = []
         self.steps = np.zeros(n, dtype=np.int64)
         self.ceiling = 0  # no live lane has taken more steps than this
         self.widened = np.zeros(n, dtype=np.int64)
@@ -220,19 +218,12 @@ class _Lanes:
 
     def draw(self, gen: lang.Draw, mask):
         """A concrete draw of ``gen`` on each live lane of ``mask``, from
-        its own seed, recorded once for all lanes as the generator, the
-        iteration word they share and the mask; 0 on the other lanes."""
-
-        word = tuple(self.word)
-        mask = mask & self.live
-        self.draws.append((gen, word, mask))
-        return np.where(mask, self.values(gen, word), 0.0)
-
-    def values(self, gen: lang.Draw, word: tuple[int, ...]):
-        """The draw of ``gen`` at iteration word ``word`` on every lane."""
+        its own seed at the iteration word all lanes share; 0 on the other
+        lanes."""
 
         span = self.restriction.get(gen.site) if self.restriction else None
-        return lang.draw_value(lang.mix(self.seeds ^ lang.fold((gen.site, *word))), gen.kind, span)
+        bits = lang.mix(self.seeds ^ lang.fold((gen.site, *self.word)))
+        return np.where(mask & self.live, lang.draw_value(bits, gen.kind, span), 0.0)
 
     # -- expressions ------------------------------------------------------
 
@@ -494,55 +485,3 @@ def _definitely_empty(op: str, a, b):
     if op == "==":
         return empty | (np.maximum(alo, blo) > np.minimum(ahi, bhi))
     return empty | ((alo == ahi) & (ahi == blo) & (blo == bhi))  # !=
-
-
-def _intervals(kind: Kind, lo, hi) -> list[Interval]:
-    """The `Interval` of each lane: one object for every lane when all
-    their bounds agree bit for bit (so the sign of a zero is kept)."""
-
-    bits_lo, bits_hi = lo.view(np.int64), hi.view(np.int64)
-    if (bits_lo == bits_lo[0]).all() and (bits_hi == bits_hi[0]).all():
-        return [_interval(kind, lo[0].item(), hi[0].item())] * len(lo)
-    return [_interval(kind, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
-
-
-def _interval(kind: Kind, lo: float, hi: float) -> Interval:
-    if lo > hi:
-        return Interval.bottom(kind)
-    if kind is Kind.INT:  # finite INT bounds are Python ints, as in `intervals`
-        lo = int(lo) if lo != -_INF else lo
-        hi = int(hi) if hi != _INF else hi
-    return Interval(kind, lo, hi)
-
-
-def run_lanes(
-    program: lang.Program,
-    seeds: list[int],
-    config: TrialConfig | None = None,
-    restriction: dict[int, tuple[float, float]] | None = None,
-) -> list[TrialOutcome | None]:
-    """The outcome of the trial of each seed, as `interp.analyze_trial`
-    gives it, or None for a lane handed back to the scalar engine."""
-
-    array = np.array([seed & lang.M64 for seed in seeds], dtype=np.uint64)
-    batch = _Lanes(program, array, config or TrialConfig(), restriction)
-    env, hits = batch.run()
-    tables: list[dict] = [{} for _ in seeds]
-    for gen, word, mask in batch.draws:
-        drew = np.flatnonzero(mask)
-        for i, value in zip(drew.tolist(), batch.values(gen, word)[drew].tolist()):
-            tables[i][gen.site, word] = value
-    names = list(batch.kinds)
-    columns = [_intervals(batch.kinds[x], env.lo[r], env.hi[r]) for r, x in enumerate(names)]
-    lanes = zip(
-        tables, zip(*columns), env.reach.tolist(), hits.tolist(), batch.steps.tolist(),
-        batch.widened.tolist(), batch.aborted.tolist(), batch.handed_back.tolist(),
-    )
-    out: list[TrialOutcome | None] = []
-    for table, intervals, reach, hit, steps, widened, aborted, handed_back in lanes:
-        if handed_back:
-            out.append(None)
-            continue
-        final = None if aborted else AbstractEnv(dict(zip(names, intervals)) if reach else None)
-        out.append(TrialOutcome(int(hit), final, table, widened, aborted, steps))
-    return out

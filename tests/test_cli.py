@@ -144,6 +144,8 @@ def one_line_error(err):
         {"generators": {"1": {"lo": 0.1}}},
         {"generators": {"x": {"lo": 0.1, "hi": 0.2}}},
         {"generators": {"2": {"lo": "0.1", "hi": 0.2}}},
+        # a digit to str.isdigit, not a decimal ordinal to int()
+        {"generators": {"²": {"lo": 0.1, "hi": 0.2}}},
     ],
 )
 def test_analyze_malformed_restriction_exit_1(tmp_path, capsys, spec):
@@ -154,6 +156,15 @@ def test_analyze_malformed_restriction_exit_1(tmp_path, capsys, spec):
     )
     assert code == 1 and out == ""
     assert one_line_error(err) and "generators" in err
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--epsilon", "--jobs"])
+def test_analyze_bad_run_argument_prints_no_trace(capsys, flag):
+    code, out, err = run_cli(
+        capsys, "analyze", FIG1, "--trials", "10", "--jobs", "1", flag, "0", "--trace"
+    )
+    assert code == 1 and out == ""
+    assert one_line_error(err)
 
 
 def test_analyze_non_finite_real_literal_exit_2(tmp_path, capsys):

@@ -25,9 +25,8 @@ from absmc.concrete import ChoiceSource, NondetSpec, OracleError, oracle_estimat
 from absmc.estimator import derive_seed
 from absmc.interp import TrialConfig, analyze_trial
 from absmc.intervals import DomainError
-from absmc.lanes import run_lanes
 from absmc.lang import MAX_DEPTH, RELOPS, LangError, generator_sites, parse, to_source
-from helpers import summary
+from helpers import run_lanes, summary
 
 INTS = ("a", "b")
 REALS = ("u", "v")

@@ -15,9 +15,8 @@ from absmc.interp import (
     eval_loop,
     eval_stmt,
 )
-from absmc.lanes import run_lanes
 from absmc.lang import Kind, parse
-from helpers import pinned
+from helpers import pinned, run_lanes
 
 I = lambda lo, hi: Interval.make(Kind.INT, lo, hi)  # noqa: E731
 R = lambda lo, hi: Interval.make(Kind.REAL, lo, hi)  # noqa: E731

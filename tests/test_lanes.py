@@ -1,8 +1,9 @@
 """The lane engine against the scalar engine: the numeric edges of its
-interval arithmetic, the lanes it hands back to the scalar engine and
-the draws of a chunk's blocks."""
+interval arithmetic, the lanes it hands back to the scalar engine, the
+draws of a chunk's blocks and the memory a block keeps."""
 
 import itertools
+import tracemalloc
 import random
 import sys
 
@@ -12,9 +13,8 @@ import pytest
 from absmc import estimator, lanes, lang
 from absmc.interp import TrialConfig, analyze_trial
 from absmc.intervals import AbstractEnv, Interval, _mul_is_exact
-from absmc.lanes import run_lanes
 from absmc.lang import Kind, parse
-from helpers import summary
+from helpers import RecordingLanes, _intervals, run_lanes, summary
 
 INF = float("inf")
 MAX = sys.float_info.max
@@ -174,7 +174,7 @@ def _as_lanes(envs):
 
 
 def _from_lanes(env):
-    columns = [lanes._intervals(Kind.REAL, env.lo[r], env.hi[r]) for r in range(2)]
+    columns = [_intervals(Kind.REAL, env.lo[r], env.hi[r]) for r in range(2)]
     return [
         AbstractEnv(dict(zip("xy", ivs)) if reach else None)
         for reach, ivs in zip(env.reach.tolist(), zip(*columns))
@@ -307,7 +307,7 @@ def test_a_block_runs_only_the_trials_that_reach_a_uniform(monkeypatch):
     p = parse("int c; double u; c = coin_flip(); if (c == 1) { u = uniform(); } know (u > 0.5);")
     blocks = []
 
-    class Recording(lanes._Lanes):
+    class Recording(RecordingLanes):
         def __init__(self, *args):
             super().__init__(*args)
             blocks.append(self)
@@ -322,7 +322,28 @@ def test_a_block_runs_only_the_trials_that_reach_a_uniform(monkeypatch):
     assert 0 < sum(reached) < len(reached)
     assert len(blocks) == 5
     for k, block in enumerate(blocks):
-        (coin, _, everyone), (uniform, _, taken) = block.draws
+        (coin, _, everyone, _), (uniform, _, taken, _) = block.draws
         assert (coin.kind, uniform.kind) == (Kind.INT, Kind.REAL)
         assert everyone.all()
         assert taken.tolist() == reached[8 * k : 8 * k + 8]
+
+
+def test_block_memory_does_not_grow_with_its_draws():
+    # a block of 4,096 lanes drawing a coin per unrolled iteration keeps
+    # per-lane arrays after `run`, and nothing per draw
+    seeds = lang.mix(np.arange(4096, dtype=np.uint64))
+
+    def kept(iterations):
+        p = parse(
+            f"int x, i; i = 0; while (i < {iterations}) {{ x += coin_flip(); i++; }} know (x >= 4);"
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            block = lanes._Lanes(p, seeds, TrialConfig(), None)
+            block.run()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    assert kept(64) - kept(8) < 64 * 1024

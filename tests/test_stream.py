@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from absmc import lang
 from absmc.estimator import derive_seed
 from absmc.interp import analyze_trial
-from absmc.lanes import run_lanes
 from absmc.lang import Kind
-from helpers import summary
+from helpers import run_lanes, summary
 
 # upper 0.1% points of the chi-square distribution, by degrees of freedom
 CRITICAL = {1: 10.828, 3: 16.266, 15: 37.697}
