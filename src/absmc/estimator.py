@@ -22,11 +22,12 @@ of its draws.  Otherwise the other trials run as `lanes` blocks, whose
 hit, widened and aborted arrays the run sums; the scalar engine runs the
 lanes a block hands back.  Both engines give the same outcome.
 
-The probe and the first block run in the calling process, timed.  The
-trials left go to a process pool, one contiguous range per worker, only
-when their in-process time scaled from the first block's, T, exceeds the
-pool's fixed cost `POOL_COST_S` plus T shared among the workers; else
-they run in-process too.  Small runs thus start no pool.
+The probe and the first block run in the calling process, the block
+timed.  The trials left go to a process pool, one contiguous range per
+worker, only when their in-process time scaled from the first block's
+time per lane, T, exceeds the pool's fixed cost `POOL_COST_S` plus T
+shared among the workers; else they run in-process too.  Small runs
+thus start no pool.
 
 Rare-event sharpening: when every hit is known to draw its value at some
 generator site inside a sub-range R of the support, sampling that site
@@ -230,13 +231,12 @@ def _trial_chunk(args, workers: int = 1) -> tuple[int, int, int]:
     """Hits, widened trials and aborted trials among trials [start, stop):
     a probe on the scalar engine, then lane blocks of `BLOCK` seeds.
 
-    The probe and the first block run here, timed.  The other trials run
-    in a pool of ``workers`` processes only when that pays: when their
-    time in this process, scaled from the first block's, exceeds
-    `POOL_COST_S` plus that time shared among the workers."""
+    The probe and the first block run here.  The other trials run in a
+    pool of ``workers`` processes only when that pays: when their time in
+    this process, the first block's time per lane times their number,
+    exceeds `POOL_COST_S` plus that time shared among the workers."""
 
     program, config, restriction, master_seed, start, stop = args
-    started = time.perf_counter()
     probe = analyze_trial(program, derive_seed(master_seed, start), config, restriction=restriction)
     hits, widened, aborted = probe.hit, probe.widened_loops > 0, probe.aborted
     if not probe.table:
@@ -244,8 +244,11 @@ def _trial_chunk(args, workers: int = 1) -> tuple[int, int, int]:
         n = stop - start
         return hits * n, widened * n, aborted * n
     first = min(stop, start + 1 + BLOCK)
+    started = time.perf_counter()
     counts = [(hits, widened, aborted), _lane_counts((*args[:4], start + 1, first))]
-    rest = (time.perf_counter() - started) * (stop - first) / (first - start)
+    # an empty first block (a chunk of one trial) leaves nothing to run
+    lanes_run = first - start - 1
+    rest = (time.perf_counter() - started) * (stop - first) / lanes_run if lanes_run else 0.0
     if workers > 1 and rest > POOL_COST_S * workers / (workers - 1):
         from concurrent.futures import ProcessPoolExecutor
 

@@ -1,17 +1,24 @@
 """Batched interval trials: a batch of seeds run at once as numpy lanes.
 
 The same semantics as `interp` (the scalar engine, which stays the
-reference), evaluated for many trials at once.  Each variable is a pair
-of float64 ``lo``/``hi`` arrays with one lane per trial, and each
-environment carries a per-lane reachability mask; the empty interval is
-``[+inf, -inf]`` as in `intervals`.  A statement runs on the lanes that
-reach it: ``know`` and ``if`` filter the mask, both branches of an
-``if`` run on the lanes where they are reachable (``then`` first, so
-each lane draws in the scalar order) and are joined.  Loops unroll with
-per-lane enter and leave masks under one iteration word shared by all
-lanes, then every lane that reaches the fixpoint iterates it with its
-own join count and widened flag until it is stable; fixpoints draw
+reference), evaluated for many trials at once.  An environment is one
+float64 array of bounds shaped (2, variables, lanes), lower bounds over
+upper bounds with one lane per trial, and a per-lane reachability mask;
+an expression's value is a (2, lanes) array of its bounds, (2, 1) for a
+constant, so each operation runs once for both bounds.  The empty
+interval is ``[+inf, -inf]`` as in `intervals`.  A statement runs on the
+lanes that reach it: ``know`` and ``if`` filter the mask, both branches
+of an ``if`` run on the lanes where they are reachable (``then`` first,
+so each lane draws in the scalar order) and are joined.  Loops unroll
+with per-lane enter and leave masks under one iteration word shared by
+all lanes, then every lane that reaches the fixpoint iterates it with
+its own join count and widened flag until it is stable; fixpoints draw
 nothing, so lanes need not agree on when they stop.
+
+A block resolves what it needs of each expression node once, when it is
+built (`_Lanes.plan`), and a mask that keeps every lane, or none, costs
+no array work: a select returns one side as it is, and while every lane
+is live no mask is narrowed to the live lanes.
 
 A draw is one uint64 expression over the seed array, the `lang` rule
 ``lang.draw_value(lang.mix(seeds ^ lang.fold((site, *word))))``; the
@@ -49,87 +56,120 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 # nonzero factors of a REAL product inside this magnitude range split
 # without overflow and leave an error term above the subnormal range
 _PRODUCT_RANGE = (2.0**-480, 2.0**480)
-_ZERO = np.float64(0.0)
+
+# Per bound of a value, lower over upper: the direction it rounds and
+# widens to, and a step inward by one; the `_ENV_` forms are shaped for an
+# environment's (2, variables, lanes)
+_TOWARD = np.array([[-_INF], [_INF]])
+_INWARD = np.array([[1.0], [-1.0]])
+_EMPTY = -_TOWARD  # the canonical empty interval
+_ENV_TOWARD, _ENV_EMPTY = _TOWARD[:, None], _EMPTY[:, None]
 
 
 class _Env:
-    """Per-lane abstract environments: ``reach`` (lanes) and ``lo``/``hi``
-    (variables by lanes).  Values of unreachable lanes mean nothing."""
+    """Per-lane abstract environments: ``reach`` (lanes) and ``bounds``
+    (2, variables, lanes), lower bounds over upper bounds.  Values of
+    unreachable lanes mean nothing."""
 
-    __slots__ = ("reach", "lo", "hi")
+    __slots__ = ("reach", "bounds")
 
-    def __init__(self, reach, lo, hi):
+    def __init__(self, reach, bounds):
         self.reach = reach
-        self.lo = lo
-        self.hi = hi
+        self.bounds = bounds
 
     def only(self, mask) -> _Env:
-        return _Env(self.reach & mask, self.lo, self.hi)
+        return _Env(self.reach & mask, self.bounds)
 
 
 def _select(mask, a: _Env, b: _Env) -> _Env:
-    """``a`` on the lanes of ``mask``, ``b`` elsewhere."""
+    """``a`` on the lanes of ``mask``, ``b`` elsewhere: one of them itself
+    when ``mask`` keeps every lane or none, so no caller writes into an
+    environment's arrays."""
 
-    return _Env(
-        np.where(mask, a.reach, b.reach), np.where(mask, a.lo, b.lo), np.where(mask, a.hi, b.hi)
-    )
+    count = np.count_nonzero(mask)
+    if count == 0:
+        return b
+    if count == mask.size:
+        return a
+    return _Env(np.where(mask, a.reach, b.reach), np.where(mask, a.bounds, b.bounds))
 
 
-def _min(x, y):
-    # Python's min(x, y) is y only when y < x, so a tie keeps x's zero sign,
-    # where np.minimum(0.0, -0.0) is -0.0
-    return np.where(y < x, y, x)
+def _constant(lo, hi):
+    """The bounds ``[lo, hi]`` of a constant, (2, 1) for every lane: a
+    block's constants copied to its width made the allocator fault in
+    fresh pages on every 4,096-lane block."""
+
+    return np.array([[lo], [hi]], dtype=np.float64)
 
 
-def _max(x, y):
-    return np.where(y > x, y, x)
+def _empty(x):
+    """Whether each interval of the bounds ``x`` is empty."""
+
+    return x[0] > x[1]
+
+
+def _keep(reach, empty):
+    """The lanes of ``reach`` outside ``empty``: ``reach`` itself when
+    ``empty`` holds no lane."""
+
+    return reach & ~empty if np.count_nonzero(empty) else reach
+
+
+def _beyond(x, y):
+    """Whether each bound of ``x`` lies outside ``y``'s: below it for lower
+    bounds, above it for upper bounds."""
+
+    out = x < y
+    np.greater(x[1], y[1], out=out[1])
+    return out
 
 
 def _join(a: _Env, b: _Env) -> _Env:
-    # the canonical empty interval [inf, -inf] joins to the other side
-    lo, hi = _min(a.lo, b.lo), _max(a.hi, b.hi)
-    only_a, only_b = ~b.reach, ~a.reach
-    lo = np.where(only_b, b.lo, np.where(only_a, a.lo, lo))
-    hi = np.where(only_b, b.hi, np.where(only_a, a.hi, hi))
-    return _Env(a.reach | b.reach, lo, hi)
+    # Python's min(x, y) is y only when y < x, so a tie keeps a's zero sign,
+    # where np.minimum(0.0, -0.0) is -0.0; the canonical empty interval
+    # [inf, -inf] joins to the other side, and so does an unreachable
+    # environment
+    bounds = np.where(_beyond(b.bounds, a.bounds), b.bounds, a.bounds)
+    return _select(a.reach, _select(b.reach, _Env(a.reach | b.reach, bounds), a), b)
 
 
 def _widen(a: _Env, b: _Env) -> _Env:
-    lo = np.where(b.lo >= a.lo, a.lo, -_INF)
-    hi = np.where(b.hi <= a.hi, a.hi, _INF)
+    # a bound that b keeps inside a's stays, one that it passes goes to infinity
+    within = b.bounds >= a.bounds
+    np.less_equal(b.bounds[1], a.bounds[1], out=within[1])
+    bounds = np.where(within, a.bounds, _ENV_TOWARD)
     # an empty interval widens to the other side, and so does an
     # unreachable environment, first
-    a_empty, b_empty = a.lo > a.hi, b.lo > b.hi
-    lo = np.where(a_empty, b.lo, np.where(b_empty, a.lo, lo))
-    hi = np.where(a_empty, b.hi, np.where(b_empty, a.hi, hi))
-    lo = np.where(a.reach, np.where(b.reach, lo, a.lo), b.lo)
-    hi = np.where(a.reach, np.where(b.reach, hi, a.hi), b.hi)
-    return _Env(a.reach | b.reach, lo, hi)
+    a_empty, b_empty = _empty(a.bounds), _empty(b.bounds)
+    bounds = np.where(a_empty, b.bounds, np.where(b_empty, a.bounds, bounds))
+    return _select(a.reach, _select(b.reach, _Env(a.reach | b.reach, bounds), a), b)
 
 
 def _narrow(a: _Env, b: _Env) -> _Env:
-    lo = np.where(a.lo == -_INF, b.lo, a.lo)
-    hi = np.where(a.hi == _INF, b.hi, a.hi)
-    empty = (a.lo > a.hi) | (b.lo > b.hi) | (lo > hi)
-    return _Env(a.reach & b.reach, np.where(empty, _INF, lo), np.where(empty, -_INF, hi))
+    bounds = np.where(a.bounds == _ENV_TOWARD, b.bounds, a.bounds)
+    empty = _empty(a.bounds) | _empty(b.bounds) | _empty(bounds)
+    return _Env(a.reach & b.reach, np.where(empty, _ENV_EMPTY, bounds))
 
 
 def _equal(a: _Env, b: _Env):
-    same = (a.lo == b.lo).all(axis=0) & (a.hi == b.hi).all(axis=0)
+    same = (a.bounds == b.bounds).all(axis=(0, 1))
     return (a.reach == b.reach) & (~a.reach | same)
 
 
-def _outward(r, a, b, toward: float, exact):
-    """`intervals._outward` on lanes: ``r``, the rounded sum or product of
-    ``a`` and ``b``, one ulp toward ``toward`` unless ``exact``; an
-    overflow away from ``toward`` of finite operands stops at the largest
-    finite double."""
+def _outward(r, a, b, exact):
+    """`intervals._outward` on lanes: the bounds ``r``, the rounded sum or
+    product of ``a`` and ``b``, each one ulp outward unless ``exact``; an
+    overflow inward of finite operands stops at the largest finite
+    double."""
 
-    out = np.where(exact, r, np.nextafter(r, toward))
-    if np.isfinite(r).all():
+    if np.count_nonzero(exact) == exact.size:
+        return r  # an exact sum or product is finite
+    out = np.where(exact, r, np.nextafter(r, _TOWARD))
+    infinite = np.isinf(r)
+    if not np.count_nonzero(infinite):
         return out
-    keep = (r == toward) | np.isinf(a) | np.isinf(b)
-    return np.where(np.isinf(r), np.where(keep, r, np.copysign(_MAX, r)), out)
+    keep = (r == _TOWARD) | np.isinf(a) | np.isinf(b)
+    return np.where(infinite, np.where(keep, r, np.copysign(_MAX, r)), out)
 
 
 def _split(a):
@@ -174,47 +214,93 @@ class _Lanes:
         self.ceiling = 0  # no live lane has taken more steps than this
         self.widened = np.zeros(n, dtype=np.int64)
         self.live = np.ones(n, dtype=bool)
+        self.all_live = True  # no lane aborted or went back yet
         self.aborted = np.zeros(n, dtype=bool)
         self.handed_back = np.zeros(n, dtype=bool)
         self.word: list[int] = []
+        # what `expr` needs of each expression node, by id: see `_plan`
+        self.plan: dict[int, object] = {}
+        for s in lang.iter_stmts(program.body):
+            self._plan(s.expr if isinstance(s, lang.Assign) else s.cond)
+        self._plan(program.outcome)
+
+    def _plan(self, node: lang.Expr) -> Kind:
+        """Record the facts of ``node`` and the nodes under it in `plan`: a
+        variable's row, a literal's bounds (None for an INT past 2**53), a
+        generator's full range, an operator's kind, and for a product its
+        kind and coefficient (None when the coefficient leaves the domain).
+        The kind of ``node``: a variable's, a leaf's, or an operator's right
+        operand's."""
+
+        if isinstance(node, lang.Var):
+            self.plan[id(node)] = self.row[node.name]
+            return self.kinds[node.name]
+        if isinstance(node, lang.Lit):
+            inside = node.kind is Kind.REAL or abs(node.value) < _EXACT_INT
+            self.plan[id(node)] = _constant(node.value, node.value) if inside else None
+            return node.kind
+        if isinstance(node, lang.Draw):
+            full = GENERATOR_RANGE[node.kind]
+            self.plan[id(node)] = _constant(full.lo, full.hi)
+            return node.kind
+        self._plan(node.left)
+        kind = self._plan(node.right)
+        if node.op != "*":
+            self.plan[id(node)] = kind
+            return kind
+        c = node.left.value  # the left is the literal coefficient
+        if kind is Kind.INT:
+            inside = abs(c) < _EXACT_INT
+        else:
+            inside = not _outside_product_range(float(c))
+        self.plan[id(node)] = (kind, float(c) if inside else None)
+        return kind
 
     # -- bookkeeping ------------------------------------------------------
+
+    def _live(self, mask):
+        """The live lanes of ``mask``: ``mask`` itself while every lane is."""
+
+        return mask if self.all_live else mask & self.live
 
     def tick(self, mask):
         """One step on the live lanes of ``mask``; those it takes past the
         step budget abort.  The lanes still running."""
 
-        mask = mask & self.live
+        mask = self._live(mask)
         self.steps += mask
         self.ceiling += 1
         budget = self.config.step_budget
         if self.ceiling > budget:
             over = mask & (self.steps > budget)
-            self.aborted |= over
-            self.live &= ~over
-            mask &= ~over
+            if np.count_nonzero(over):
+                self.aborted |= over
+                self.live &= ~over
+                self.all_live = False
+                mask = mask & ~over
             self.ceiling = int(self.steps.max(where=self.live, initial=0))
         return mask
 
     def hand_back(self, bad) -> None:
         """Leave the lanes of ``bad`` to the scalar engine."""
 
-        bad = bad & self.live
-        self.handed_back |= bad
-        self.live &= ~bad
+        bad = self._live(bad)
+        if np.count_nonzero(bad):
+            self.handed_back |= bad
+            self.live &= ~bad
+            self.all_live = False
 
-    def check(self, kind: Kind, lo, hi, mask) -> None:
-        """Hand back the lanes of ``mask`` whose result left the domain: an
-        INT bound of magnitude 2**53 or more, or a NaN."""
+    def check(self, kind: Kind, r, mask) -> None:
+        """Hand back the lanes of ``mask`` whose bounds ``r`` left the
+        domain: an INT bound of magnitude 2**53 or more, or a NaN."""
 
         if kind is Kind.INT:
-            bad = (np.abs(lo) >= _EXACT_INT) & np.isfinite(lo)
-            bad |= (np.abs(hi) >= _EXACT_INT) & np.isfinite(hi)
+            magnitude = np.abs(r)
+            bad = (magnitude >= _EXACT_INT) & (magnitude < _INF)
         else:
-            bad = np.isnan(lo) | np.isnan(hi)
-        bad = mask & bad
-        if bad.any():
-            self.hand_back(bad)
+            bad = np.isnan(r)
+        if np.count_nonzero(bad):
+            self.hand_back(mask & (bad[0] | bad[1]))
 
     def draw(self, gen: lang.Draw, mask):
         """A concrete draw of ``gen`` on each live lane of ``mask``, from
@@ -223,78 +309,69 @@ class _Lanes:
 
         span = self.restriction.get(gen.site) if self.restriction else None
         bits = lang.mix(self.seeds ^ lang.fold((gen.site, *self.word)))
-        return np.where(mask & self.live, lang.draw_value(bits, gen.kind, span), 0.0)
+        return np.where(self._live(mask), lang.draw_value(bits, gen.kind, span), 0.0)
 
     # -- expressions ------------------------------------------------------
 
     def expr(self, node: lang.Expr, env: _Env, mask, draws: bool):
-        """``(lo, hi)`` of an expression on every lane; generators draw on
+        """The bounds of an expression on every lane; generators draw on
         the lanes of ``mask`` when ``draws``, else take their full range."""
 
         if isinstance(node, lang.Var):
-            r = self.row[node.name]
-            return env.lo[r], env.hi[r]
+            return env.bounds[:, self.plan[id(node)]]
         if isinstance(node, lang.Lit):
-            if node.kind is Kind.INT and abs(node.value) >= _EXACT_INT:
+            value = self.plan[id(node)]
+            if value is None:
                 self.hand_back(mask)
-                return _ZERO, _ZERO
-            value = np.float64(node.value)  # numpy scalars compare to numpy bools
-            return value, value
+                return _constant(0.0, 0.0)
+            return value
         if isinstance(node, lang.Draw):
             if not draws:
-                full = GENERATOR_RANGE[node.kind]
-                return np.float64(full.lo), np.float64(full.hi)
+                return self.plan[id(node)]
             value = self.draw(node, mask)
-            return value, value
-        kind = self._kind(node)
-        if node.op == "*":  # the left is the literal coefficient
-            return self.scale(kind, self.expr(node.right, env, mask, draws), node.left.value, mask)
+            return np.array((value, value))
+        if node.op == "*":
+            kind, c = self.plan[id(node)]
+            return self.scale(kind, self.expr(node.right, env, mask, draws), c, mask)
         a = self.expr(node.left, env, mask, draws)
-        blo, bhi = self.expr(node.right, env, mask, draws)
+        b = self.expr(node.right, env, mask, draws)
         if node.op == "-":
-            blo, bhi = -bhi, -blo
-        return self.add(kind, a, (blo, bhi), mask)
-
-    def _kind(self, node: lang.Expr) -> Kind:
-        while isinstance(node, lang.Binary):
-            node = node.right
-        return self.kinds[node.name] if isinstance(node, lang.Var) else node.kind
+            b = -b[::-1]
+        return self.add(self.plan[id(node)], a, b, mask)
 
     def add(self, kind: Kind, a, b, mask):
-        (alo, ahi), (blo, bhi) = a, b
-        lo, hi = alo + blo, ahi + bhi
+        r = a + b
         if kind is Kind.REAL:
-            lo = _outward(lo, alo, blo, -_INF, _sum_is_exact(alo, blo, lo))
-            hi = _outward(hi, ahi, bhi, _INF, _sum_is_exact(ahi, bhi, hi))
-        return self._result(kind, (alo > ahi) | (blo > bhi), lo, hi, mask)
+            r = _outward(r, a, b, _sum_is_exact(a, b, r))
+        return self._result(kind, _empty(a) | _empty(b), r, mask)
 
-    def scale(self, kind: Kind, a, coeff, mask):
-        alo, ahi = a
-        empty = alo > ahi
-        if coeff == 0:
-            return self._result(kind, empty, float(coeff), float(coeff), mask)
-        if kind is Kind.INT:
-            if abs(coeff) >= _EXACT_INT:
-                self.hand_back(mask)
-                return a
-            p, q = coeff * alo, coeff * ahi
-            return self._result(kind, empty, _min(p, q), _max(p, q), mask)
-        c = float(coeff)
-        if _outside_product_range(c):
+    def scale(self, kind: Kind, a, c, mask):
+        """``c * a`` for a literal coefficient ``c``, None when it leaves
+        the domain."""
+
+        if c is None:
             self.hand_back(mask)
             return a
-        xlo, xhi = (alo, ahi) if c > 0 else (ahi, alo)
-        self.hand_back(mask & ~empty & (_outside_product_range(xlo) | _outside_product_range(xhi)))
-        plo, phi = c * xlo, c * xhi
-        lo = _outward(plo, c, xlo, -_INF, _product_is_exact(c, xlo, plo))
-        hi = _outward(phi, c, xhi, _INF, _product_is_exact(c, xhi, phi))
-        return self._result(kind, empty, lo, hi, mask)
+        empty = _empty(a)
+        if c == 0:
+            return self._result(kind, empty, _constant(c, c), mask)
+        if kind is Kind.INT:
+            # Python's min and max of the two products: the first on a tie
+            p = c * a
+            r = np.where(np.array((p[1] < p[0], p[1] > p[0])), p[1], p[0])
+            return self._result(kind, empty, r, mask)
+        x = a if c > 0 else a[::-1]
+        outside = _outside_product_range(x)
+        self.hand_back(mask & ~empty & (outside[0] | outside[1]))
+        p = c * x
+        return self._result(kind, empty, _outward(p, c, x, _product_is_exact(c, x, p)), mask)
 
-    def _result(self, kind: Kind, empty, lo, hi, mask):
-        empty = empty | (lo > hi)
-        lo, hi = np.where(empty, _INF, lo), np.where(empty, -_INF, hi)
-        self.check(kind, lo, hi, mask)
-        return lo, hi
+    def _result(self, kind: Kind, empty, r, mask):
+        empty = empty | _empty(r)
+        if np.count_nonzero(empty):
+            r = np.where(empty, _EMPTY, r)
+        self.check(kind, r, mask)
+        return r
 
     # -- guards -----------------------------------------------------------
 
@@ -313,60 +390,48 @@ class _Lanes:
         mask = mask & env.reach
         a = self.expr(left, env, mask, False)
         b = self.expr(right, env, mask, False)
-        out = _Env(env.reach & ~_definitely_empty(op, a, b), env.lo, env.hi)
+        out = _Env(_keep(env.reach, _definitely_empty(op, a, b)), env.bounds)
+        if not np.count_nonzero(out.reach):
+            return out
         if isinstance(left, lang.Var):
-            out = self._refine_var(out, left.name, op, b, mask)
+            out = self._refine_var(out, left, op, b, mask)
         if isinstance(right, lang.Var):
-            out = self._refine_var(out, right.name, _MIRROR[op], a, mask)
+            out = self._refine_var(out, right, _MIRROR[op], a, mask)
         return out
 
-    def _refine_var(self, env: _Env, name: str, op: str, b, mask) -> _Env:
-        r = self.row[name]
-        kind = self.kinds[name]
-        mask = mask & env.reach
-        cur_lo, cur_hi = env.lo[r], env.hi[r]
-        blo, bhi = b
-        if op == "!=":
-            if kind is not Kind.INT:
-                return env
-            single = blo == bhi  # never true of the empty interval
-            lo = np.where(single & (cur_lo == blo), cur_lo + 1, cur_lo)
-            hi = np.where(single & (cur_hi == blo), cur_hi - 1, cur_hi)
-            self.check(kind, lo, hi, mask)
-            empty = lo > hi
-        else:
-            clo, chi = self._constraint(op, blo, bhi, kind, mask)
-            lo, hi = _max(cur_lo, clo), _min(cur_hi, chi)
-            empty = (cur_lo > cur_hi) | (lo > hi)
-        new_lo, new_hi = env.lo.copy(), env.hi.copy()
-        new_lo[r], new_hi[r] = lo, hi
-        return _Env(env.reach & ~empty, new_lo, new_hi)
-
-    def _constraint(self, op: str, blo, bhi, kind: Kind, mask):
-        """`intervals._constraint`: the values ``x`` with ``x op b`` for
-        some value of b, strict REAL comparisons weakened to closed."""
-
+    def _refine_var(self, env: _Env, var: lang.Var, op: str, b, mask) -> _Env:
+        kind = self.kinds[var.name]
         integral = kind is Kind.INT
-        if op == "<":
-            hi = np.where(bhi != _INF, bhi - 1, bhi) if integral else bhi
-            self.check(kind, -_INF, hi, mask)
-            return -_INF, hi
-        if op == "<=":
-            return -_INF, bhi
-        if op == ">":
-            lo = np.where(blo != -_INF, blo + 1, blo) if integral else blo
-            self.check(kind, lo, _INF, mask)
-            return lo, _INF
-        if op == ">=":
-            return blo, _INF
-        return blo, bhi  # ==
+        if op == "!=" and not integral:
+            return env
+        r = self.plan[id(var)]
+        cur = env.bounds[:, r]
+        if op == "!=":
+            # an endpoint equal to b's single value moves inward by one;
+            # b is never a single value when it is empty
+            cut = (b[0] == b[1]) & (cur == b[0])
+            new = np.where(cut, cur + _INWARD, cur)
+            self.check(kind, new, mask & env.reach)
+            empty = _empty(new)
+        else:
+            c = _constraint(op, b, integral)
+            if integral and op in ("<", ">"):  # the one case that moves a bound of b
+                self.check(kind, c, mask & env.reach)
+            tighter = _beyond(cur, c)  # where c's bound lies inside cur's
+            if not np.count_nonzero(tighter):
+                return _Env(_keep(env.reach, _empty(cur)), env.bounds)
+            new = np.where(tighter, c, cur)  # Python's max and min: cur on a tie
+            empty = _empty(cur) | _empty(new)
+        bounds = env.bounds.copy()
+        bounds[:, r] = new
+        return _Env(_keep(env.reach, empty), bounds)
 
     # -- statements -------------------------------------------------------
 
     def block(self, stmts, env: _Env, fixing: bool) -> _Env:
         for s in stmts:
-            mask = env.reach & self.live
-            if not mask.any():
+            mask = self._live(env.reach)
+            if not np.count_nonzero(mask):
                 break
             env = self.stmt(s, env, mask, fixing)
         return env
@@ -374,11 +439,10 @@ class _Lanes:
     def stmt(self, s: lang.Stmt, env: _Env, mask, fixing: bool) -> _Env:
         mask = self.tick(mask)
         if isinstance(s, lang.Assign):
-            lo, hi = self.expr(s.expr, env, mask, not fixing)
-            r = self.row[s.name]
-            new_lo, new_hi = env.lo.copy(), env.hi.copy()
-            new_lo[r], new_hi[r] = lo, hi
-            return _Env(env.reach & ~(new_lo[r] > new_hi[r]), new_lo, new_hi)
+            value = self.expr(s.expr, env, mask, not fixing)
+            bounds = env.bounds.copy()
+            bounds[:, self.row[s.name]] = value
+            return _Env(_keep(env.reach, _empty(value)), bounds)
         if isinstance(s, lang.Know):
             return self.filter(env, s.cond, True, mask)
         if isinstance(s, lang.If):
@@ -399,7 +463,7 @@ class _Lanes:
             self.word.append(1)
             for _ in range(self.config.unroll_limit):
                 run = self.tick(run)
-                if not run.any():
+                if not np.count_nonzero(run):
                     break
                 enter = self.filter(env, s.cond, True, run)
                 leave = self.filter(env, s.cond, False, run)
@@ -408,14 +472,14 @@ class _Lanes:
                 fix_env = _select(undecided, env, fix_env)
                 fix_mask |= undecided
                 run = run & enter.reach & ~leave.reach
-                if not run.any():
+                if not np.count_nonzero(run):
                     break
                 env = self.block(s.body, enter.only(run), False)
                 self.word[-1] += 1
             self.word.pop()
             fix_env = _select(run, env, fix_env)
             fix_mask |= run
-        if fix_mask.any():
+        if np.count_nonzero(fix_mask):
             out = _select(fix_mask, self.fixpoint(s, fix_env, fix_mask), out)
         return out
 
@@ -433,7 +497,7 @@ class _Lanes:
         joins = 0
         while True:
             run = self.tick(run)
-            if not run.any():
+            if not np.count_nonzero(run):
                 break
             nxt = _join(acc, step(acc, run))
             run = run & ~_equal(nxt, acc)
@@ -446,13 +510,13 @@ class _Lanes:
         run = mask
         for _ in range(self.config.narrowing_passes):
             run = self.tick(run)
-            if not run.any():
+            if not np.count_nonzero(run):
                 break
             nacc = _narrow(acc, _join(env, step(acc, run)))
             run = run & ~_equal(nacc, acc)
             acc = _select(run, nacc, acc)
-        self.widened += widened & self.live
-        return self.filter(acc, s.cond, False, mask & self.live)
+        self.widened += self._live(widened)
+        return self.filter(acc, s.cond, False, self._live(mask))
 
     # -- trials -----------------------------------------------------------
 
@@ -461,18 +525,38 @@ class _Lanes:
         outcome is possible, every aborted lane among them and no lane
         handed back."""
 
-        shape = (len(self.kinds), self.n)
-        env = _Env(np.ones(self.n, dtype=bool), np.full(shape, -_INF), np.full(shape, _INF))
+        bounds = np.empty((2, len(self.kinds), self.n))
+        bounds[0], bounds[1] = -_INF, _INF
+        env = _Env(np.ones(self.n, dtype=bool), bounds)
         with np.errstate(all="ignore"):
             env = self.block(self.program.body, env, False)
-            hits = self.filter(env, self.program.outcome, True, env.reach & self.live).reach
-        return env, (hits & self.live) | self.aborted
+            hits = self.filter(env, self.program.outcome, True, self._live(env.reach)).reach
+        return env, self._live(hits) | self.aborted
+
+
+def _constraint(op: str, b, integral: bool):
+    """`intervals._constraint`: the bounds of the values ``x`` with
+    ``x op b`` for some value of b, strict REAL comparisons weakened to
+    closed."""
+
+    if op == "==":
+        return b
+    c = b.copy()
+    if op[0] == "<":
+        c[0] = -_INF
+        if op == "<" and integral:
+            c[1] = np.where(c[1] != _INF, c[1] - 1, c[1])
+    else:
+        c[1] = _INF
+        if op == ">" and integral:
+            c[0] = np.where(c[0] != -_INF, c[0] + 1, c[0])
+    return c
 
 
 def _definitely_empty(op: str, a, b):
     """`intervals._definitely_empty` on lanes."""
 
-    (alo, ahi), (blo, bhi) = a, b
+    alo, ahi, blo, bhi = a[0], a[1], b[0], b[1]
     empty = (alo > ahi) | (blo > bhi)
     if op == "<":
         return empty | (alo >= bhi)

@@ -75,7 +75,8 @@ def run_lanes(program, seeds, config=None, restriction=None):
         for i, value in zip(drew.tolist(), values[drew].tolist()):
             tables[i][gen.site, word] = value
     names = list(batch.kinds)
-    columns = [_intervals(batch.kinds[x], env.lo[r], env.hi[r]) for r, x in enumerate(names)]
+    lo, hi = env.bounds
+    columns = [_intervals(batch.kinds[x], lo[r], hi[r]) for r, x in enumerate(names)]
     rows = zip(
         tables, zip(*columns), env.reach.tolist(), hits.tolist(), batch.steps.tolist(),
         batch.widened.tolist(), batch.aborted.tolist(), batch.handed_back.tolist(),

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import time
 
 import numpy as np
 import pytest
@@ -224,6 +225,25 @@ def test_the_pool_maps_the_trials_after_the_first_block(figs, monkeypatch, inlin
     assert engines["scalar"] == [derive_seed(6, 0)]
     assert [len(b) for b in engines["blocks"]] == [first - 1, 1967, 1968, 1968]
     assert _without_timing(pooled) == _without_timing(run(figs["fig3"], n, 0.01, master_seed=6))
+
+
+def test_a_slow_probe_does_not_start_a_pool(figs, monkeypatch, inline_pools):
+    # T scales from the first lane block alone: a probe of 50 ms scaled
+    # with it to the 5,903 trials left would read over 72 ms, past the
+    # 60 ms at which a pool of 2 pays
+    real, probe = estimator.analyze_trial, derive_seed(4, 0)
+
+    def slow_probe(program, seed, *args, **kwargs):
+        if seed == probe:
+            time.sleep(0.05)
+        return real(program, seed, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "analyze_trial", slow_probe)
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: 2)
+    pooled = run(figs["fig3"], 10_000, 0.01, master_seed=4, jobs=2)
+    assert inline_pools == []
+    inline = run(figs["fig3"], 10_000, 0.01, master_seed=4)
+    assert _without_timing(pooled) == _without_timing(inline)
 
 
 @pytest.mark.parametrize("cost", [estimator.POOL_COST_S, 0.0], ids=["in-process", "pooled"])

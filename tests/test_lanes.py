@@ -126,6 +126,21 @@ def test_join_and_meet_keep_the_scalar_zero_sign(source, rendered):
         assert rendered in out.env.render()
 
 
+def test_zero_signs_keep_through_selects_and_joins_of_lanes_apart():
+    # lanes leave the unrolled loop after one or two iterations with either
+    # zero, so its selects take partial masks; the last branch is reachable
+    # both ways, so its join meets each lane's zero against 0.0 and keeps
+    # the first, as Python's min and max do
+    source = (
+        "double x, u, i, m, y; know (y >= 0.0 && y <= 1.0); u = uniform();"
+        " if (u < 0.5) { x = -0.0; m = 2.0; } else { x = 0.0; m = 1.0; } i = 0.0;"
+        " while (i < m) { u = uniform(); if (u < 0.5) { x = -0.0; } else { x = 0.0; }"
+        " i = i + 1.0; } if (y < 0.5) { x = x; } else { x = 0.0 - x; } know (x <= 0.0);"
+    )
+    finals = {out.env.render().split(" u=")[0] for out in _lanes_equal_scalar(source)}
+    assert finals == {"x=[-0.0, -0.0]", "x=[0.0, 0.0]"}
+
+
 @pytest.mark.parametrize(
     "ranges, rendered",
     [
@@ -168,13 +183,13 @@ def _as_lanes(envs):
 
     reach = np.array([not e.is_bottom() for e in envs])
     ivs = [e.values or {"x": Interval.top(Kind.REAL), "y": Interval.top(Kind.REAL)} for e in envs]
-    lo = np.array([[iv[name].lo for iv in ivs] for name in ("x", "y")], dtype=float)
-    hi = np.array([[iv[name].hi for iv in ivs] for name in ("x", "y")], dtype=float)
-    return lanes._Env(reach, lo, hi)
+    bounds = [[[getattr(iv[name], side) for iv in ivs] for name in "xy"] for side in ("lo", "hi")]
+    return lanes._Env(reach, np.array(bounds, dtype=float))
 
 
 def _from_lanes(env):
-    columns = [_intervals(Kind.REAL, env.lo[r], env.hi[r]) for r in range(2)]
+    lo, hi = env.bounds
+    columns = [_intervals(Kind.REAL, lo[r], hi[r]) for r in range(2)]
     return [
         AbstractEnv(dict(zip("xy", ivs)) if reach else None)
         for reach, ivs in zip(env.reach.tolist(), zip(*columns))
@@ -287,6 +302,37 @@ def test_a_chunk_runs_handed_back_trials_on_the_scalar_engine(engines):
     # the probe, then each lane that went back, in order: the hits after the probe
     back = [estimator.derive_seed(5, i) for i in range(1, 40) if outs[i].hit]
     assert engines["scalar"] == [estimator.derive_seed(5, 0), *back]
+
+
+MIXED_FATES = (
+    # a lane whose u falls below 0.01 takes k to 2**53 and goes back to the
+    # scalar engine; one whose u passes 0.5 often runs past the step budget
+    "int k, i; double u, v; k = 4503599627370496 + 4503599627370495; i = 0;"
+    " while (i < 12) { u = uniform(); if (u < 0.01) { k = k + 1; }"
+    " if (u > 0.5) { v = uniform(); v = v + 1.0; v = v + 1.0; } i++; } know (k > 0);"
+)
+
+
+@pytest.mark.parametrize("width", [1, 2, 49, 4096])
+def test_lanes_of_mixed_fates_in_one_loop_match_scalar_trials(width):
+    # one or two lanes see only whole or empty masks; wider blocks lose
+    # lanes to hand-backs and aborts at different iterations of the loop
+    p = parse(MIXED_FATES)
+    config = TrialConfig(step_budget=85)
+    outs = run_lanes(p, range(width), config)
+    u_site = lang.generator_sites(p)[0].site
+    fates = set()
+    for seed in range(0, width, 8 if width > 64 else 1):  # every 8th lane of the widest block
+        scalar = analyze_trial(p, seed, config)
+        lane = outs[seed]
+        if lane is None:
+            fates.add("handed back")
+            assert min(v for (site, _), v in scalar.table.items() if site == u_site) < 0.01
+        else:
+            fates.add("aborted" if lane.aborted else "finished")
+            assert summary(lane) == summary(scalar)
+    if width >= 49:
+        assert fates == {"handed back", "aborted", "finished"}
 
 
 def test_a_lane_aborts_at_the_step_budget():
