@@ -200,12 +200,18 @@ def _cmd_curves(args) -> int:
         if args.alpha * args.t_max >= 1 or args.alpha <= 0:
             raise _UsageError("alpha * t must stay inside (0, 1)")
         ratio = args.t_max / args.t_min
-        rows = []  # all planned before printing, so an error prints no table
-        for k in range(args.points):
+
+        def row(k: int) -> str:
             t = args.t_min * ratio ** (k / (args.points - 1))
             eps = args.alpha * t
-            rows.append(f"{t!r},{eps!r},{estimator.plan_trials(t, eps)}")
-        print("t,epsilon,n", *rows, sep="\n")
+            return f"{t!r},{eps!r},{estimator.plan_trials(t, eps)}"
+
+        # row 0 has the largest n and the last row the largest t and epsilon,
+        # so any error shows there: both run before the header, and no table prints
+        row(args.points - 1)
+        print("t,epsilon,n", row(0), sep="\n")
+        for k in range(1, args.points):
+            print(row(k))
     else:
         if not 0 < args.t <= 1:
             raise _UsageError("need 0 < --t <= 1")
@@ -213,13 +219,12 @@ def _cmd_curves(args) -> int:
             raise _UsageError("need 1 <= --n-min < --n-max")
         print("n,p_exceed")
         ratio = args.n_max / args.n_min
-        seen = set()
+        printed = None  # n never decreases, so a repeat follows its first row
         for k in range(args.points):
             n = round(args.n_min * ratio ** (k / (args.points - 1)))
-            if n in seen:
-                continue
-            seen.add(n)
-            print(f"{n},{math.exp(-2.0 * n * args.t * args.t)!r}")
+            if n != printed:
+                printed = n
+                print(f"{n},{math.exp(-2.0 * n * args.t * args.t)!r}")
     return 0
 
 

@@ -12,8 +12,9 @@ for a target margin t: n = ceil(ln(1/epsilon) / (2 t^2)).
 
 Trial i's seed is ``lang.mix(key ^ i)``, the master seed's key being
 `lang.fold` of its sign and 64-bit limbs (`derive_seed`), and its draws
-derive from that seed (`lang`), so results are independent of scheduling:
-any worker count gives the identical Report, field by field, but elapsed_ms.
+derive from that seed (`lang.draw`), so results are independent of
+scheduling: any worker count gives the identical Report, field by field,
+but elapsed_ms.  A run has at most 2**64 trials, one per seed.
 
 A run needs three counts: hits, widened trials and aborted trials.  Its
 first trial is a probe on the scalar engine (`interp`).  A probe that
@@ -92,9 +93,10 @@ def _master_key(master_seed: int) -> int:
     return lang.fold((master_seed < 0, *limbs))
 
 
-def derive_seed(master_seed: int, index: int) -> int:
+def derive_seed(master_seed: int, index):
     """Counter-based per-trial seed; fixed derivation, documented here:
-    ``lang.mix(_master_key(master_seed) ^ index)``."""
+    ``lang.mix(_master_key(master_seed) ^ index)``, index an int or a
+    lane block's uint64 array."""
 
     return lang.mix(_master_key(master_seed) ^ index)
 
@@ -210,9 +212,9 @@ def _lane_counts(args) -> tuple[int, int, int]:
 
     program, config, restriction, master_seed, start, stop = args
     hits = widened = aborted = 0
-    key = np.uint64(_master_key(master_seed))
     for first in range(start, stop, BLOCK):
-        seeds = lang.mix(np.arange(first, min(first + BLOCK, stop), dtype=np.uint64) ^ key)
+        indices = np.arange(first, min(first + BLOCK, stop), dtype=np.uint64)
+        seeds = derive_seed(master_seed, indices)
         block = lanes._Lanes(program, seeds, config, restriction)
         _, hit = block.run()  # aborted lanes among the hits
         back = block.handed_back
@@ -264,9 +266,12 @@ def _trial_chunk(args, workers: int = 1) -> tuple[int, int, int]:
 
 def check_run(n: int, epsilon: float, jobs: int) -> float:
     """The margin of a run of n trials at ``epsilon``; ValueError for an
-    ``n``, ``epsilon`` or ``jobs`` that `run` rejects."""
+    ``n``, ``epsilon`` or ``jobs`` that `run` rejects.  Past 2**64 trials,
+    trial i + 2**64 would reuse trial i's seed and break independence."""
 
     t = hoeffding_margin(n, epsilon)
+    if n > 2**64:
+        raise ValueError("n must be <= 2**64, the number of distinct trial seeds")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     return t
@@ -291,8 +296,6 @@ def run(
     cfg = config or TrialConfig()
     sites = restriction.sites if restriction is not None else None
     workers = min(jobs, os.cpu_count() or 1)
-    if n < 2 * workers:
-        workers = 1  # fewer than two trials a worker
     started = time.perf_counter()
     hits, widened, aborted = _trial_chunk((program, cfg, sites, master_seed, 0, n), workers)
     elapsed_ms = (time.perf_counter() - started) * 1000.0

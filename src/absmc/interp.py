@@ -14,7 +14,7 @@ Random generators behave in two modes, tracked by the context's
 The iteration word is the vector of 1-based iteration counters of the
 enclosing loops, outermost first, so each dynamic draw has its own key
 and can be replayed exactly by the concrete semantics; its value is
-``lang.draw_value(lang.mix(seed ^ lang.fold((site, *word))))``.
+`lang.draw` of the trial's seed at that key, which `lanes` calls too.
 
 Loops run in two phases.  Phase 1 (dynamic unrolling, only while
 ``randomize`` is on) executes the body as long as the guard is definitely
@@ -85,7 +85,6 @@ class TrialContext:
     seed: int
     config: TrialConfig
     restriction: dict[int, tuple[float, float]] | None = None
-    pinned: dict[ChoiceKey, int | float] | None = None
     table: dict[ChoiceKey, int | float] = field(default_factory=dict)
     randomize: bool = True
     word: list[int] = field(default_factory=list)
@@ -100,20 +99,16 @@ class TrialContext:
 
     def draw(self, gen: lang.Draw) -> Interval:
         """Generator hook for `eval_range`: the full range inside fixpoints,
-        otherwise a concrete draw, pinned or from the (restricted) support,
-        recorded under its (site, iteration word) key."""
+        otherwise a concrete draw from the (restricted) support by the
+        `lang.draw` rule, recorded under its (site, iteration word) key."""
 
         if not self.randomize:
             return GENERATOR_RANGE[gen.kind]
         key: ChoiceKey = (gen.site, tuple(self.word))
         if key in self.table:
             raise InterpError(f"duplicate choice key {key}")
-        if self.pinned and key in self.pinned:
-            value = self.table[key] = self.pinned[key]
-        else:
-            span = self.restriction.get(gen.site) if self.restriction else None
-            bits = lang.mix(self.seed ^ lang.fold((gen.site, *self.word)))
-            value = self.table[key] = lang.draw_value(bits, gen.kind, span)
+        span = self.restriction.get(gen.site) if self.restriction else None
+        value = self.table[key] = lang.draw(self.seed, gen.site, self.word, gen.kind, span)
         if self.trace is not None:
             name = lang.GENERATOR_NAME[gen.kind]
             self.trace(f"draw site {gen.site} w={key[1]} {name} -> {value!r}")
@@ -241,19 +236,17 @@ def analyze_trial(
     seed: int | None,
     config: TrialConfig | None = None,
     *,
-    pinned: dict[ChoiceKey, int | float] | None = None,
     restriction: dict[int, tuple[float, float]] | None = None,
     trace: Callable[[str], None] | None = None,
 ) -> TrialOutcome:
     """Run one trial.  Deterministic in (program, seed, config): a seed
-    counts modulo 2**64, None as 0; a draw whose key ``pinned`` holds takes
-    that value."""
+    counts modulo 2**64, None as 0."""
 
     if program.outcome is None:
         raise InterpError("program has no outcome")
     seed = seed or 0
     cfg = config or TrialConfig()
-    ctx = TrialContext(seed, cfg, restriction, pinned, trace=trace)
+    ctx = TrialContext(seed, cfg, restriction, trace=trace)
     try:
         env = eval_block(program.body, AbstractEnv.tops(program.kinds()), ctx)
         hit = 0 if filter_env(env, program.outcome, True).is_bottom() else 1

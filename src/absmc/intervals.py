@@ -216,18 +216,8 @@ class Interval:
         )
 
     def sub(self, other: "Interval") -> "Interval":
-        self._check_kind(other)
-        if self.is_bottom() or other.is_bottom():
-            return Interval.bottom(self.kind)
-        if self.kind is Kind.INT:
-            return Interval.make(
-                self.kind, _int_sum(self.lo, -other.hi), _int_sum(self.hi, -other.lo)
-            )
-        return Interval.make(
-            self.kind,
-            _outward(self.lo - other.hi, self.lo, -other.hi, _sum_is_exact, -INF),
-            _outward(self.hi - other.lo, self.hi, -other.lo, _sum_is_exact, INF),
-        )
+        # the sum with other's mirror: IEEE a - b is a + (-b) bit for bit
+        return self.add(Interval(other.kind, -other.hi, -other.lo))
 
     def scale(self, coeff) -> "Interval":
         """Multiply by a literal coefficient of the same kind."""
@@ -378,58 +368,56 @@ def eval_range(expr: lang.Expr, env: AbstractEnv, draw=None) -> Interval:
 _NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 
 
-def _definitely_empty(op: str, a: Interval, b: Interval) -> bool:
-    """No pair (x in a, y in b) satisfies ``x op y``.  Exact, including
-    strict comparisons on reals."""
+def _definitely_empty(op: str, alo, ahi, blo, bhi):
+    """No pair (x in [alo, ahi], y in [blo, bhi]) satisfies ``x op y``.
+    Exact, including strict comparisons on reals.  `|` and `&` rather than
+    `or` and `and`, so that `lanes` applies it to arrays of bounds too."""
 
-    if a.is_bottom() or b.is_bottom():
-        return True
+    empty = (alo > ahi) | (blo > bhi)
     if op == "<":
-        return a.lo >= b.hi
+        return empty | (alo >= bhi)
     if op == "<=":
-        return a.lo > b.hi
+        return empty | (alo > bhi)
     if op == ">":
-        return a.hi <= b.lo
+        return empty | (ahi <= blo)
     if op == ">=":
-        return a.hi < b.lo
+        return empty | (ahi < blo)
     if op == "==":
-        return max(a.lo, b.lo) > min(a.hi, b.hi)
+        return empty | (alo > bhi) | (blo > ahi)
     if op == "!=":
-        return a.lo == a.hi == b.lo == b.hi
+        return empty | ((alo == ahi) & (ahi == blo) & (blo == bhi))
     raise DomainError(f"unknown comparison operator {op!r}")
 
 
-def _constraint(op: str, b: Interval, kind: Kind) -> Interval:
-    """Values of the left operand compatible with ``left op b`` for some
-    value of b.  Strict real comparisons weaken to their closed form."""
+def _constraint(op: str, blo, bhi, integral: bool):
+    """The bounds (lo, hi) of the values x with ``x op b`` for some b in
+    [blo, bhi], on numbers or arrays of bounds.  Strict real comparisons
+    weaken to their closed form; ``inf - 1`` is ``inf``."""
 
     if op == "<":
-        hi = b.hi - 1 if (kind is Kind.INT and b.hi != INF) else b.hi
-        return Interval.make(kind, -INF, hi)
+        return -INF, bhi - 1 if integral else bhi
     if op == "<=":
-        return Interval.make(kind, -INF, b.hi)
+        return -INF, bhi
     if op == ">":
-        lo = b.lo + 1 if (kind is Kind.INT and b.lo != -INF) else b.lo
-        return Interval.make(kind, lo, INF)
+        return blo + 1 if integral else blo, INF
     if op == ">=":
-        return Interval.make(kind, b.lo, INF)
+        return blo, INF
     if op == "==":
-        return b
+        return blo, bhi
     raise DomainError(f"unknown comparison operator {op!r}")
 
 
 def _refine_var(env: AbstractEnv, name: str, op: str, b: Interval) -> AbstractEnv:
     cur = env.get(name)
-    if op == "!=":
-        if b.lo == b.hi and cur.kind is Kind.INT and not b.is_bottom():
-            v = b.lo
-            lo = cur.lo + 1 if cur.lo == v else cur.lo
-            hi = cur.hi - 1 if cur.hi == v else cur.hi
-            nv = Interval.make(cur.kind, lo, hi)
-        else:
-            nv = cur
+    if op != "!=":
+        nv = cur.meet(Interval.make(cur.kind, *_constraint(op, b.lo, b.hi, cur.kind is Kind.INT)))
+    elif b.lo == b.hi and cur.kind is Kind.INT and not b.is_bottom():
+        v = b.lo
+        lo = cur.lo + 1 if cur.lo == v else cur.lo
+        hi = cur.hi - 1 if cur.hi == v else cur.hi
+        nv = Interval.make(cur.kind, lo, hi)
     else:
-        nv = cur.meet(_constraint(op, b, cur.kind))
+        nv = cur
     if nv.is_bottom():
         return AbstractEnv.unreachable()
     return env.assign(name, nv)
@@ -441,7 +429,7 @@ _MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 def _refine_cmp(env: AbstractEnv, left: lang.Expr, op: str, right: lang.Expr) -> AbstractEnv:
     li = eval_range(left, env)
     ri = eval_range(right, env)
-    if _definitely_empty(op, li, ri):
+    if _definitely_empty(op, li.lo, li.hi, ri.lo, ri.hi):
         return AbstractEnv.unreachable()
     out = env
     if isinstance(left, lang.Var):

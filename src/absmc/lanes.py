@@ -20,9 +20,10 @@ built (`_Lanes.plan`), and a mask that keeps every lane, or none, costs
 no array work: a select returns one side as it is, and while every lane
 is live no mask is narrowed to the live lanes.
 
-A draw is one uint64 expression over the seed array, the `lang` rule
-``lang.draw_value(lang.mix(seeds ^ lang.fold((site, *word))))``; the
-block keeps nothing of it once the expression that drew has used it.
+The rules of a trial are the scalar engine's, which take arrays as well
+as numbers: a draw is `lang.draw` on the seed array, and guards decide
+and refine by `intervals._definitely_empty` and `intervals._constraint`.
+The block keeps nothing of a draw once the expression that drew used it.
 Lanes count their steps as `interp.TrialContext.tick` does and abort at
 the step budget.  `_Lanes.run` leaves the batch's arrays: final
 environments, hits, steps, widened loops, aborts and hand-backs, and
@@ -40,17 +41,14 @@ NaN, is handed back: the caller runs the scalar engine from its seed.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
 from . import lang
 from .interp import TrialConfig
-from .intervals import _MIRROR, _NEGATED, GENERATOR_RANGE, _sum_is_exact
+from .intervals import _MAX, _MIRROR, _NEGATED, GENERATOR_RANGE, INF
+from .intervals import _constraint, _definitely_empty, _sum_is_exact
 from .lang import Kind
 
-_INF = float("inf")
-_MAX = sys.float_info.max
 _EXACT_INT = 2.0**53  # INT bounds at or past this magnitude go back to the scalar engine
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 # nonzero factors of a REAL product inside this magnitude range split
@@ -60,7 +58,7 @@ _PRODUCT_RANGE = (2.0**-480, 2.0**480)
 # Per bound of a value, lower over upper: the direction it rounds and
 # widens to, and a step inward by one; the `_ENV_` forms are shaped for an
 # environment's (2, variables, lanes)
-_TOWARD = np.array([[-_INF], [_INF]])
+_TOWARD = np.array([[-INF], [INF]])
 _INWARD = np.array([[1.0], [-1.0]])
 _EMPTY = -_TOWARD  # the canonical empty interval
 _ENV_TOWARD, _ENV_EMPTY = _TOWARD[:, None], _EMPTY[:, None]
@@ -194,7 +192,7 @@ def _outside_product_range(x):
 
     magnitude = np.abs(x)
     tiny = (magnitude < _PRODUCT_RANGE[0]) & (x != 0.0)
-    huge = (magnitude > _PRODUCT_RANGE[1]) & (magnitude < _INF)
+    huge = (magnitude > _PRODUCT_RANGE[1]) & (magnitude < INF)
     return tiny | huge
 
 
@@ -296,7 +294,7 @@ class _Lanes:
 
         if kind is Kind.INT:
             magnitude = np.abs(r)
-            bad = (magnitude >= _EXACT_INT) & (magnitude < _INF)
+            bad = (magnitude >= _EXACT_INT) & (magnitude < INF)
         else:
             bad = np.isnan(r)
         if np.count_nonzero(bad):
@@ -308,8 +306,8 @@ class _Lanes:
         lanes."""
 
         span = self.restriction.get(gen.site) if self.restriction else None
-        bits = lang.mix(self.seeds ^ lang.fold((gen.site, *self.word)))
-        return np.where(self._live(mask), lang.draw_value(bits, gen.kind, span), 0.0)
+        value = lang.draw(self.seeds, gen.site, self.word, gen.kind, span)
+        return np.where(self._live(mask), value, 0.0)
 
     # -- expressions ------------------------------------------------------
 
@@ -390,7 +388,7 @@ class _Lanes:
         mask = mask & env.reach
         a = self.expr(left, env, mask, False)
         b = self.expr(right, env, mask, False)
-        out = _Env(_keep(env.reach, _definitely_empty(op, a, b)), env.bounds)
+        out = _Env(_keep(env.reach, _definitely_empty(op, a[0], a[1], b[0], b[1])), env.bounds)
         if not np.count_nonzero(out.reach):
             return out
         if isinstance(left, lang.Var):
@@ -414,7 +412,8 @@ class _Lanes:
             self.check(kind, new, mask & env.reach)
             empty = _empty(new)
         else:
-            c = _constraint(op, b, integral)
+            c = np.empty_like(b)
+            c[0], c[1] = _constraint(op, b[0], b[1], integral)
             if integral and op in ("<", ">"):  # the one case that moves a bound of b
                 self.check(kind, c, mask & env.reach)
             tighter = _beyond(cur, c)  # where c's bound lies inside cur's
@@ -526,46 +525,10 @@ class _Lanes:
         handed back."""
 
         bounds = np.empty((2, len(self.kinds), self.n))
-        bounds[0], bounds[1] = -_INF, _INF
+        bounds[0], bounds[1] = -INF, INF
         env = _Env(np.ones(self.n, dtype=bool), bounds)
         with np.errstate(all="ignore"):
             env = self.block(self.program.body, env, False)
             hits = self.filter(env, self.program.outcome, True, self._live(env.reach)).reach
         return env, self._live(hits) | self.aborted
 
-
-def _constraint(op: str, b, integral: bool):
-    """`intervals._constraint`: the bounds of the values ``x`` with
-    ``x op b`` for some value of b, strict REAL comparisons weakened to
-    closed."""
-
-    if op == "==":
-        return b
-    c = b.copy()
-    if op[0] == "<":
-        c[0] = -_INF
-        if op == "<" and integral:
-            c[1] = np.where(c[1] != _INF, c[1] - 1, c[1])
-    else:
-        c[1] = _INF
-        if op == ">" and integral:
-            c[0] = np.where(c[0] != -_INF, c[0] + 1, c[0])
-    return c
-
-
-def _definitely_empty(op: str, a, b):
-    """`intervals._definitely_empty` on lanes."""
-
-    alo, ahi, blo, bhi = a[0], a[1], b[0], b[1]
-    empty = (alo > ahi) | (blo > bhi)
-    if op == "<":
-        return empty | (alo >= bhi)
-    if op == "<=":
-        return empty | (alo > bhi)
-    if op == ">":
-        return empty | (ahi <= blo)
-    if op == ">=":
-        return empty | (ahi < blo)
-    if op == "==":
-        return empty | (np.maximum(alo, blo) > np.minimum(ahi, bhi))
-    return empty | ((alo == ahi) & (ahi == blo) & (blo == bhi))  # !=

@@ -38,7 +38,8 @@ kind: `GENERATOR_NAME`, `draw_value` and ``intervals.GENERATOR_RANGE``.
 Draws are counter-based (Salmon et al., SC'11): a trial with seed s
 draws at key (site, iteration word) the bits ``mix(s ^ fold((site,
 *word)))``, a pure function of the key whichever engine, order or batch
-draws it, and `draw_value` turns them into the generator's value.
+draws it, and `draw_value` turns them into the generator's value: both
+engines call `draw`, for one seed or a uint64 array of lanes' seeds.
 
 ``x += e`` and ``x -= e`` are sugar for ``x = x + e`` and ``x = x - e``,
 and ``x++``/``x--`` for ``x += 1``/``x -= 1`` with a literal 1 of x's
@@ -165,6 +166,13 @@ def draw_value(bits, kind: Kind, span: tuple[float, float] | None = None):
         return bits >> 63
     u = (bits >> 11) * 2.0**-53
     return u if span is None else span[0] + (span[1] - span[0]) * u
+
+
+def draw(seed, site: int, word, kind: Kind, span: tuple[float, float] | None = None):
+    """The draw at key (site, word) of a trial ``seed``, an int, or of a
+    uint64 array of lanes' seeds: the one draw rule of both engines."""
+
+    return draw_value(mix(seed ^ fold((site, *word))), kind, span)
 
 
 RELOPS = ("<", "<=", ">", ">=", "==", "!=")

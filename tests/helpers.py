@@ -5,16 +5,9 @@ import numpy as np
 from absmc import lanes, lang
 from absmc.interp import TrialConfig, TrialOutcome
 from absmc.intervals import AbstractEnv, Interval
-from absmc.lang import Kind, generator_sites
+from absmc.lang import Kind
 
 INF = float("inf")
-
-
-def pinned(program, values):
-    """A draw table for `analyze_trial(pinned=)`: ``values`` for the
-    program's generators outside loops, in source order."""
-
-    return {(g.site, ()): v for g, v in zip(generator_sites(program), values)}
 
 
 def summary(out):

@@ -1,9 +1,11 @@
+import contextlib
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -545,6 +547,15 @@ def test_analyze_json_margin_finite_for_subnormal_epsilon(capsys):
     assert run_cli(capsys, "plan", "--t", "0.5", "--epsilon", "1e-320")[1].strip() == "1474"
 
 
+@pytest.mark.parametrize("trace", [[], ["--trace"]])
+def test_analyze_rejects_more_trials_than_seeds(capsys, trace):
+    # trial 2**64 would reuse trial 0's seed; the run must not start
+    argv = ["analyze", FIG1, "--trials", str(2**64 + 1), "--jobs", "1", *trace]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert one_line_error(err) and "2**64" in err
+
+
 def test_usage_error_exit_1(capsys):
     code, _, err = run_cli(capsys, "plan", "--t", "0.1")
     assert code == 1  # missing required --epsilon
@@ -599,6 +610,22 @@ def test_curves_exceed_rows(capsys):
 def test_curves_bad_range_exit_1(capsys):
     code, _, _ = run_cli(capsys, "curves", "--t-min", "0.5", "--t-max", "0.1")
     assert code == 1
+
+
+@pytest.mark.parametrize("kind", ["speed", "exceed"])
+def test_curves_stream_their_rows(kind):
+    # each row is printed as it is computed: 20,000 rows (every n distinct
+    # in the exceed table) held at once would take megabytes
+    argv = ["curves", "--kind", kind, "--points", "20000", "--n-max", str(10**9)]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 1_000_000
 
 
 REPORT_KEYS = {

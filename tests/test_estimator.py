@@ -11,6 +11,7 @@ from absmc import estimator, lang
 from absmc.estimator import (
     RestrictionError,
     RestrictionSpec,
+    check_run,
     derive_seed,
     hoeffding_margin,
     plan_trials,
@@ -90,6 +91,15 @@ def test_derive_seed_is_documented_splitmix_split():
     assert derive_seed(0, 7) == lang.mix(lang.fold((0, 0)) ^ 7)
     assert derive_seed(42, 7) != derive_seed(42, 8)
     assert derive_seed(42, 7) != derive_seed(43, 7)
+
+
+def test_derive_seed_takes_an_index_array():
+    # a lane block's seeds, one call for the block
+    indices = np.array([0, 1, 7, 2**63, lang.M64], dtype=np.uint64)
+    for master in (0, 42, -42, 2**64 + 42):
+        seeds = derive_seed(master, indices)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [derive_seed(master, i) for i in indices.tolist()]
 
 
 def test_run_trivial_program():
@@ -373,6 +383,16 @@ def test_run_validates_arguments(figs):
         run(figs["fig1"], 0, 0.01)
     with pytest.raises(ValueError):
         run(figs["fig1"], 10, 0.01, jobs=0)
+
+
+def test_a_run_has_at_most_one_trial_per_seed(figs):
+    # seeds count modulo 2**64, so trial 2**64 would draw as trial 0 and
+    # the bound's trials would not be independent
+    assert check_run(2**64, 0.01, 1) == hoeffding_margin(2**64, 0.01)
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        check_run(2**64 + 1, 0.01, 1)
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        run(figs["fig1"], 2**64 + 1, 0.01)
 
 
 # --- restriction ----------------------------------------------------------------

@@ -16,14 +16,14 @@ from absmc.interp import (
     eval_stmt,
 )
 from absmc.lang import Kind, parse
-from helpers import pinned, run_lanes
+from helpers import run_lanes
 
 I = lambda lo, hi: Interval.make(Kind.INT, lo, hi)  # noqa: E731
 R = lambda lo, hi: Interval.make(Kind.REAL, lo, hi)  # noqa: E731
 
 
-def ctx_with(pins=None, randomize=True, **cfg):
-    ctx = TrialContext(0, TrialConfig(**cfg), pinned=pins)
+def ctx_with(randomize=True, **cfg):
+    ctx = TrialContext(0, TrialConfig(**cfg))
     ctx.randomize = randomize
     return ctx
 
@@ -31,32 +31,51 @@ def ctx_with(pins=None, randomize=True, **cfg):
 # --- whole trials on corpus programs -----------------------------------------
 
 
+def trial_drawing(p, values):
+    """A trial of ``p`` whose generators draw ``values``, in source order:
+    a restriction to one point draws exactly that point."""
+
+    spans = {g.site: (v, v) for g, v in zip(lang.generator_sites(p), values)}
+    return analyze_trial(p, 0, restriction=spans)
+
+
 def test_fig2_trial_low_samples(figs):
-    out = analyze_trial(figs["fig2"], 0, pinned=pinned(figs["fig2"], [0.3, 0.4, 0.5]))
+    out = trial_drawing(figs["fig2"], [0.3, 0.4, 0.5])
     x = out.env.get("x")
     assert abs(x.lo - 1.2) < 1e-12 and abs(x.hi - 2.2) < 1e-12
     assert out.hit == 1
 
 
 def test_fig2_trial_high_samples(figs):
-    out = analyze_trial(figs["fig2"], 0, pinned=pinned(figs["fig2"], [0.9, 0.8, 0.7]))
+    out = trial_drawing(figs["fig2"], [0.9, 0.8, 0.7])
     x = out.env.get("x")
     assert abs(x.lo - 2.4) < 1e-12 and abs(x.hi - 3.4) < 1e-12
     assert out.hit == 0
+
+
+def _seed_drawing(p, site, bits):
+    """The first seed whose coins at ``site`` in iterations 1, 2, ...
+    read ``bits``."""
+
+    return next(
+        seed
+        for seed in itertools.count()
+        if all(lang.draw(seed, site, (k,), Kind.INT) == b for k, b in enumerate(bits, 1))
+    )
 
 
 def test_fig1_trial_unrolls_and_records(figs):
     p = figs["fig1"]
     coin_site = lang.generator_sites(p)[0].site
     coins = lambda bits: {(coin_site, (k,)): b for k, b in enumerate(bits, 1)}  # noqa: E731
-    out = analyze_trial(p, 0, pinned=coins([0, 1, 0, 0, 0]))
+    out = analyze_trial(p, _seed_drawing(p, coin_site, [0, 1, 0, 0, 0]))
     assert out.env.get("x") == I(1, 3)
     assert out.env.get("i") == I(5, 5)
     assert out.hit == 1
     assert out.widened_loops == 0
     assert out.table == coins([0, 1, 0, 0, 0])
 
-    out = analyze_trial(p, 0, pinned=coins([1, 1, 1, 0, 0]))
+    out = analyze_trial(p, _seed_drawing(p, coin_site, [1, 1, 1, 0, 0]))
     assert out.env.get("x") == I(3, 5)
     assert out.hit == 0
 
@@ -64,18 +83,18 @@ def test_fig1_trial_unrolls_and_records(figs):
 def test_fig4_join_of_branches(figs):
     # hand execution: x in [0, 0.1], z = 2 * 0.1, branch condition definite,
     # so x becomes [u2, u2 + 0.1]; u2 = 0.7 stays below the outcome window
-    out = analyze_trial(figs["fig4"], 0, pinned=pinned(figs["fig4"], [0.1, 0.7, 0.5]))
+    out = trial_drawing(figs["fig4"], [0.1, 0.7, 0.5])
     x = out.env.get("x")
     assert abs(x.lo - 0.7) < 1e-12 and abs(x.hi - 0.8) < 1e-12
     assert out.hit == 0
     assert len(out.table) == 2  # else branch infeasible: its draw never happens
 
     # u2 = 0.85 straddles the window boundary 0.9: cannot be ruled out
-    out = analyze_trial(figs["fig4"], 0, pinned=pinned(figs["fig4"], [0.1, 0.85, 0.5]))
+    out = trial_drawing(figs["fig4"], [0.1, 0.85, 0.5])
     assert out.hit == 1
 
     # first draw near 1 leaves both branches feasible: both sample
-    out = analyze_trial(figs["fig4"], 0, pinned=pinned(figs["fig4"], [0.96, 0.85, 0.5]))
+    out = trial_drawing(figs["fig4"], [0.96, 0.85, 0.5])
     assert len(out.table) == 3
 
 
@@ -166,13 +185,14 @@ def test_trial_config_rejects_out_of_range_knobs(knobs):
 
 
 def test_generator_records_singleton():
-    ctx = ctx_with({(7, (2,)): 1})
+    ctx = ctx_with()
+    ctx.restriction = {7: (1, 1)}
     ctx.word[:] = [2]
     iv = ctx.draw(lang.Draw(7, Kind.INT))
     assert iv == I(1, 1)
-    # a key the table does not pin draws from the seed (0 here) by lang's rule
+    # a site the restriction leaves draws from the seed (0 here) by lang's rule
     u = ctx.draw(lang.Draw(8, Kind.REAL)).lo
-    assert u == lang.draw_value(lang.mix(0 ^ lang.fold((8, 2))), Kind.REAL)
+    assert u == lang.draw(0, 8, (2,), Kind.REAL)
     assert ctx.table == {(7, (2,)): 1, (8, (2,)): u}
 
 
@@ -366,15 +386,15 @@ def test_pinned_coin_leaves_the_other_draws():
 
 def test_trace_and_pinned_rule_the_trial(figs):
     p = figs["fig1"]
-    ones = {(lang.generator_sites(p)[0].site, (k,)): 1 for k in range(1, 6)}
+    ones = {lang.generator_sites(p)[0].site: (1, 1)}
     first, second = [], []
     analyze_trial(p, 1, trace=first.append)
     analyze_trial(p, 1, trace=second.append)
     assert first == second and len(first) > 1
     assert _summary(_traced(p, 1)) == _summary(analyze_trial(p, 1))
-    # a pinned table rules the draws it names, whatever the seed
+    # a restriction to one point pins every draw at its site, whatever the seed
     for seed in (1, 2):
-        assert list(analyze_trial(p, seed, pinned=ones).table.values()) == [1, 1, 1, 1, 1]
+        assert list(analyze_trial(p, seed, restriction=ones).table.values()) == [1, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,22 @@
 import math
+import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from absmc import lang
-from absmc.intervals import INF, AbstractEnv, DomainError, Interval, filter_env
+from absmc.intervals import (
+    INF,
+    AbstractEnv,
+    DomainError,
+    Interval,
+    _constraint,
+    _definitely_empty,
+    filter_env,
+)
 from absmc.lang import Kind
 
 I = lambda lo, hi: Interval.make(Kind.INT, lo, hi)  # noqa: E731
@@ -263,3 +273,70 @@ def test_filter_negation_covers_complement(xs, ys, op):
             assert not side.is_bottom()
             x, y = side.get("x"), side.get("y")
             assert x.lo <= p <= x.hi and y.lo <= q <= y.hi
+
+
+# --- the guard rules `lanes` shares ---------------------------------------------
+
+# bounds as the scalar engine holds them (finite INT bounds as Python ints),
+# with the zero signs, infinities and INT magnitudes near 2**53 where the
+# two forms could part
+EDGES = {
+    Kind.INT: [-INF, -(2**53 - 1), -(2**53 - 2), -1, 0, 1, 2**53 - 2, 2**53 - 1, INF],
+    Kind.REAL: [-INF, -1.5, -0.0, 0.0, 1.5, INF],
+}
+
+
+def _lanes_of(numbers):
+    """The float64 array of a list of numbers, one lane each."""
+
+    return np.array([float(x) for x in numbers])
+
+
+def _bits(x):
+    """A bound as float64 bits, so that -0.0 and 0.0 differ."""
+
+    return np.float64(x).view(np.int64).item()
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_guard_rules_agree_on_numbers_and_lane_arrays(kind):
+    # every pair of intervals over the edge bounds, empty ones among them,
+    # once as numbers and once as lanes of one array
+    ivs = [(lo, hi) for lo in EDGES[kind] for hi in EDGES[kind]]
+    pairs = [(*a, *b) for a in ivs for b in ivs]
+    lanes = [_lanes_of(bounds) for bounds in zip(*pairs)]
+    for op in lang.RELOPS:
+        empty = _definitely_empty(op, *lanes)
+        assert empty.dtype == bool
+        numbers = [_definitely_empty(op, *bounds) for bounds in pairs]
+        assert all(type(e) is bool for e in numbers)
+        assert empty.tolist() == numbers
+    integral = kind is Kind.INT
+    blo, bhi = (_lanes_of(bounds) for bounds in zip(*ivs))
+    for op in ("<", "<=", ">", ">=", "=="):
+        lo, hi = (np.broadcast_to(c, blo.shape) for c in _constraint(op, blo, bhi, integral))
+        numbers = [_constraint(op, b_lo, b_hi, integral) for b_lo, b_hi in ivs]
+        assert [(_bits(x), _bits(y)) for x, y in numbers] == list(
+            zip(map(_bits, lo.tolist()), map(_bits, hi.tolist()))
+        )
+    with pytest.raises(DomainError):
+        _constraint("!=", 0, 1, integral)
+
+
+OPS = dict(
+    zip(lang.RELOPS, [operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne])
+)
+
+
+def test_definitely_empty_matches_brute_force():
+    # every pair of INT intervals inside [-2, 2], empty ones among them
+    ivs = [(lo, hi) for lo in range(-2, 3) for hi in range(-2, 3)]
+    pairs = [(*a, *b) for a in ivs for b in ivs]
+    lanes = [_lanes_of(bounds) for bounds in zip(*pairs)]
+    for op in lang.RELOPS:
+        truth = [
+            not any(OPS[op](x, y) for x in range(alo, ahi + 1) for y in range(blo, bhi + 1))
+            for alo, ahi, blo, bhi in pairs
+        ]
+        assert [_definitely_empty(op, *bounds) for bounds in pairs] == truth
+        assert _definitely_empty(op, *lanes).tolist() == truth

@@ -1,6 +1,6 @@
-"""The counter-based draw stream: the bits of a draw are
-``lang.mix(seed ^ lang.fold((site, *word)))``, on a Python int in the scalar
-engine and on a uint64 seed array in the lanes."""
+"""The counter-based draw stream, `lang.draw`: the bits of a draw mix the
+seed with its key's salt, ``lang.fold((site, *word))``, on a Python int in
+the scalar engine and on a uint64 seed array in the lanes."""
 
 import numpy as np
 import pytest
@@ -38,13 +38,16 @@ def _cells(a, b, bins: int):
 def test_coin_and_uniform_draws_are_uniform(seeds):
     # one row per key, one column per seed, drawn as lanes draw them
     array = np.array(seeds, dtype=np.uint64)
-    bits = np.stack([lang.mix(array ^ lang.fold((key[0], *key[1]))) for key in KEYS])
-    coins = lang.draw_value(bits, Kind.INT).astype(np.int64)
-    quarters = (lang.draw_value(bits, Kind.REAL) * 4).astype(np.int64)
+    coins, uniforms = (
+        np.stack([lang.draw(array, site, word, kind) for site, word in KEYS])
+        for kind in (Kind.INT, Kind.REAL)
+    )
+    coins = coins.astype(np.int64)
+    quarters = (uniforms * 4).astype(np.int64)
     n = coins.size
     ones = int(coins.sum())
     assert _chi2([ones, n - ones], n / 2) < CRITICAL[1]
-    sixteenths = (lang.draw_value(bits, Kind.REAL) * 16).astype(np.int64)
+    sixteenths = (uniforms * 16).astype(np.int64)
     assert _chi2(np.bincount(sixteenths.ravel(), minlength=16), n / 16) < CRITICAL[15]
     # neighbouring seeds, and neighbouring sites at one word, draw
     # independently: their pairs fill every joint cell evenly
@@ -69,6 +72,17 @@ def test_lane_mixer_equals_scalar_mixer(seeds, salt):
     for kind, span in [(Kind.INT, None), (Kind.REAL, None), (Kind.REAL, (0.25, 0.75))]:
         values = lang.draw_value(bits, kind, span).tolist()
         assert values == [lang.draw_value(b, kind, span) for b in scalar]
+
+
+@given(st.lists(U64, min_size=1, max_size=8), st.integers(1, 50), st.lists(st.integers(1, 64), max_size=3))
+def test_a_draw_is_the_documented_rule_on_ints_and_lanes(seeds, site, word):
+    array = np.array(seeds, dtype=np.uint64)
+    salt = lang.fold((site, *word))
+    spans = [(Kind.INT, None), (Kind.INT, (1, 1)), (Kind.REAL, None), (Kind.REAL, (0.5, 0.5))]
+    for kind, span in spans:
+        scalar = [lang.draw(seed, site, word, kind, span) for seed in seeds]
+        assert scalar == [lang.draw_value(lang.mix(seed ^ salt), kind, span) for seed in seeds]
+        assert lang.draw(array, site, word, kind, span).tolist() == scalar
 
 
 def test_derive_seed_is_deterministic_for_any_master():
