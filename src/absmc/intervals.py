@@ -407,17 +407,30 @@ def _constraint(op: str, blo, bhi, integral: bool):
     raise DomainError(f"unknown comparison operator {op!r}")
 
 
-def _refine_var(env: AbstractEnv, name: str, op: str, b: Interval) -> AbstractEnv:
-    cur = env.get(name)
+def _cut(clo, chi, blo, bhi):
+    """The INT bounds (lo, hi) of the values x in [clo, chi] with ``x != y``
+    for some y in [blo, bhi], on numbers or arrays of bounds: an endpoint
+    equal to b's single value moves inward by one.  Both move by
+    subtraction, which keeps the bits of an endpoint that stays, the sign
+    of a zero among them (``-0.0 - 0`` is ``-0.0`` where ``-0.0 + 0`` is
+    ``0.0``).  An empty b is never a single value."""
+
+    single = blo == bhi
+    return clo - (single & (clo == blo)) * -1, chi - (single & (chi == bhi))
+
+
+def _refined(cur: Interval, op: str, b: Interval) -> Interval:
+    """``cur`` narrowed to the values x with ``x op y`` for some y in b."""
+
     if op != "!=":
-        nv = cur.meet(Interval.make(cur.kind, *_constraint(op, b.lo, b.hi, cur.kind is Kind.INT)))
-    elif b.lo == b.hi and cur.kind is Kind.INT and not b.is_bottom():
-        v = b.lo
-        lo = cur.lo + 1 if cur.lo == v else cur.lo
-        hi = cur.hi - 1 if cur.hi == v else cur.hi
-        nv = Interval.make(cur.kind, lo, hi)
-    else:
-        nv = cur
+        return cur.meet(Interval.make(cur.kind, *_constraint(op, b.lo, b.hi, cur.kind is Kind.INT)))
+    if cur.kind is Kind.INT:
+        return Interval.make(cur.kind, *_cut(cur.lo, cur.hi, b.lo, b.hi))
+    return cur
+
+
+def _refine_var(env: AbstractEnv, name: str, op: str, b: Interval) -> AbstractEnv:
+    nv = _refined(env.get(name), op, b)
     if nv.is_bottom():
         return AbstractEnv.unreachable()
     return env.assign(name, nv)

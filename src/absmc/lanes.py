@@ -1,35 +1,47 @@
 """Batched interval trials: a batch of seeds run at once as numpy lanes.
 
 The same semantics as `interp` (the scalar engine, which stays the
-reference), evaluated for many trials at once.  An environment is one
-float64 array of bounds shaped (2, variables, lanes), lower bounds over
-upper bounds with one lane per trial, and a per-lane reachability mask;
-an expression's value is a (2, lanes) array of its bounds, (2, 1) for a
-constant, so each operation runs once for both bounds.  The empty
-interval is ``[+inf, -inf]`` as in `intervals`.  A statement runs on the
-lanes that reach it: ``know`` and ``if`` filter the mask, both branches
-of an ``if`` run on the lanes where they are reachable (``then`` first,
-so each lane draws in the scalar order) and are joined.  Loops unroll
-with per-lane enter and leave masks under one iteration word shared by
-all lanes, then every lane that reaches the fixpoint iterates it with
-its own join count and widened flag until it is stable; fixpoints draw
-nothing, so lanes need not agree on when they stop.
+reference), evaluated for many trials at once.  A value every lane
+shares (a literal, a generator's full range, a loop counter, a guard on
+it, or anything computed from shared values alone) is one
+`intervals.Interval`, computed by the scalar engine's own operations.
+A value that differs between lanes is an array of its bounds, (2, lanes)
+lower over upper, so each operation runs once for both bounds.  An
+environment (`_Env`) is a per-lane reachability mask, a float64 array
+(2, variables, lanes) for the variables that differ between lanes, and
+an `Interval` for each shared one.  A guard on shared values keeps every
+lane or none.  A select, join, widening or narrowing keeps a variable
+shared when every lane ends with the same bounds, compared bit for bit
+so that -0.0 and 0.0 stay apart; otherwise, and when it meets a value
+that differs between lanes, the variable is written into its row.  The
+empty interval is ``[+inf, -inf]`` as in `intervals`.
+
+A statement runs on the lanes that reach it: ``know`` and ``if`` filter
+the mask, both branches of an ``if`` run on the lanes where they are
+reachable (``then`` first, so each lane draws in the scalar order) and
+are joined.  Loops unroll with per-lane enter and leave masks under one
+iteration word shared by all lanes, then every lane that reaches the
+fixpoint iterates it with its own join count and widened flag until it
+is stable; fixpoints draw nothing, so lanes need not agree on when they
+stop.
 
 A block resolves what it needs of each expression node once, when it is
 built (`_Lanes.plan`), and a mask that keeps every lane, or none, costs
-no array work: a select returns one side as it is, and while every lane
-is live no mask is narrowed to the live lanes.
+no array work: a select returns one side as it is, an unrolled iteration
+whose shared guard holds lets every running lane in as it is, and while
+every lane is live no mask is narrowed to the live lanes.
 
 The rules of a trial are the scalar engine's, which take arrays as well
 as numbers: a draw is `lang.draw` on the seed array, and guards decide
-and refine by `intervals._definitely_empty` and `intervals._constraint`.
-The block keeps nothing of a draw once the expression that drew used it.
-Lanes count their steps as `interp.TrialContext.tick` does and abort at
-the step budget.  `_Lanes.run` leaves the batch's arrays: final
-environments, hits, steps, widened loops, aborts and hand-backs, and
-`estimator` sums those of each block of `estimator.BLOCK` seeds.  A
-lane's verdict, steps, widenings and abort equal the scalar engine's
-trial of its seed, and so do its final environment and draws.
+and refine by `intervals._definitely_empty`, `intervals._constraint` and
+`intervals._cut`.  The block keeps nothing of a draw once the expression
+that drew used it.  Lanes count their steps as
+`interp.TrialContext.tick` does and abort at the step budget.
+`_Lanes.run` leaves the batch's arrays: final environments, hits, steps,
+widened loops, aborts and hand-backs, and `estimator` sums those of each
+block of `estimator.BLOCK` seeds.  A lane's verdict, steps, widenings
+and abort equal the scalar engine's trial of its seed, and so do its
+final environment and draws.
 
 Lanes compute exactly what the scalar engine computes only inside a
 domain: INT bounds are exact in float64 while their magnitude stays
@@ -37,16 +49,21 @@ below 2**53, and a REAL product's exactness test (Dekker's TwoProduct
 standing in for `intervals._mul_is_exact`) holds only for factors
 within `_PRODUCT_RANGE`.  A lane that leaves the domain, or meets a
 NaN, is handed back: the caller runs the scalar engine from its seed.
+Shared values keep the INT rule too: a shared INT result of magnitude
+2**53 or more hands back the lanes that computed it (`_Lanes.checked`),
+so a shared value always converts to float64 exactly when it is
+written into a row.
 """
-
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from . import lang
 from .interp import TrialConfig
-from .intervals import _MAX, _MIRROR, _NEGATED, GENERATOR_RANGE, INF
-from .intervals import _constraint, _definitely_empty, _sum_is_exact
+from .intervals import _MAX, _MIRROR, _NEGATED, GENERATOR_RANGE, INF, Interval
+from .intervals import _constraint, _cut, _definitely_empty, _refined, _sum_is_exact
 from .lang import Kind
 
 _EXACT_INT = 2.0**53  # INT bounds at or past this magnitude go back to the scalar engine
@@ -56,44 +73,97 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 _PRODUCT_RANGE = (2.0**-480, 2.0**480)
 
 # Per bound of a value, lower over upper: the direction it rounds and
-# widens to, and a step inward by one; the `_ENV_` forms are shaped for an
-# environment's (2, variables, lanes)
+# widens to; the `_ENV_` forms are shaped for an environment's
+# (2, variables, lanes)
 _TOWARD = np.array([[-INF], [INF]])
-_INWARD = np.array([[1.0], [-1.0]])
 _EMPTY = -_TOWARD  # the canonical empty interval
 _ENV_TOWARD, _ENV_EMPTY = _TOWARD[:, None], _EMPTY[:, None]
+_ZERO = Interval.const(Kind.INT, 0)  # stands in for a shared INT past 2**53
 
 
 class _Env:
-    """Per-lane abstract environments: ``reach`` (lanes) and ``bounds``
-    (2, variables, lanes), lower bounds over upper bounds.  Values of
-    unreachable lanes mean nothing."""
+    """Per-lane abstract environments: ``reach`` (lanes), ``bounds``
+    (2, variables, lanes), lower bounds over upper bounds, and ``shared``,
+    one entry per variable: the `Interval` it holds on every lane, or None
+    when its row of ``bounds`` holds it.  The row of a shared variable, and
+    the values of unreachable lanes, mean nothing."""
 
-    __slots__ = ("reach", "bounds")
+    __slots__ = ("reach", "bounds", "shared")
 
-    def __init__(self, reach, bounds):
+    def __init__(self, reach, bounds, shared):
         self.reach = reach
         self.bounds = bounds
+        self.shared = shared
 
     def only(self, mask) -> _Env:
-        return _Env(self.reach & mask, self.bounds)
+        return _Env(self.reach & mask, self.bounds, self.shared)
+
+
+def _lift(value):
+    """The bounds of an expression's value as an array: a shared
+    `Interval` as (2, 1) for every lane.  Shared INT bounds lie below
+    2**53 in magnitude (`_Lanes.checked`), so they convert exactly."""
+
+    if type(value) is Interval:
+        return _constant(value.lo, value.hi)
+    return value
+
+
+def _rows(env: _Env, rows):
+    """The bounds of ``env`` with the shared values among ``rows`` written
+    into their rows: ``env.bounds`` itself when there are none."""
+
+    write = [r for r in rows if env.shared[r] is not None]
+    if not write:
+        return env.bounds
+    bounds = env.bounds.copy()
+    for r in write:
+        bounds[:, r] = _lift(env.shared[r])
+    return bounds
+
+
+def _pair(a: _Env, b: _Env, shared, rows):
+    """The bounds and shared values of an operation on two environments:
+    ``shared(x, y)`` of two shared values (None when the result differs
+    between lanes), and ``rows`` of the bounds of every other variable,
+    once for all of them.  No array work when every result is shared."""
+
+    out, todo = [], []
+    for r, (x, y) in enumerate(zip(a.shared, b.shared)):
+        value = None if x is None or y is None else shared(x, y)
+        out.append(value)
+        if value is None:
+            todo.append(r)
+    if not todo:
+        return a.bounds, tuple(out)
+    return rows(_rows(a, todo), _rows(b, todo)), tuple(out)
+
+
+def _identical(x: Interval, y: Interval):
+    """``x`` when ``y`` holds the same bounds bit for bit (-0.0 and 0.0
+    differ), else None."""
+
+    signed = [(b, math.copysign(1.0, b)) for iv in (x, y) for b in (iv.lo, iv.hi)]
+    return x if x is y or signed[:2] == signed[2:] else None
 
 
 def _select(mask, a: _Env, b: _Env) -> _Env:
     """``a`` on the lanes of ``mask``, ``b`` elsewhere: one of them itself
     when ``mask`` keeps every lane or none, so no caller writes into an
-    environment's arrays."""
+    environment's arrays.  A variable both share with the same bounds
+    stays shared; any other is written into its row."""
 
     count = np.count_nonzero(mask)
     if count == 0:
         return b
     if count == mask.size:
         return a
-    return _Env(np.where(mask, a.reach, b.reach), np.where(mask, a.bounds, b.bounds))
+    bounds, shared = _pair(a, b, _identical, lambda x, y: np.where(mask, x, y))
+    return _Env(np.where(mask, a.reach, b.reach), bounds, shared)
 
 
 def _constant(lo, hi):
-    """The bounds ``[lo, hi]`` of a constant, (2, 1) for every lane: a
+    """The bounds ``[lo, hi]`` of a value every lane shares, (2, 1): a
     block's constants copied to its width made the allocator fault in
     fresh pages on every 4,096-lane block."""
 
@@ -122,36 +192,59 @@ def _beyond(x, y):
     return out
 
 
+def _joined(a: _Env, b: _Env, bounds, shared) -> _Env:
+    """The environment of the lanes either reaches: those both reach hold
+    ``bounds`` and ``shared``, the others the side that reaches them."""
+
+    return _select(a.reach, _select(b.reach, _Env(a.reach | b.reach, bounds, shared), a), b)
+
+
+def _widen_rows(x, y):
+    # a bound that y keeps inside x's stays, one that it passes goes to
+    # infinity; an empty interval widens to the other side
+    within = y >= x
+    np.less_equal(y[1], x[1], out=within[1])
+    bounds = np.where(within, x, _ENV_TOWARD)
+    return np.where(_empty(x), y, np.where(_empty(y), x, bounds))
+
+
+def _narrow_rows(x, y):
+    bounds = np.where(x == _ENV_TOWARD, y, x)
+    empty = _empty(x) | _empty(y) | _empty(bounds)
+    return np.where(empty, _ENV_EMPTY, bounds)
+
+
 def _join(a: _Env, b: _Env) -> _Env:
-    # Python's min(x, y) is y only when y < x, so a tie keeps a's zero sign,
+    # Python's min(x, y) is y only when y < x, so a tie keeps x's zero sign,
     # where np.minimum(0.0, -0.0) is -0.0; the canonical empty interval
     # [inf, -inf] joins to the other side, and so does an unreachable
     # environment
-    bounds = np.where(_beyond(b.bounds, a.bounds), b.bounds, a.bounds)
-    return _select(a.reach, _select(b.reach, _Env(a.reach | b.reach, bounds), a), b)
+    rows = lambda x, y: np.where(_beyond(y, x), y, x)  # noqa: E731
+    return _joined(a, b, *_pair(a, b, Interval.join, rows))
 
 
 def _widen(a: _Env, b: _Env) -> _Env:
-    # a bound that b keeps inside a's stays, one that it passes goes to infinity
-    within = b.bounds >= a.bounds
-    np.less_equal(b.bounds[1], a.bounds[1], out=within[1])
-    bounds = np.where(within, a.bounds, _ENV_TOWARD)
-    # an empty interval widens to the other side, and so does an
-    # unreachable environment, first
-    a_empty, b_empty = _empty(a.bounds), _empty(b.bounds)
-    bounds = np.where(a_empty, b.bounds, np.where(b_empty, a.bounds, bounds))
-    return _select(a.reach, _select(b.reach, _Env(a.reach | b.reach, bounds), a), b)
+    return _joined(a, b, *_pair(a, b, Interval.widen, _widen_rows))
 
 
 def _narrow(a: _Env, b: _Env) -> _Env:
-    bounds = np.where(a.bounds == _ENV_TOWARD, b.bounds, a.bounds)
-    empty = _empty(a.bounds) | _empty(b.bounds) | _empty(bounds)
-    return _Env(a.reach & b.reach, np.where(empty, _ENV_EMPTY, bounds))
+    return _Env(a.reach & b.reach, *_pair(a, b, Interval.narrow, _narrow_rows))
 
 
 def _equal(a: _Env, b: _Env):
-    same = (a.bounds == b.bounds).all(axis=(0, 1))
-    return (a.reach == b.reach) & (~a.reach | same)
+    rows = []
+    for r, (x, y) in enumerate(zip(a.shared, b.shared)):
+        if x is None or y is None:
+            rows.append(r)
+        elif x != y:  # differs on every lane
+            return (a.reach == b.reach) & ~a.reach
+    same = a.reach == b.reach
+    if not rows:
+        return same
+    x, y = _rows(a, rows), _rows(b, rows)
+    if len(rows) < len(a.shared):
+        x, y = x[:, rows], y[:, rows]
+    return same & (~a.reach | (x == y).all(axis=(0, 1)))
 
 
 def _outward(r, a, b, exact):
@@ -215,6 +308,7 @@ class _Lanes:
         self.all_live = True  # no lane aborted or went back yet
         self.aborted = np.zeros(n, dtype=bool)
         self.handed_back = np.zeros(n, dtype=bool)
+        self.none = np.zeros(n, dtype=bool)  # the reach of no lane; never written
         self.word: list[int] = []
         # what `expr` needs of each expression node, by id: see `_plan`
         self.plan: dict[int, object] = {}
@@ -224,9 +318,9 @@ class _Lanes:
 
     def _plan(self, node: lang.Expr) -> Kind:
         """Record the facts of ``node`` and the nodes under it in `plan`: a
-        variable's row, a literal's bounds (None for an INT past 2**53), a
-        generator's full range, an operator's kind, and for a product its
-        kind and coefficient (None when the coefficient leaves the domain).
+        variable's row, a literal's interval, a generator's full range, an
+        operator's kind, and for a product its kind and coefficient (None
+        when the coefficient leaves the domain).
         The kind of ``node``: a variable's, a leaf's, or an operator's right
         operand's."""
 
@@ -234,12 +328,10 @@ class _Lanes:
             self.plan[id(node)] = self.row[node.name]
             return self.kinds[node.name]
         if isinstance(node, lang.Lit):
-            inside = node.kind is Kind.REAL or abs(node.value) < _EXACT_INT
-            self.plan[id(node)] = _constant(node.value, node.value) if inside else None
+            self.plan[id(node)] = Interval.const(node.kind, node.value)
             return node.kind
         if isinstance(node, lang.Draw):
-            full = GENERATOR_RANGE[node.kind]
-            self.plan[id(node)] = _constant(full.lo, full.hi)
+            self.plan[id(node)] = GENERATOR_RANGE[node.kind]
             return node.kind
         self._plan(node.left)
         kind = self._plan(node.right)
@@ -250,8 +342,8 @@ class _Lanes:
         if kind is Kind.INT:
             inside = abs(c) < _EXACT_INT
         else:
-            inside = not _outside_product_range(float(c))
-        self.plan[id(node)] = (kind, float(c) if inside else None)
+            inside = not _outside_product_range(c)
+        self.plan[id(node)] = (kind, c if inside else None)
         return kind
 
     # -- bookkeeping ------------------------------------------------------
@@ -300,6 +392,19 @@ class _Lanes:
         if np.count_nonzero(bad):
             self.hand_back(mask & (bad[0] | bad[1]))
 
+    def checked(self, value: Interval, mask) -> Interval:
+        """``value``, a literal or computed once by the scalar rules for
+        every lane of ``mask``.  An INT bound of magnitude 2**53 or more
+        hands those lanes back, as `check` does, and leaves [0, 0] in its
+        place, so a shared value always converts to float64 exactly."""
+
+        if value.kind is Kind.INT and (
+            _EXACT_INT <= abs(value.lo) < INF or _EXACT_INT <= abs(value.hi) < INF
+        ):
+            self.hand_back(mask)
+            return _ZERO
+        return value
+
     def draw(self, gen: lang.Draw, mask):
         """A concrete draw of ``gen`` on each live lane of ``mask``, from
         its own seed at the iteration word all lanes share; 0 on the other
@@ -312,17 +417,16 @@ class _Lanes:
     # -- expressions ------------------------------------------------------
 
     def expr(self, node: lang.Expr, env: _Env, mask, draws: bool):
-        """The bounds of an expression on every lane; generators draw on
-        the lanes of ``mask`` when ``draws``, else take their full range."""
+        """The value of an expression: an `Interval` when every lane shares
+        it, else its bounds on every lane; generators draw on the lanes of
+        ``mask`` when ``draws``, else take their full range."""
 
         if isinstance(node, lang.Var):
-            return env.bounds[:, self.plan[id(node)]]
+            r = self.plan[id(node)]
+            value = env.shared[r]
+            return env.bounds[:, r] if value is None else value
         if isinstance(node, lang.Lit):
-            value = self.plan[id(node)]
-            if value is None:
-                self.hand_back(mask)
-                return _constant(0.0, 0.0)
-            return value
+            return self.checked(self.plan[id(node)], mask)
         if isinstance(node, lang.Draw):
             if not draws:
                 return self.plan[id(node)]
@@ -333,6 +437,9 @@ class _Lanes:
             return self.scale(kind, self.expr(node.right, env, mask, draws), c, mask)
         a = self.expr(node.left, env, mask, draws)
         b = self.expr(node.right, env, mask, draws)
+        if type(a) is Interval and type(b) is Interval:
+            return self.checked(a.add(b) if node.op == "+" else a.sub(b), mask)
+        a, b = _lift(a), _lift(b)
         if node.op == "-":
             b = -b[::-1]
         return self.add(self.plan[id(node)], a, b, mask)
@@ -350,6 +457,8 @@ class _Lanes:
         if c is None:
             self.hand_back(mask)
             return a
+        if type(a) is Interval:
+            return self.checked(a.scale(c), mask)
         empty = _empty(a)
         if c == 0:
             return self._result(kind, empty, _constant(c, c), mask)
@@ -385,12 +494,21 @@ class _Lanes:
         return _join(either, self.filter(env, right, polarity, mask))
 
     def _refine_cmp(self, env: _Env, left, op: str, right, mask) -> _Env:
-        mask = mask & env.reach
+        if mask is not env.reach:
+            mask = mask & env.reach
         a = self.expr(left, env, mask, False)
         b = self.expr(right, env, mask, False)
-        out = _Env(_keep(env.reach, _definitely_empty(op, a[0], a[1], b[0], b[1])), env.bounds)
-        if not np.count_nonzero(out.reach):
-            return out
+        if type(a) is Interval and type(b) is Interval:
+            # the same on every lane: all of them stay, or none
+            if _definitely_empty(op, a.lo, a.hi, b.lo, b.hi):
+                return _Env(self.none, env.bounds, env.shared)
+            out = env
+        else:
+            a, b = _lift(a), _lift(b)
+            empty = _definitely_empty(op, a[0], a[1], b[0], b[1])
+            out = _Env(_keep(env.reach, empty), env.bounds, env.shared)
+            if not np.count_nonzero(out.reach):
+                return out
         if isinstance(left, lang.Var):
             out = self._refine_var(out, left, op, b, mask)
         if isinstance(right, lang.Var):
@@ -403,14 +521,14 @@ class _Lanes:
         if op == "!=" and not integral:
             return env
         r = self.plan[id(var)]
-        cur = env.bounds[:, r]
+        cur = env.shared[r]
+        if cur is not None and type(b) is Interval:
+            new = self.checked(_refined(cur, op, b), mask)
+            return self._assign(env, r, new)
+        cur, b = _lift(env.bounds[:, r] if cur is None else cur), _lift(b)
         if op == "!=":
-            # an endpoint equal to b's single value moves inward by one;
-            # b is never a single value when it is empty
-            cut = (b[0] == b[1]) & (cur == b[0])
-            new = np.where(cut, cur + _INWARD, cur)
+            new = np.array(_cut(cur[0], cur[1], b[0], b[1]))
             self.check(kind, new, mask & env.reach)
-            empty = _empty(new)
         else:
             c = np.empty_like(b)
             c[0], c[1] = _constraint(op, b[0], b[1], integral)
@@ -418,14 +536,25 @@ class _Lanes:
                 self.check(kind, c, mask & env.reach)
             tighter = _beyond(cur, c)  # where c's bound lies inside cur's
             if not np.count_nonzero(tighter):
-                return _Env(_keep(env.reach, _empty(cur)), env.bounds)
+                return _Env(_keep(env.reach, _empty(cur)), env.bounds, env.shared)
             new = np.where(tighter, c, cur)  # Python's max and min: cur on a tie
-            empty = _empty(cur) | _empty(new)
-        bounds = env.bounds.copy()
-        bounds[:, r] = new
-        return _Env(_keep(env.reach, empty), bounds)
+        return self._assign(env, r, new)
 
     # -- statements -------------------------------------------------------
+
+    def _assign(self, env: _Env, r: int, value) -> _Env:
+        """``env`` with variable ``r`` set to ``value``, a shared `Interval`
+        or bounds on every lane; a lane where it is empty is unreachable."""
+
+        shared = list(env.shared)
+        if type(value) is Interval:
+            shared[r] = value
+            reach = self.none if value.is_bottom() else env.reach
+            return _Env(reach, env.bounds, tuple(shared))
+        shared[r] = None
+        bounds = env.bounds.copy()
+        bounds[:, r] = value
+        return _Env(_keep(env.reach, _empty(value)), bounds, tuple(shared))
 
     def block(self, stmts, env: _Env, fixing: bool) -> _Env:
         for s in stmts:
@@ -438,10 +567,7 @@ class _Lanes:
     def stmt(self, s: lang.Stmt, env: _Env, mask, fixing: bool) -> _Env:
         mask = self.tick(mask)
         if isinstance(s, lang.Assign):
-            value = self.expr(s.expr, env, mask, not fixing)
-            bounds = env.bounds.copy()
-            bounds[:, self.row[s.name]] = value
-            return _Env(_keep(env.reach, _empty(value)), bounds)
+            return self._assign(env, self.row[s.name], self.expr(s.expr, env, mask, not fixing))
         if isinstance(s, lang.Know):
             return self.filter(env, s.cond, True, mask)
         if isinstance(s, lang.If):
@@ -466,14 +592,17 @@ class _Lanes:
                     break
                 enter = self.filter(env, s.cond, True, run)
                 leave = self.filter(env, s.cond, False, run)
-                out = _select(run & ~enter.reach, leave, out)
-                undecided = run & enter.reach & leave.reach
-                fix_env = _select(undecided, env, fix_env)
-                fix_mask |= undecided
-                run = run & enter.reach & ~leave.reach
-                if not np.count_nonzero(run):
-                    break
-                env = self.block(s.body, enter.only(run), False)
+                # a shared guard that holds lets every running lane in as it is
+                if not (run is env.reach is enter.reach and leave.reach is self.none):
+                    out = _select(run & ~enter.reach, leave, out)
+                    undecided = run & enter.reach & leave.reach
+                    fix_env = _select(undecided, env, fix_env)
+                    fix_mask |= undecided
+                    run = run & enter.reach & ~leave.reach
+                    if not np.count_nonzero(run):
+                        break
+                    enter = _Env(run, enter.bounds, enter.shared)
+                env = self.block(s.body, enter, False)
                 self.word[-1] += 1
             self.word.pop()
             fix_env = _select(run, env, fix_env)
@@ -524,9 +653,9 @@ class _Lanes:
         outcome is possible, every aborted lane among them and no lane
         handed back."""
 
-        bounds = np.empty((2, len(self.kinds), self.n))
-        bounds[0], bounds[1] = -INF, INF
-        env = _Env(np.ones(self.n, dtype=bool), bounds)
+        # every variable starts shared, at the top of its kind
+        tops = tuple(Interval.top(kind) for kind in self.kinds.values())
+        env = _Env(np.ones(self.n, dtype=bool), np.empty((2, len(tops), self.n)), tops)
         with np.errstate(all="ignore"):
             env = self.block(self.program.body, env, False)
             hits = self.filter(env, self.program.outcome, True, self._live(env.reach)).reach

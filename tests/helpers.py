@@ -69,7 +69,10 @@ def run_lanes(program, seeds, config=None, restriction=None):
             tables[i][gen.site, word] = value
     names = list(batch.kinds)
     lo, hi = env.bounds
-    columns = [_intervals(batch.kinds[x], lo[r], hi[r]) for r, x in enumerate(names)]
+    columns = [
+        [shared] * len(seeds) if shared is not None else _intervals(batch.kinds[x], lo[r], hi[r])
+        for r, (x, shared) in enumerate(zip(names, env.shared))
+    ]
     rows = zip(
         tables, zip(*columns), env.reach.tolist(), hits.tolist(), batch.steps.tolist(),
         batch.widened.tolist(), batch.aborted.tolist(), batch.handed_back.tolist(),

@@ -14,6 +14,7 @@ from absmc.intervals import (
     DomainError,
     Interval,
     _constraint,
+    _cut,
     _definitely_empty,
     filter_env,
 )
@@ -321,6 +322,18 @@ def test_guard_rules_agree_on_numbers_and_lane_arrays(kind):
         )
     with pytest.raises(DomainError):
         _constraint("!=", 0, 1, integral)
+    # the != cut of [clo, chi] by b: an endpoint equal to b's single value
+    # moves inward by one, and one that stays keeps its bits, -0.0 among them
+    curs = ivs + [(-0.0, -0.0), (-0.0, 1), (-1, -0.0)]
+    cut_pairs = [(*a, *b) for a in curs for b in ivs]
+    lo, hi = _cut(*(_lanes_of(bounds) for bounds in zip(*cut_pairs)))
+    numbers = [_cut(*bounds) for bounds in cut_pairs]
+    assert [(_bits(x), _bits(y)) for x, y in numbers] == list(
+        zip(map(_bits, lo.tolist()), map(_bits, hi.tolist()))
+    )
+    moved = [(x, y) != (clo, chi) for (x, y), (clo, chi, *_) in zip(numbers, cut_pairs)]
+    assert 0 < sum(moved) < len(moved)
+    assert [_bits(x) for x in _cut(-0.0, -0.0, 1, 1)] == [_bits(-0.0)] * 2
 
 
 OPS = dict(

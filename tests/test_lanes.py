@@ -1,11 +1,14 @@
 """The lane engine against the scalar engine: the numeric edges of its
-interval arithmetic, the lanes it hands back to the scalar engine, the
-draws of a chunk's blocks and the memory a block keeps."""
+interval arithmetic, the values every lane shares, the lanes it hands
+back to the scalar engine, the draws of a chunk's blocks and the memory a
+block keeps."""
 
+import importlib.util
 import itertools
 import tracemalloc
 import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,12 +187,15 @@ def _as_lanes(envs):
     reach = np.array([not e.is_bottom() for e in envs])
     ivs = [e.values or {"x": Interval.top(Kind.REAL), "y": Interval.top(Kind.REAL)} for e in envs]
     bounds = [[[getattr(iv[name], side) for iv in ivs] for name in "xy"] for side in ("lo", "hi")]
-    return lanes._Env(reach, np.array(bounds, dtype=float))
+    return lanes._Env(reach, np.array(bounds, dtype=float), (None, None))
 
 
 def _from_lanes(env):
     lo, hi = env.bounds
-    columns = [_intervals(Kind.REAL, lo[r], hi[r]) for r in range(2)]
+    columns = [
+        [shared] * len(env.reach) if shared is not None else _intervals(Kind.REAL, lo[r], hi[r])
+        for r, shared in enumerate(env.shared)
+    ]
     return [
         AbstractEnv(dict(zip("xy", ivs)) if reach else None)
         for reach, ivs in zip(env.reach.tolist(), zip(*columns))
@@ -241,6 +247,147 @@ def test_product_exactness_matches_fractions():
         x = np.array(xs)
         p = c * x
         assert lanes._product_is_exact(c, x, p).tolist() == [_mul_is_exact(c, v, c * v) for v in xs]
+
+
+# ---------------------------------------------------------------------------
+# Values every lane shares
+# ---------------------------------------------------------------------------
+
+
+def _load_loopgen():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "loopgen.py"
+    spec = importlib.util.spec_from_file_location("loopgen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+LOOPGEN = {
+    f"loops{seed}.{name}": source
+    for seed in (1, 2, 3)
+    for name, _, source in _load_loopgen().generate(seed)
+}
+
+
+def _bits(env):
+    """The bounds of an environment, REAL ones as float64 bits so that -0.0
+    and 0.0 differ (an INT bound is a Python int, which has no signed zero)."""
+
+    if env is None or env.is_bottom():
+        return None
+    bits = lambda kind, b: b if kind is Kind.INT else np.float64(b).view(np.int64).item()  # noqa: E731
+    return {name: [bits(iv.kind, iv.lo), bits(iv.kind, iv.hi)] for name, iv in env.values.items()}
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", *LOOPGEN])
+def test_one_lane_blocks_match_scalar_trials_bit_for_bit(figs, name):
+    p = figs[name] if name in figs else parse(LOOPGEN[name])
+    for seed in range(4):
+        (lane,) = run_lanes(p, [seed])
+        scalar = analyze_trial(p, seed)
+        assert summary(lane) == summary(scalar)
+        assert _bits(lane.env) == _bits(scalar.env)
+
+
+def test_a_fixpoint_entered_with_every_variable_shared_keeps_them_shared():
+    # no variable differs between lanes, so the unrolled iterations, the
+    # fixpoint and its guard run on the scalar rules and touch no row
+    p = parse(
+        "double n, x, i; know (n >= 0.0 && n <= 9.0); x = 0.0; i = 0.0;"
+        " while (i < 100.0 - n) { x = x + 0.5; i = i + 1.0; } know (x > 1.0);"
+    )
+    seeds = lang.mix(np.arange(8, dtype=np.uint64))
+    for config in CONFIGS:
+        _lanes_equal_scalar(lang.to_source(p), config)
+        block = lanes._Lanes(p, seeds, config, None)
+        env, hits = block.run()
+        assert None not in env.shared
+        assert (block.widened == 1).all() and hits.all()
+
+
+def test_a_shared_negative_zero_keeps_its_sign_in_a_row():
+    # x = -0.0 on every lane is written into x's row where the first branch
+    # joins lanes of 0.0; the second branch is reachable both ways, so its
+    # join meets each lane's zero against a shared 0.0 and keeps the first
+    source = (
+        "double x, y, u; know (y >= 0.0 && y <= 1.0); u = uniform(); x = -0.0;"
+        " if (u < 0.5) { x = 0.0 * u; } if (y < 0.5) { x = x; } else { x = 0.0; }"
+        " know (x <= 0.0);"
+    )
+    outs = _lanes_equal_scalar(source)
+    p = parse(source)
+    for seed, lane in zip(SEEDS, outs):
+        assert _bits(lane.env) == _bits(analyze_trial(p, seed).env)
+    finals = {out.env.render().split(" y=")[0] for out in outs}
+    assert finals == {"x=[-0.0, -0.0]", "x=[0.0, 0.0]"}
+
+
+def test_not_equal_cuts_lanes_by_a_shared_value_and_back():
+    # a shared x cut by a y that differs between lanes, then x, now in its
+    # row, by a shared 3, and y by x
+    source = (
+        "int x, y; know (x >= 0 && x <= 3); y = 3 * coin_flip(); know (x != y);"
+        " know (x != 3); know (y != x); know (x < 9);"
+    )
+    renders = {out.env.render() for out in _lanes_equal_scalar(source)}
+    assert renders == {"x=[0, 2] y=[3, 3]", "x=[1, 2] y=[0, 0]"}
+
+
+SHARED = [
+    Interval.make(Kind.REAL, 0.0, 0.0),
+    Interval.make(Kind.REAL, -0.0, -0.0),
+    Interval.make(Kind.REAL, -INF, 5.0),
+    Interval.make(Kind.REAL, 7.0, 9.0),
+    Interval.bottom(Kind.REAL),
+]
+
+
+def _share(env, iv):
+    """``env`` with x held as ``iv`` on every lane; its row holds NaN, so
+    an operation that read it would show."""
+
+    bounds = env.bounds.copy()
+    bounds[:, 0] = np.nan
+    return lanes._Env(env.reach, bounds, (iv, None))
+
+
+def _scalar_share(env, iv):
+    return env if env.is_bottom() else AbstractEnv({**env.values, "x": iv})
+
+
+@pytest.mark.parametrize("side", ["left", "right", "both"])
+def test_lattice_operations_of_shared_and_row_variables_match_the_scalar_ones(side):
+    # every pair of ENVS with x shared on one side or both, the other side's
+    # x in its row; y stays in its row
+    pairs = list(itertools.product(ENVS, repeat=2))
+    for iv in SHARED:
+        ps = [p if side == "right" else _scalar_share(p, iv) for p, _ in pairs]
+        qs = [q if side == "left" else _scalar_share(q, iv) for _, q in pairs]
+        a, b = _as_lanes(ps), _as_lanes(qs)
+        a = a if side == "right" else _share(a, iv)
+        b = b if side == "left" else _share(b, iv)
+        for lane_op, scalar_op in [
+            (lanes._join, AbstractEnv.join),
+            (lanes._widen, AbstractEnv.widen),
+            (lanes._narrow, AbstractEnv.narrow),
+        ]:
+            out = lane_op(a, b)
+            got = [_bits(e) for e in _from_lanes(out)]
+            assert got == [_bits(scalar_op(p, q)) for p, q in zip(ps, qs)], lane_op.__name__
+            if side == "both":
+                assert out.shared[0] is not None  # every lane reaches both sides
+        assert lanes._equal(a, b).tolist() == [p == q for p, q in zip(ps, qs)]
+        mask = np.arange(len(pairs)) % 3 == 0
+        got = [_bits(e) for e in _from_lanes(lanes._select(mask, a, b))]
+        assert got == [_bits(p if m else q) for p, q, m in zip(ps, qs, mask)]
+    # a select keeps a variable shared only when both sides hold it bit for bit
+    envs = ENVS[1:]
+    mask = np.arange(len(envs)) % 2 == 0
+    for x, y in itertools.product(SHARED[:2], repeat=2):
+        out = lanes._select(mask, _share(_as_lanes(envs), x), _share(_as_lanes(envs), y))
+        assert (out.shared[0] is not None) == (x is y)
+        got = [_bits(e) for e in _from_lanes(out)]
+        assert got == [_bits(_scalar_share(e, x if m else y)) for e, m in zip(envs, mask)]
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +480,38 @@ def test_lanes_of_mixed_fates_in_one_loop_match_scalar_trials(width):
             assert summary(lane) == summary(scalar)
     if width >= 49:
         assert fates == {"handed back", "aborted", "finished"}
+
+
+def test_a_shared_int_counter_past_2_53_goes_back(engines):
+    # k is the same on every lane: below 2**53 it stays shared and exact,
+    # and the step that takes it to 2**53 hands back every lane that runs it
+    head = "int k, i; double u; u = uniform(); k = 9007199254740989; i = 0;"
+    _lanes_equal_scalar(f"{head} while (i < 2) {{ k = k + 1; i++; }} know (k > 0);")
+    p = parse(f"{head} while (i < 5) {{ k = k + 1; i++; }} know (k > 0);")
+    assert run_lanes(p, SEEDS) == [None] * len(SEEDS)
+    config = TrialConfig()
+    got = estimator._trial_chunk((p, config, None, 5, 0, 40))
+    assert got == (40, 0, 0)
+    assert engines["scalar"] == [estimator.derive_seed(5, i) for i in range(40)]
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["4503599627370495 * 4503599627370495", "4503599627370495 * (" * 20 + "3" + ")" * 20],
+    ids=["2**104", "past the float range"],
+)
+def test_a_shared_int_past_2_63_meets_lane_arrays(value):
+    # the shared product leaves the domain, so its lanes go back before it
+    # meets the coin's lanes; no bound is converted past the float range
+    # and no array becomes an object array
+    p = parse(f"int k, c; c = coin_flip(); k = {value} + c; know (k > 0);")
+    block = lanes._Lanes(p, lang.mix(np.arange(64, dtype=np.uint64)), TrialConfig(), None)
+    env, hits = block.run()
+    assert block.handed_back.all() and not hits.any()
+    assert env.bounds.dtype == np.float64
+    config = TrialConfig()
+    outs = [analyze_trial(p, estimator.derive_seed(2, i), config) for i in range(20)]
+    assert estimator._trial_chunk((p, config, None, 2, 0, 20)) == (sum(o.hit for o in outs), 0, 0)
 
 
 def test_a_lane_aborts_at_the_step_budget():
