@@ -366,6 +366,8 @@ def oracle_estimate(
         return OracleReport("exact", float(total), leaves, spec.grid, None, notes)
     if n < 1:
         raise OracleError("sampled mode needs n >= 1")
+    if seed is not None and seed < 0:
+        raise OracleError(f"sampled mode needs a seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     hits = 0
     diagnostics: list[str] = []

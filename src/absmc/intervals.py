@@ -25,6 +25,16 @@ against the interval of ``e``; other shapes refine nothing, which is
 sound.  Decisions about definite emptiness use exact comparison
 semantics; only the refined intervals weaken strict real inequalities
 to their closed form (the boundary has measure zero).
+
+The rules on bounds are written once for the scalar engine and `lanes`,
+and take Python numbers and numpy arrays of bounds alike: outward
+rounding (`_outward` with `_sum_is_exact` or `_product_is_exact`), the
+lattice rules on a pair of bounds (`_hull`, `_meet`, `_widened`,
+`_narrowed`, their ties decided by `_outside`) and the guard rules
+(`_definitely_empty`, `_constraint`, `_cut`).  A pair is a tuple (lower,
+upper) of numbers, or a (2, ...) array.  The operations that numbers and
+arrays spell differently come as ``xp``: `_NUMBERS` by default, numpy's
+from `lanes`, so this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import lang
 from .lang import Kind
@@ -46,40 +57,125 @@ class DomainError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Outward-rounded double arithmetic
-#
-# IEEE add/sub/mul are correctly rounded, so the exact result is within
-# one ulp of the computed one; a single nextafter step is enough.
+# Rules on bounds, for numbers and lane arrays
 # ---------------------------------------------------------------------------
 
 
+def _where(c, a, b):
+    """`numpy.where` on numbers, or on pairs by a pair of conditions."""
+
+    if type(c) is tuple:
+        return (a[0] if c[0] else b[0], a[1] if c[1] else b[1])
+    return a if c else b
+
+
+# ``xp`` on numbers; ``toward`` is where each bound of a pair rounds and widens
+_NUMBERS = SimpleNamespace(
+    where=_where, isinf=math.isinf, nextafter=math.nextafter, copysign=math.copysign,
+    any=bool, all=bool, toward=(-INF, INF),
+)
+
+
 def _sum_is_exact(a: float, b: float, s: float) -> bool:
-    # TwoSum error term; zero iff a + b == s exactly.  `&` rather than
-    # `and`, so that `lanes` applies it to arrays too
+    # TwoSum error term; zero iff a + b == s exactly (`&`, not `and`: arrays too)
     bv = s - a
     av = s - bv
     return ((a - av) == 0.0) & ((b - bv) == 0.0)
 
 
-def _mul_is_exact(a: float, b: float, p: float) -> bool:
-    return Fraction(a) * Fraction(b) == Fraction(p)
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+# nonzero factors of a REAL product inside this magnitude range split
+# without overflow and leave an error term above the subnormal range
+_PRODUCT_RANGE = (2.0**-480, 2.0**480)
 
 
-def _outward(r: float, a: float, b: float, exact, toward: float) -> float:
-    """``r``, the rounded sum or product of ``a`` and ``b``, moved one ulp
-    toward ``toward`` (-INF or INF) unless ``exact(a, b, r)`` says it is the
-    exact result.  An overflow away from ``toward`` stops at the largest
-    finite double, unless an operand is infinite."""
+def _split(a):
+    t = _SPLIT * a
+    high = t - (t - a)
+    return high, a - high
 
-    if r != r:
-        if exact is _sum_is_exact:
-            raise DomainError("undefined sum of infinities")
-        raise DomainError("undefined product with infinity")
-    if math.isinf(r):  # finite operands whose result overflowed, or infinite ones
-        if r == toward or math.isinf(a) or math.isinf(b):
-            return r
-        return math.copysign(_MAX, r)
-    return r if exact(a, b, r) else math.nextafter(r, toward)
+
+def _outside_product_range(x):
+    """Finite nonzero factors outside `_PRODUCT_RANGE` (an infinite one needs no test)."""
+
+    magnitude = abs(x)
+    tiny = (magnitude < _PRODUCT_RANGE[0]) & (x != 0.0)
+    huge = (magnitude > _PRODUCT_RANGE[1]) & (magnitude < INF)
+    return tiny | huge
+
+
+def _product_is_exact(a, b, p):
+    """Whether ``p``, the rounded product of ``a`` and ``b``, is exact: by
+    Dekker's TwoProduct for factors inside `_PRODUCT_RANGE`, and outside it
+    by `Fraction` on numbers (lanes hand such a lane back)."""
+
+    if type(b) is float and (_outside_product_range(a) or _outside_product_range(b)):
+        return math.isfinite(p) and Fraction(a) * Fraction(b) == Fraction(p)
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return al * bl - (((p - ah * bh) - al * bh) - ah * bl) == 0.0
+
+
+def _outward(r, a, b, exact, toward, xp=_NUMBERS):
+    """``r``, the rounded sum or product of ``a`` and ``b``, one ulp toward
+    ``toward`` unless ``exact(a, b, r)``; IEEE rounds correctly, so one step
+    holds the exact result.  An overflow away from ``toward`` stops at the
+    largest finite double, unless an operand is infinite.  A NaN stays NaN:
+    the scalar engine raises on it, and lanes hand its lane back."""
+
+    exact = exact(a, b, r)
+    if xp.all(exact):
+        return r  # an exact sum or product is finite
+    out = xp.where(exact, r, xp.nextafter(r, toward))
+    infinite = xp.isinf(r)  # finite operands whose result overflowed, or infinite ones
+    if not xp.any(infinite):
+        return out
+    keep = (r == toward) | xp.isinf(a) | xp.isinf(b)
+    return xp.where(infinite, xp.where(keep, r, xp.copysign(_MAX, r)), out)
+
+
+def _empty(x):
+    return x[0] > x[1]
+
+
+def _outside(x, y):
+    """Whether each bound of the pair ``x`` lies outside ``y``'s: below it
+    for the lower bound, above it for the upper.  A tie is not outside: the
+    hull and meet keep the first argument's bound, zero sign and all."""
+
+    return x[0] < y[0], y[1] < x[1]
+
+
+def _hull(x, y, xp=_NUMBERS):
+    """The bounds of the join of ``x`` and ``y``; the canonical empty
+    ``[inf, -inf]``, with no bound outside another, joins to the other."""
+
+    return xp.where(_outside(y, x), y, x)
+
+
+def _meet(x, y, xp=_NUMBERS):
+    """The bounds of the meet of ``x`` and ``y``, empty or not; ``x``
+    itself when no bound of ``y`` lies inside ``x``'s."""
+
+    inside = _outside(x, y)
+    if not (xp.any(inside[0]) or xp.any(inside[1])):
+        return x
+    return xp.where(inside, y, x)
+
+
+def _widened(x, y, xp=_NUMBERS):
+    """The bounds of ``x`` widened by ``y``: a bound of ``y`` outside goes to
+    infinity.  An empty ``x`` widens to ``y``; the canonical empty ``y``,
+    with no bound outside, to ``x``."""
+
+    return xp.where(_empty(x), y, xp.where(_outside(y, x), xp.toward, x))
+
+
+def _narrowed(x, y, xp=_NUMBERS):
+    """The bounds of ``x`` narrowed by ``y``: an infinite bound of ``x``
+    refines to ``y``'s; empty when either is, or the result is."""
+
+    out = xp.where((x[0] == -INF, x[1] == INF), y, x)
+    return xp.where(_empty(x) | _empty(y) | _empty(out), xp.toward[::-1], out)
 
 
 def _int_sum(a, b):
@@ -161,18 +257,12 @@ class Interval:
 
     def join(self, other: "Interval") -> "Interval":
         self._check_kind(other)
-        if self.is_bottom():
-            return other
-        if other.is_bottom():
-            return self
-        return Interval(self.kind, min(self.lo, other.lo), max(self.hi, other.hi))
+        lo, hi = _hull((self.lo, self.hi), (other.lo, other.hi))
+        return Interval(self.kind, lo, hi)
 
     def meet(self, other: "Interval") -> "Interval":
         self._check_kind(other)
-        if self.is_bottom() or other.is_bottom():
-            return Interval.bottom(self.kind)
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
+        lo, hi = _meet((self.lo, self.hi), (other.lo, other.hi))
         if lo > hi:
             return Interval.bottom(self.kind)
         return Interval(self.kind, lo, hi)
@@ -181,23 +271,15 @@ class Interval:
         """Bounds of ``other`` strictly beyond ours become infinite."""
 
         self._check_kind(other)
-        if self.is_bottom():
-            return other
-        if other.is_bottom():
-            return self
-        lo = self.lo if other.lo >= self.lo else -INF
-        hi = self.hi if other.hi <= self.hi else INF
+        lo, hi = _widened((self.lo, self.hi), (other.lo, other.hi))
         return Interval(self.kind, lo, hi)
 
     def narrow(self, other: "Interval") -> "Interval":
         """Refine infinite bounds to ``other``'s; requires other <= self."""
 
         self._check_kind(other)
-        if other.is_bottom() or self.is_bottom():
-            return Interval.bottom(self.kind)
-        lo = other.lo if self.lo == -INF else self.lo
-        hi = other.hi if self.hi == INF else self.hi
-        return Interval.make(self.kind, lo, hi)
+        lo, hi = _narrowed((self.lo, self.hi), (other.lo, other.hi))
+        return Interval(self.kind, lo, hi)
 
     # arithmetic
 
@@ -206,14 +288,12 @@ class Interval:
         if self.is_bottom() or other.is_bottom():
             return Interval.bottom(self.kind)
         if self.kind is Kind.INT:
-            return Interval.make(
-                self.kind, _int_sum(self.lo, other.lo), _int_sum(self.hi, other.hi)
-            )
-        return Interval.make(
-            self.kind,
-            _outward(self.lo + other.lo, self.lo, other.lo, _sum_is_exact, -INF),
-            _outward(self.hi + other.hi, self.hi, other.hi, _sum_is_exact, INF),
-        )
+            return Interval(self.kind, _int_sum(self.lo, other.lo), _int_sum(self.hi, other.hi))
+        lo = _outward(self.lo + other.lo, self.lo, other.lo, _sum_is_exact, -INF)
+        hi = _outward(self.hi + other.hi, self.hi, other.hi, _sum_is_exact, INF)
+        if lo != lo or hi != hi:
+            raise DomainError("undefined sum of infinities")
+        return Interval(self.kind, lo, hi)
 
     def sub(self, other: "Interval") -> "Interval":
         # the sum with other's mirror: IEEE a - b is a + (-b) bit for bit
@@ -228,14 +308,14 @@ class Interval:
             return Interval.const(self.kind, coeff)
         if self.kind is Kind.INT:
             a, b = _int_scaled(coeff, self.lo), _int_scaled(coeff, self.hi)
-            return Interval.make(self.kind, min(a, b), max(a, b))
+            return Interval(self.kind, *_hull((a, a), (b, b)))  # the products' order
         c = float(coeff)
         lo, hi = (self.lo, self.hi) if c > 0 else (self.hi, self.lo)
-        return Interval.make(
-            self.kind,
-            _outward(c * lo, c, lo, _mul_is_exact, -INF),
-            _outward(c * hi, c, hi, _mul_is_exact, INF),
-        )
+        lo = _outward(c * lo, c, lo, _product_is_exact, -INF)
+        hi = _outward(c * hi, c, hi, _product_is_exact, INF)
+        if lo != lo or hi != hi:
+            raise DomainError("undefined product with infinity")
+        return Interval(self.kind, lo, hi)
 
     # rendering
 

@@ -31,53 +31,49 @@ no array work: a select returns one side as it is, an unrolled iteration
 whose shared guard holds lets every running lane in as it is, and while
 every lane is live no mask is narrowed to the live lanes.
 
-The rules of a trial are the scalar engine's, which take arrays as well
-as numbers: a draw is `lang.draw` on the seed array, and guards decide
-and refine by `intervals._definitely_empty`, `intervals._constraint` and
-`intervals._cut`.  The block keeps nothing of a draw once the expression
-that drew used it.  Lanes count their steps as
-`interp.TrialContext.tick` does and abort at the step budget.
-`_Lanes.run` leaves the batch's arrays: final environments, hits, steps,
-widened loops, aborts and hand-backs, and `estimator` sums those of each
-block of `estimator.BLOCK` seeds.  A lane's verdict, steps, widenings
-and abort equal the scalar engine's trial of its seed, and so do its
-final environment and draws.
+The rules of a trial are the scalar engine's: a draw is `lang.draw` on
+the seed array, and rounding, products, joins, widenings, narrowings and
+guards are the rules on bounds of `intervals`, given numpy's operations
+(`_ARRAYS`).  The block keeps nothing of a draw once the expression that
+drew used it.  Lanes count their steps as `interp.TrialContext.tick`
+does and abort at the step budget.  `_Lanes.run` leaves the batch's
+arrays: final environments, hits, steps, widened loops, aborts and
+hand-backs, and `estimator` sums those of each block of
+`estimator.BLOCK` seeds.  A lane's verdict, steps, widenings, abort,
+final environment and draws equal the scalar engine's trial of its seed.
 
 Lanes compute exactly what the scalar engine computes only inside a
-domain: INT bounds are exact in float64 while their magnitude stays
-below 2**53, and a REAL product's exactness test (Dekker's TwoProduct
-standing in for `intervals._mul_is_exact`) holds only for factors
-within `_PRODUCT_RANGE`.  A lane that leaves the domain, or meets a
-NaN, is handed back: the caller runs the scalar engine from its seed.
-Shared values keep the INT rule too: a shared INT result of magnitude
-2**53 or more hands back the lanes that computed it (`_Lanes.checked`),
-so a shared value always converts to float64 exactly when it is
-written into a row.
+domain: INT bounds below 2**53 in magnitude, which float64 holds
+exactly, and REAL product factors within `intervals._PRODUCT_RANGE`,
+where TwoProduct decides exactness.  A lane that leaves the domain, or
+meets a NaN, is handed back: the caller runs the scalar engine from its
+seed.  A shared INT result of magnitude 2**53 or more hands back the
+lanes that computed it (`_Lanes.checked`), so a shared value converts to
+float64 exactly when it is written into a row.
 """
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from . import lang
+from . import intervals, lang
 from .interp import TrialConfig
-from .intervals import _MAX, _MIRROR, _NEGATED, GENERATOR_RANGE, INF, Interval
-from .intervals import _constraint, _cut, _definitely_empty, _refined, _sum_is_exact
+from .intervals import _MIRROR, _NEGATED, GENERATOR_RANGE, INF, Interval, _constraint, _cut
+from .intervals import _definitely_empty, _empty, _hull, _meet, _narrowed, _outside_product_range
+from .intervals import _outward, _product_is_exact, _refined, _sum_is_exact, _widened
 from .lang import Kind
 
 _EXACT_INT = 2.0**53  # INT bounds at or past this magnitude go back to the scalar engine
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
-# nonzero factors of a REAL product inside this magnitude range split
-# without overflow and leave an error term above the subnormal range
-_PRODUCT_RANGE = (2.0**-480, 2.0**480)
 
-# Per bound of a value, lower over upper: the direction it rounds and
-# widens to; the `_ENV_` forms are shaped for an environment's
-# (2, variables, lanes)
-_TOWARD = np.array([[-INF], [INF]])
+_TOWARD = np.array(intervals._NUMBERS.toward)[:, None]  # for a value's (2, lanes)
 _EMPTY = -_TOWARD  # the canonical empty interval
-_ENV_TOWARD, _ENV_EMPTY = _TOWARD[:, None], _EMPTY[:, None]
+# ``xp`` of `intervals`' rules on arrays, ``toward`` shaped for an environment
+_ARRAYS = SimpleNamespace(
+    where=np.where, isinf=np.isinf, nextafter=np.nextafter, copysign=np.copysign,
+    any=np.count_nonzero, all=lambda x: np.count_nonzero(x) == x.size, toward=_TOWARD[:, None],
+)
 _ZERO = Interval.const(Kind.INT, 0)  # stands in for a shared INT past 2**53
 
 
@@ -125,8 +121,8 @@ def _rows(env: _Env, rows):
 def _pair(a: _Env, b: _Env, shared, rows):
     """The bounds and shared values of an operation on two environments:
     ``shared(x, y)`` of two shared values (None when the result differs
-    between lanes), and ``rows`` of the bounds of every other variable,
-    once for all of them.  No array work when every result is shared."""
+    between lanes), and ``rows(x, y, _ARRAYS)`` of the other variables'
+    bounds, once for all.  No array work when every result is shared."""
 
     out, todo = [], []
     for r, (x, y) in enumerate(zip(a.shared, b.shared)):
@@ -136,7 +132,7 @@ def _pair(a: _Env, b: _Env, shared, rows):
             todo.append(r)
     if not todo:
         return a.bounds, tuple(out)
-    return rows(_rows(a, todo), _rows(b, todo)), tuple(out)
+    return rows(_rows(a, todo), _rows(b, todo), _ARRAYS), tuple(out)
 
 
 def _identical(x: Interval, y: Interval):
@@ -158,7 +154,7 @@ def _select(mask, a: _Env, b: _Env) -> _Env:
         return b
     if count == mask.size:
         return a
-    bounds, shared = _pair(a, b, _identical, lambda x, y: np.where(mask, x, y))
+    bounds, shared = _pair(a, b, _identical, lambda x, y, xp: xp.where(mask, x, y))
     return _Env(np.where(mask, a.reach, b.reach), bounds, shared)
 
 
@@ -170,26 +166,11 @@ def _constant(lo, hi):
     return np.array([[lo], [hi]], dtype=np.float64)
 
 
-def _empty(x):
-    """Whether each interval of the bounds ``x`` is empty."""
-
-    return x[0] > x[1]
-
-
 def _keep(reach, empty):
     """The lanes of ``reach`` outside ``empty``: ``reach`` itself when
     ``empty`` holds no lane."""
 
     return reach & ~empty if np.count_nonzero(empty) else reach
-
-
-def _beyond(x, y):
-    """Whether each bound of ``x`` lies outside ``y``'s: below it for lower
-    bounds, above it for upper bounds."""
-
-    out = x < y
-    np.greater(x[1], y[1], out=out[1])
-    return out
 
 
 def _joined(a: _Env, b: _Env, bounds, shared) -> _Env:
@@ -199,36 +180,17 @@ def _joined(a: _Env, b: _Env, bounds, shared) -> _Env:
     return _select(a.reach, _select(b.reach, _Env(a.reach | b.reach, bounds, shared), a), b)
 
 
-def _widen_rows(x, y):
-    # a bound that y keeps inside x's stays, one that it passes goes to
-    # infinity; an empty interval widens to the other side
-    within = y >= x
-    np.less_equal(y[1], x[1], out=within[1])
-    bounds = np.where(within, x, _ENV_TOWARD)
-    return np.where(_empty(x), y, np.where(_empty(y), x, bounds))
-
-
-def _narrow_rows(x, y):
-    bounds = np.where(x == _ENV_TOWARD, y, x)
-    empty = _empty(x) | _empty(y) | _empty(bounds)
-    return np.where(empty, _ENV_EMPTY, bounds)
-
-
 def _join(a: _Env, b: _Env) -> _Env:
-    # Python's min(x, y) is y only when y < x, so a tie keeps x's zero sign,
-    # where np.minimum(0.0, -0.0) is -0.0; the canonical empty interval
-    # [inf, -inf] joins to the other side, and so does an unreachable
-    # environment
-    rows = lambda x, y: np.where(_beyond(y, x), y, x)  # noqa: E731
-    return _joined(a, b, *_pair(a, b, Interval.join, rows))
+    # an unreachable environment joins to the other side
+    return _joined(a, b, *_pair(a, b, Interval.join, _hull))
 
 
 def _widen(a: _Env, b: _Env) -> _Env:
-    return _joined(a, b, *_pair(a, b, Interval.widen, _widen_rows))
+    return _joined(a, b, *_pair(a, b, Interval.widen, _widened))
 
 
 def _narrow(a: _Env, b: _Env) -> _Env:
-    return _Env(a.reach & b.reach, *_pair(a, b, Interval.narrow, _narrow_rows))
+    return _Env(a.reach & b.reach, *_pair(a, b, Interval.narrow, _narrowed))
 
 
 def _equal(a: _Env, b: _Env):
@@ -245,48 +207,6 @@ def _equal(a: _Env, b: _Env):
     if len(rows) < len(a.shared):
         x, y = x[:, rows], y[:, rows]
     return same & (~a.reach | (x == y).all(axis=(0, 1)))
-
-
-def _outward(r, a, b, exact):
-    """`intervals._outward` on lanes: the bounds ``r``, the rounded sum or
-    product of ``a`` and ``b``, each one ulp outward unless ``exact``; an
-    overflow inward of finite operands stops at the largest finite
-    double."""
-
-    if np.count_nonzero(exact) == exact.size:
-        return r  # an exact sum or product is finite
-    out = np.where(exact, r, np.nextafter(r, _TOWARD))
-    infinite = np.isinf(r)
-    if not np.count_nonzero(infinite):
-        return out
-    keep = (r == _TOWARD) | np.isinf(a) | np.isinf(b)
-    return np.where(infinite, np.where(keep, r, np.copysign(_MAX, r)), out)
-
-
-def _split(a):
-    t = _SPLIT * a
-    high = t - (t - a)
-    return high, a - high
-
-
-def _product_is_exact(c: float, x, p):
-    """Dekker's TwoProduct error term of ``p = c * x`` is zero; exact for
-    factors inside `_PRODUCT_RANGE`, where it agrees with
-    `intervals._mul_is_exact`."""
-
-    ch, cl = _split(c)
-    xh, xl = _split(x)
-    return cl * xl - (((p - ch * xh) - cl * xh) - ch * xl) == 0.0
-
-
-def _outside_product_range(x):
-    """Finite nonzero factors outside `_PRODUCT_RANGE` (an infinite one
-    makes an infinite product, which needs no exactness test)."""
-
-    magnitude = np.abs(x)
-    tiny = (magnitude < _PRODUCT_RANGE[0]) & (x != 0.0)
-    huge = (magnitude > _PRODUCT_RANGE[1]) & (magnitude < INF)
-    return tiny | huge
 
 
 class _Lanes:
@@ -339,10 +259,7 @@ class _Lanes:
             self.plan[id(node)] = kind
             return kind
         c = node.left.value  # the left is the literal coefficient
-        if kind is Kind.INT:
-            inside = abs(c) < _EXACT_INT
-        else:
-            inside = not _outside_product_range(c)
+        inside = abs(c) < _EXACT_INT if kind is Kind.INT else not _outside_product_range(c)
         self.plan[id(node)] = (kind, c if inside else None)
         return kind
 
@@ -447,7 +364,7 @@ class _Lanes:
     def add(self, kind: Kind, a, b, mask):
         r = a + b
         if kind is Kind.REAL:
-            r = _outward(r, a, b, _sum_is_exact(a, b, r))
+            r = _outward(r, a, b, _sum_is_exact, _TOWARD, _ARRAYS)
         return self._result(kind, _empty(a) | _empty(b), r, mask)
 
     def scale(self, kind: Kind, a, c, mask):
@@ -463,15 +380,14 @@ class _Lanes:
         if c == 0:
             return self._result(kind, empty, _constant(c, c), mask)
         if kind is Kind.INT:
-            # Python's min and max of the two products: the first on a tie
             p = c * a
-            r = np.where(np.array((p[1] < p[0], p[1] > p[0])), p[1], p[0])
-            return self._result(kind, empty, r, mask)
-        x = a if c > 0 else a[::-1]
-        outside = _outside_product_range(x)
-        self.hand_back(mask & ~empty & (outside[0] | outside[1]))
-        p = c * x
-        return self._result(kind, empty, _outward(p, c, x, _product_is_exact(c, x, p)), mask)
+            r = _hull((p[0], p[0]), (p[1], p[1]), _ARRAYS)  # `Interval.scale`'s order
+        else:
+            x = a if c > 0 else a[::-1]
+            outside = _outside_product_range(x)
+            self.hand_back(mask & ~empty & (outside[0] | outside[1]))
+            r = _outward(c * x, c, x, _product_is_exact, _TOWARD, _ARRAYS)
+        return self._result(kind, empty, r, mask)
 
     def _result(self, kind: Kind, empty, r, mask):
         empty = empty | _empty(r)
@@ -534,10 +450,9 @@ class _Lanes:
             c[0], c[1] = _constraint(op, b[0], b[1], integral)
             if integral and op in ("<", ">"):  # the one case that moves a bound of b
                 self.check(kind, c, mask & env.reach)
-            tighter = _beyond(cur, c)  # where c's bound lies inside cur's
-            if not np.count_nonzero(tighter):
+            new = _meet(cur, c, _ARRAYS)
+            if new is cur:  # no bound of c lies inside cur's
                 return _Env(_keep(env.reach, _empty(cur)), env.bounds, env.shared)
-            new = np.where(tighter, c, cur)  # Python's max and min: cur on a tie
         return self._assign(env, r, new)
 
     # -- statements -------------------------------------------------------

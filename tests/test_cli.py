@@ -447,6 +447,14 @@ def test_domain_error_exit_1(capsys, monkeypatch):
     assert err == "error: undefined sum of infinities\n"
 
 
+@pytest.mark.parametrize("seed", ["-1", "-18446744073709551617"])
+def test_oracle_negative_seed_exit_1(capsys, seed):
+    # numpy's generator takes no negative seed; the message names the seed
+    code, out, err = run_cli(capsys, "oracle", FIG1, "--n", "100", "--seed", seed)
+    assert (code, out) == (1, "")
+    assert err == f"error: sampled mode needs a seed >= 0, got {seed}\n"
+
+
 @pytest.mark.parametrize("grid", ["0", "-3"])
 def test_oracle_grid_below_one_exit_1(capsys, grid):
     code, out, err = run_cli(capsys, "oracle", FIG1, "--n", "100", "--grid", grid)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from absmc import lang
 from absmc.intervals import (
+    _MAX,
+    _PRODUCT_RANGE,
     INF,
     AbstractEnv,
     DomainError,
@@ -16,8 +18,17 @@ from absmc.intervals import (
     _constraint,
     _cut,
     _definitely_empty,
+    _hull,
+    _meet,
+    _narrowed,
+    _outside_product_range,
+    _outward,
+    _product_is_exact,
+    _sum_is_exact,
+    _widened,
     filter_env,
 )
+from absmc.lanes import _ARRAYS, _TOWARD
 from absmc.lang import Kind
 
 I = lambda lo, hi: Interval.make(Kind.INT, lo, hi)  # noqa: E731
@@ -334,6 +345,72 @@ def test_guard_rules_agree_on_numbers_and_lane_arrays(kind):
     moved = [(x, y) != (clo, chi) for (x, y), (clo, chi, *_) in zip(numbers, cut_pairs)]
     assert 0 < sum(moved) < len(moved)
     assert [_bits(x) for x in _cut(-0.0, -0.0, 1, 1)] == [_bits(-0.0)] * 2
+
+
+def _same(numbers, lanes):
+    """Numbers and lane results agree bit for bit, a NaN with any NaN."""
+
+    lanes = [float(x) for x in np.ravel(lanes)]
+    assert len(numbers) == len(lanes)
+    for x, y in zip(numbers, lanes):
+        assert (math.isnan(x) and math.isnan(y)) or _bits(x) == _bits(y), (x, y)
+
+
+# sums and products around each kind of rounding: exact and inexact, ties
+# of zeros, overflow past the largest double, infinite operands, subnormal
+# results and factors at the edges of the TwoProduct range
+ROUNDING = [0.0, -0.0, 1.5, -1.5, 0.1, -0.3, 2.0**-1074, -(2.0**-1040), 1e308, _MAX, -_MAX]
+ROUNDING += [INF, -INF]
+FACTORS = [0.0, -0.0, 1.5, -0.1, 3.0, 5e-324, 2.0**-600, -(2.0**600), _MAX, INF, -INF]
+EDGE_FACTORS = (*_PRODUCT_RANGE, 2.0**-481, 2.0**481, 1.25 * 2.0**-480)
+FACTORS += [s * e for e in EDGE_FACTORS for s in (1, -1)]
+
+
+def test_lattice_and_rounding_rules_agree_on_numbers_and_lane_arrays():
+    # every pair of pairs of edge bounds, empty ones and ties among them,
+    # as tuples of numbers and as one environment row of lanes; the hull of
+    # points [a, a] and [b, b] is the INT scale rule's order of a and b
+    for kind in Kind:
+        bounds = EDGES[kind] + ([-0.0] if kind is Kind.INT else [])
+        ivs = [(lo, hi) for lo in bounds for hi in bounds]
+        pairs = [(a, b) for a in ivs for b in ivs]
+        x, y = (np.array([[_lanes_of(side)] for side in zip(*half)]) for half in zip(*pairs))
+        for rule in (_hull, _meet, _widened, _narrowed):
+            numbers = [rule(a, b) for a, b in pairs]
+            _same([lo for lo, _ in numbers] + [hi for _, hi in numbers], rule(x, y, _ARRAYS))
+        assert _meet(x, x, _ARRAYS) is x  # a meet that tightens nothing
+    # a tie keeps the first argument's zero sign
+    assert [_bits(b) for b in _hull((0.0, -0.0), (-0.0, 0.0))] == [_bits(0.0), _bits(-0.0)]
+    assert [_bits(b) for b in _meet((-0.0, 0.0), (0.0, -0.0))] == [_bits(-0.0), _bits(0.0)]
+    # each bound rounds toward its own side: row 0 of a lane array down, row
+    # 1 up, as the number form does with -INF and INF
+    rules = ((operator.add, ROUNDING, _sum_is_exact), (operator.mul, FACTORS, _product_is_exact))
+    for op, values, exact in rules:
+        pairs = [(a, b) for a in values for b in values]
+        a, b = (_lanes_of(side) for side in zip(*pairs))
+        with np.errstate(all="ignore"):
+            r = op(a, b)
+            rows = [np.array((v, v)) for v in (r, a, b)]
+            got = _outward(*rows, exact, _TOWARD, _ARRAYS)
+        # lanes hand back a lane whose factor leaves the product range
+        inside = ~(_outside_product_range(a) | _outside_product_range(b)) | (op is operator.add)
+        assert 0 < inside.sum() <= len(pairs)
+        rounded = []
+        for row, toward in enumerate((-INF, INF)):
+            rounded.append([_outward(op(p, q), p, q, exact, toward) for p, q in pairs])
+            _same([v for v, keep in zip(rounded[row], inside) if keep], got[row][inside])
+        # the rounded bounds hold the exact result
+        for (p, q), lo, hi in zip(pairs, *rounded):
+            if all(map(math.isfinite, (p, q, lo, hi))):
+                assert Fraction(lo) <= op(Fraction(p), Fraction(q)) <= Fraction(hi), (p, op, q)
+    # finite operands that overflow away from the rounding direction stop at
+    # the largest double; toward it, and from an infinite operand, they do not
+    assert _outward(_MAX + _MAX, _MAX, _MAX, _sum_is_exact, -INF) == _MAX
+    assert _outward(_MAX + _MAX, _MAX, _MAX, _sum_is_exact, INF) == INF
+    assert _outward(INF + 1.0, INF, 1.0, _sum_is_exact, -INF) == INF
+    assert _outward(-(2.0**600) * 2.0**600, -(2.0**600), 2.0**600, _product_is_exact, INF) == -_MAX
+    assert _outward(1.5 + 1.5, 1.5, 1.5, _sum_is_exact, INF) == 3.0
+    assert _outward(0.1 + 0.2, 0.1, 0.2, _sum_is_exact, INF) == math.nextafter(0.1 + 0.2, INF)
 
 
 OPS = dict(

@@ -5,9 +5,11 @@ block keeps."""
 
 import importlib.util
 import itertools
+import math
 import tracemalloc
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,13 @@ import pytest
 
 from absmc import estimator, lanes, lang
 from absmc.interp import TrialConfig, analyze_trial
-from absmc.intervals import AbstractEnv, Interval, _mul_is_exact
+from absmc.intervals import (
+    _PRODUCT_RANGE,
+    AbstractEnv,
+    Interval,
+    _outside_product_range,
+    _product_is_exact,
+)
 from absmc.lang import Kind, parse
 from helpers import RecordingLanes, _intervals, run_lanes, summary
 
@@ -239,14 +247,26 @@ def test_narrowing_can_leave_an_empty_interval():
 
 
 def test_product_exactness_matches_fractions():
+    # one rule on numbers and on lane arrays: rational arithmetic decides
+    # whether c * x rounds exactly; lanes hand back a lane whose factor
+    # lies outside _PRODUCT_RANGE, so arrays are checked inside it only
     rng = random.Random(5)
     xs = [rng.uniform(-4, 4) for _ in range(200)] + [0.0, -0.0, 1.0, 3.0, 0.75, -2.5, 2.0**40]
     xs += [rng.uniform(1, 2) * 2.0 ** rng.randint(-470, 470) for _ in range(200)]
     xs += [float(rng.randint(-(2**20), 2**20)) for _ in range(50)]
-    for c in (3.0, 0.1, -7.0, 2.0**-470, 1e100, 0.5):
-        x = np.array(xs)
-        p = c * x
-        assert lanes._product_is_exact(c, x, p).tolist() == [_mul_is_exact(c, v, c * v) for v in xs]
+    edges = [2.0**-480, 2.0**480, 2.0**-481, 2.0**481, 1.5 * 2.0**-480, 2.0**-600, 2.0**600, 1e300]
+    xs += [s * e for e in edges + [5e-324, 2.0**-1030, MAX, INF] for s in (1.0, -1.0)]
+    x = np.array(xs)
+    for c in (3.0, 0.1, -7.0, 2.0**-470, 1e100, 0.5, 2.0**-480, -(2.0**480), 2.0**-600, 1e-320):
+        exact = lambda v: Fraction(c) * Fraction(v) == Fraction(c * v)  # noqa: E731
+        truth = [math.isfinite(v) and math.isfinite(c * v) and exact(v) for v in xs]
+        assert [_product_is_exact(c, v, c * v) for v in xs] == truth, c
+        inside = ~_outside_product_range(x) & (not _outside_product_range(c))
+        with np.errstate(all="ignore"):  # as in a block's run
+            got = _product_is_exact(c, x, c * x)
+        assert got[inside].tolist() == [t for t, keep in zip(truth, inside) if keep], c
+        assert inside.any() != bool(_outside_product_range(c))
+    assert _PRODUCT_RANGE == (2.0**-480, 2.0**480)
 
 
 # ---------------------------------------------------------------------------
