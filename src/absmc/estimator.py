@@ -193,8 +193,9 @@ class Report:
 
 
 # Most seeds one lane block spans, whatever the chunk's length.  A block
-# holds each live environment's bounds and mask, variables x BLOCK x 16
-# plus BLOCK bytes, and its per-lane counters; it keeps nothing per draw.
+# holds each live environment's mask and the bounds of each variable that
+# differs between its lanes, differing variables x BLOCK x 16 plus BLOCK
+# bytes, and its per-lane counters; it keeps nothing per draw.
 BLOCK = 4096
 
 # A process pool's fixed cost in seconds: start-up, handing each worker

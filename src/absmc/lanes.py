@@ -1,20 +1,20 @@
 """Batched interval trials: a batch of seeds run at once as numpy lanes.
 
 The same semantics as `interp` (the scalar engine, which stays the
-reference), evaluated for many trials at once.  A value every lane
-shares (a literal, a generator's full range, a loop counter, a guard on
-it, or anything computed from shared values alone) is one
-`intervals.Interval`, computed by the scalar engine's own operations.
-A value that differs between lanes is an array of its bounds, (2, lanes)
-lower over upper, so each operation runs once for both bounds.  An
-environment (`_Env`) is a per-lane reachability mask, a float64 array
-(2, variables, lanes) for the variables that differ between lanes, and
-an `Interval` for each shared one.  A guard on shared values keeps every
-lane or none.  A select, join, widening or narrowing keeps a variable
-shared when every lane ends with the same bounds, compared bit for bit
-so that -0.0 and 0.0 stay apart; otherwise, and when it meets a value
-that differs between lanes, the variable is written into its row.  The
-empty interval is ``[+inf, -inf]`` as in `intervals`.
+reference), evaluated for many trials at once.  An environment (`_Env`)
+is a per-lane reachability mask and one value per variable, as the
+scalar `intervals.AbstractEnv` holds one.  A value every lane shares (a
+literal, a generator's full range, a loop counter, a guard on it, or
+anything computed from shared values alone) is one `intervals.Interval`,
+computed by the scalar engine's own operations.  A value that differs
+between lanes is an array of its bounds, (2, lanes) lower over upper, so
+each operation runs once for both bounds.  A guard on shared values
+keeps every lane or none.  A select, join, widening or narrowing works
+variable by variable: a variable both sides hold as one object keeps it,
+two shared values go through the `Interval` rule (a select keeps one
+shared only when both hold the same bounds, compared bit for bit so
+that -0.0 and 0.0 stay apart), and any other pair through the rule on
+bounds.  The empty interval is ``[+inf, -inf]`` as in `intervals`.
 
 A statement runs on the lanes that reach it: ``know`` and ``if`` filter
 the mask, both branches of an ``if`` run on the lanes where they are
@@ -49,7 +49,7 @@ where TwoProduct decides exactness.  A lane that leaves the domain, or
 meets a NaN, is handed back: the caller runs the scalar engine from its
 seed.  A shared INT result of magnitude 2**53 or more hands back the
 lanes that computed it (`_Lanes.checked`), so a shared value converts to
-float64 exactly when it is written into a row.
+float64 exactly when it meets a value that differs between lanes.
 """
 from __future__ import annotations
 
@@ -69,70 +69,54 @@ _EXACT_INT = 2.0**53  # INT bounds at or past this magnitude go back to the scal
 
 _TOWARD = np.array(intervals._NUMBERS.toward)[:, None]  # for a value's (2, lanes)
 _EMPTY = -_TOWARD  # the canonical empty interval
-# ``xp`` of `intervals`' rules on arrays, ``toward`` shaped for an environment
+# ``xp`` of `intervals`' rules on arrays
 _ARRAYS = SimpleNamespace(
     where=np.where, isinf=np.isinf, nextafter=np.nextafter, copysign=np.copysign,
-    any=np.count_nonzero, all=lambda x: np.count_nonzero(x) == x.size, toward=_TOWARD[:, None],
+    any=np.count_nonzero, all=lambda x: np.count_nonzero(x) == x.size, toward=_TOWARD,
 )
 _ZERO = Interval.const(Kind.INT, 0)  # stands in for a shared INT past 2**53
 
 
 class _Env:
-    """Per-lane abstract environments: ``reach`` (lanes), ``bounds``
-    (2, variables, lanes), lower bounds over upper bounds, and ``shared``,
-    one entry per variable: the `Interval` it holds on every lane, or None
-    when its row of ``bounds`` holds it.  The row of a shared variable, and
-    the values of unreachable lanes, mean nothing."""
+    """Per-lane abstract environments: ``reach`` (lanes) and ``values``,
+    one entry per variable: the `Interval` it holds on every lane, or its
+    bounds on each lane, (2, lanes) lower over upper.  The values of
+    unreachable lanes mean nothing."""
 
-    __slots__ = ("reach", "bounds", "shared")
+    __slots__ = ("reach", "values")
 
-    def __init__(self, reach, bounds, shared):
+    def __init__(self, reach, values):
         self.reach = reach
-        self.bounds = bounds
-        self.shared = shared
+        self.values = values
 
     def only(self, mask) -> _Env:
-        return _Env(self.reach & mask, self.bounds, self.shared)
+        return _Env(self.reach & mask, self.values)
 
 
 def _lift(value):
-    """The bounds of an expression's value as an array: a shared
-    `Interval` as (2, 1) for every lane.  Shared INT bounds lie below
-    2**53 in magnitude (`_Lanes.checked`), so they convert exactly."""
+    """The bounds of a value as an array: a shared `Interval` as (2, 1)
+    for every lane.  Shared INT bounds lie below 2**53 in magnitude
+    (`_Lanes.checked`), so they convert exactly."""
 
     if type(value) is Interval:
         return _constant(value.lo, value.hi)
     return value
 
 
-def _rows(env: _Env, rows):
-    """The bounds of ``env`` with the shared values among ``rows`` written
-    into their rows: ``env.bounds`` itself when there are none."""
+def _pair(a: _Env, b: _Env, shared, bounds):
+    """The values of an operation on two environments, variable by
+    variable.  A value both hold as one object is kept: every operation
+    gives it back bit for bit, and no reachable lane holds an empty other
+    than the canonical one.  Two shared values give ``shared(x, y)``
+    unless that is None; any other pair ``bounds(x, y, _ARRAYS)``."""
 
-    write = [r for r in rows if env.shared[r] is not None]
-    if not write:
-        return env.bounds
-    bounds = env.bounds.copy()
-    for r in write:
-        bounds[:, r] = _lift(env.shared[r])
-    return bounds
-
-
-def _pair(a: _Env, b: _Env, shared, rows):
-    """The bounds and shared values of an operation on two environments:
-    ``shared(x, y)`` of two shared values (None when the result differs
-    between lanes), and ``rows(x, y, _ARRAYS)`` of the other variables'
-    bounds, once for all.  No array work when every result is shared."""
-
-    out, todo = [], []
-    for r, (x, y) in enumerate(zip(a.shared, b.shared)):
-        value = None if x is None or y is None else shared(x, y)
-        out.append(value)
-        if value is None:
-            todo.append(r)
-    if not todo:
-        return a.bounds, tuple(out)
-    return rows(_rows(a, todo), _rows(b, todo), _ARRAYS), tuple(out)
+    out = []
+    for x, y in zip(a.values, b.values):
+        if x is not y:
+            z = shared(x, y) if type(x) is Interval and type(y) is Interval else None
+            x = bounds(_lift(x), _lift(y), _ARRAYS) if z is None else z
+        out.append(x)
+    return tuple(out)
 
 
 def _identical(x: Interval, y: Interval):
@@ -140,22 +124,22 @@ def _identical(x: Interval, y: Interval):
     differ), else None."""
 
     signed = [(b, math.copysign(1.0, b)) for iv in (x, y) for b in (iv.lo, iv.hi)]
-    return x if x is y or signed[:2] == signed[2:] else None
+    return x if signed[:2] == signed[2:] else None
 
 
 def _select(mask, a: _Env, b: _Env) -> _Env:
     """``a`` on the lanes of ``mask``, ``b`` elsewhere: one of them itself
     when ``mask`` keeps every lane or none, so no caller writes into an
     environment's arrays.  A variable both share with the same bounds
-    stays shared; any other is written into its row."""
+    stays shared."""
 
     count = np.count_nonzero(mask)
     if count == 0:
         return b
     if count == mask.size:
         return a
-    bounds, shared = _pair(a, b, _identical, lambda x, y, xp: xp.where(mask, x, y))
-    return _Env(np.where(mask, a.reach, b.reach), bounds, shared)
+    values = _pair(a, b, _identical, lambda x, y, xp: xp.where(mask, x, y))
+    return _Env(np.where(mask, a.reach, b.reach), values)
 
 
 def _constant(lo, hi):
@@ -173,40 +157,37 @@ def _keep(reach, empty):
     return reach & ~empty if np.count_nonzero(empty) else reach
 
 
-def _joined(a: _Env, b: _Env, bounds, shared) -> _Env:
+def _joined(a: _Env, b: _Env, values) -> _Env:
     """The environment of the lanes either reaches: those both reach hold
-    ``bounds`` and ``shared``, the others the side that reaches them."""
+    ``values``, the others the side that reaches them."""
 
-    return _select(a.reach, _select(b.reach, _Env(a.reach | b.reach, bounds, shared), a), b)
+    return _select(a.reach, _select(b.reach, _Env(a.reach | b.reach, values), a), b)
 
 
 def _join(a: _Env, b: _Env) -> _Env:
     # an unreachable environment joins to the other side
-    return _joined(a, b, *_pair(a, b, Interval.join, _hull))
+    return _joined(a, b, _pair(a, b, Interval.join, _hull))
 
 
 def _widen(a: _Env, b: _Env) -> _Env:
-    return _joined(a, b, *_pair(a, b, Interval.widen, _widened))
+    return _joined(a, b, _pair(a, b, Interval.widen, _widened))
 
 
 def _narrow(a: _Env, b: _Env) -> _Env:
-    return _Env(a.reach & b.reach, *_pair(a, b, Interval.narrow, _narrowed))
+    return _Env(a.reach & b.reach, _pair(a, b, Interval.narrow, _narrowed))
 
 
 def _equal(a: _Env, b: _Env):
-    rows = []
-    for r, (x, y) in enumerate(zip(a.shared, b.shared)):
-        if x is None or y is None:
-            rows.append(r)
-        elif x != y:  # differs on every lane
-            return (a.reach == b.reach) & ~a.reach
     same = a.reach == b.reach
-    if not rows:
-        return same
-    x, y = _rows(a, rows), _rows(b, rows)
-    if len(rows) < len(a.shared):
-        x, y = x[:, rows], y[:, rows]
-    return same & (~a.reach | (x == y).all(axis=(0, 1)))
+    for x, y in zip(a.values, b.values):
+        if x is y:
+            continue
+        if type(x) is Interval and type(y) is Interval:
+            if x != y:  # differs on every lane
+                return same & ~a.reach
+        else:
+            same = same & (~a.reach | (_lift(x) == _lift(y)).all(axis=0))
+    return same
 
 
 class _Lanes:
@@ -217,7 +198,7 @@ class _Lanes:
         self.config = config
         self.restriction = restriction
         self.kinds = program.kinds()
-        self.row = {name: i for i, name in enumerate(self.kinds)}
+        self.index = {name: i for i, name in enumerate(self.kinds)}
         n = len(seeds)
         self.n = n
         self.seeds = seeds  # uint64
@@ -238,14 +219,15 @@ class _Lanes:
 
     def _plan(self, node: lang.Expr) -> Kind:
         """Record the facts of ``node`` and the nodes under it in `plan`: a
-        variable's row, a literal's interval, a generator's full range, an
-        operator's kind, and for a product its kind and coefficient (None
-        when the coefficient leaves the domain).
+        variable's index in an environment's ``values``, a literal's
+        interval, a generator's full range, an operator's kind, and for a
+        product its kind and coefficient (None when the coefficient leaves
+        the domain).
         The kind of ``node``: a variable's, a leaf's, or an operator's right
         operand's."""
 
         if isinstance(node, lang.Var):
-            self.plan[id(node)] = self.row[node.name]
+            self.plan[id(node)] = self.index[node.name]
             return self.kinds[node.name]
         if isinstance(node, lang.Lit):
             self.plan[id(node)] = Interval.const(node.kind, node.value)
@@ -339,9 +321,7 @@ class _Lanes:
         ``mask`` when ``draws``, else take their full range."""
 
         if isinstance(node, lang.Var):
-            r = self.plan[id(node)]
-            value = env.shared[r]
-            return env.bounds[:, r] if value is None else value
+            return env.values[self.plan[id(node)]]
         if isinstance(node, lang.Lit):
             return self.checked(self.plan[id(node)], mask)
         if isinstance(node, lang.Draw):
@@ -417,12 +397,12 @@ class _Lanes:
         if type(a) is Interval and type(b) is Interval:
             # the same on every lane: all of them stay, or none
             if _definitely_empty(op, a.lo, a.hi, b.lo, b.hi):
-                return _Env(self.none, env.bounds, env.shared)
+                return _Env(self.none, env.values)
             out = env
         else:
             a, b = _lift(a), _lift(b)
             empty = _definitely_empty(op, a[0], a[1], b[0], b[1])
-            out = _Env(_keep(env.reach, empty), env.bounds, env.shared)
+            out = _Env(_keep(env.reach, empty), env.values)
             if not np.count_nonzero(out.reach):
                 return out
         if isinstance(left, lang.Var):
@@ -437,11 +417,11 @@ class _Lanes:
         if op == "!=" and not integral:
             return env
         r = self.plan[id(var)]
-        cur = env.shared[r]
-        if cur is not None and type(b) is Interval:
+        cur = env.values[r]
+        if type(cur) is Interval and type(b) is Interval:
             new = self.checked(_refined(cur, op, b), mask)
             return self._assign(env, r, new)
-        cur, b = _lift(env.bounds[:, r] if cur is None else cur), _lift(b)
+        cur, b = _lift(cur), _lift(b)
         if op == "!=":
             new = np.array(_cut(cur[0], cur[1], b[0], b[1]))
             self.check(kind, new, mask & env.reach)
@@ -452,7 +432,7 @@ class _Lanes:
                 self.check(kind, c, mask & env.reach)
             new = _meet(cur, c, _ARRAYS)
             if new is cur:  # no bound of c lies inside cur's
-                return _Env(_keep(env.reach, _empty(cur)), env.bounds, env.shared)
+                return _Env(_keep(env.reach, _empty(cur)), env.values)
         return self._assign(env, r, new)
 
     # -- statements -------------------------------------------------------
@@ -461,15 +441,13 @@ class _Lanes:
         """``env`` with variable ``r`` set to ``value``, a shared `Interval`
         or bounds on every lane; a lane where it is empty is unreachable."""
 
-        shared = list(env.shared)
+        values = list(env.values)
+        values[r] = value
         if type(value) is Interval:
-            shared[r] = value
             reach = self.none if value.is_bottom() else env.reach
-            return _Env(reach, env.bounds, tuple(shared))
-        shared[r] = None
-        bounds = env.bounds.copy()
-        bounds[:, r] = value
-        return _Env(_keep(env.reach, _empty(value)), bounds, tuple(shared))
+        else:
+            reach = _keep(env.reach, _empty(value))
+        return _Env(reach, tuple(values))
 
     def block(self, stmts, env: _Env, fixing: bool) -> _Env:
         for s in stmts:
@@ -482,7 +460,7 @@ class _Lanes:
     def stmt(self, s: lang.Stmt, env: _Env, mask, fixing: bool) -> _Env:
         mask = self.tick(mask)
         if isinstance(s, lang.Assign):
-            return self._assign(env, self.row[s.name], self.expr(s.expr, env, mask, not fixing))
+            return self._assign(env, self.index[s.name], self.expr(s.expr, env, mask, not fixing))
         if isinstance(s, lang.Know):
             return self.filter(env, s.cond, True, mask)
         if isinstance(s, lang.If):
@@ -516,7 +494,7 @@ class _Lanes:
                     run = run & enter.reach & ~leave.reach
                     if not np.count_nonzero(run):
                         break
-                    enter = _Env(run, enter.bounds, enter.shared)
+                    enter = _Env(run, enter.values)
                 env = self.block(s.body, enter, False)
                 self.word[-1] += 1
             self.word.pop()
@@ -570,7 +548,7 @@ class _Lanes:
 
         # every variable starts shared, at the top of its kind
         tops = tuple(Interval.top(kind) for kind in self.kinds.values())
-        env = _Env(np.ones(self.n, dtype=bool), np.empty((2, len(tops), self.n)), tops)
+        env = _Env(np.ones(self.n, dtype=bool), tops)
         with np.errstate(all="ignore"):
             env = self.block(self.program.body, env, False)
             hits = self.filter(env, self.program.outcome, True, self._live(env.reach)).reach

@@ -43,6 +43,15 @@ def _intervals(kind: Kind, lo, hi) -> list[Interval]:
     return [_interval(kind, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
+def lane_values(kind: Kind, value, n: int) -> list[Interval]:
+    """The `Interval` of each of ``n`` lanes of one of a lane environment's
+    values: a shared `Interval`, or bounds on every lane."""
+
+    if type(value) is Interval:
+        return [value] * n
+    return _intervals(kind, *np.broadcast_to(value, (2, n)))
+
+
 def _interval(kind: Kind, lo: float, hi: float) -> Interval:
     if lo > hi:
         return Interval.bottom(kind)
@@ -68,11 +77,7 @@ def run_lanes(program, seeds, config=None, restriction=None):
         for i, value in zip(drew.tolist(), values[drew].tolist()):
             tables[i][gen.site, word] = value
     names = list(batch.kinds)
-    lo, hi = env.bounds
-    columns = [
-        [shared] * len(seeds) if shared is not None else _intervals(batch.kinds[x], lo[r], hi[r])
-        for r, (x, shared) in enumerate(zip(names, env.shared))
-    ]
+    columns = [lane_values(batch.kinds[x], value, len(seeds)) for x, value in zip(names, env.values)]
     rows = zip(
         tables, zip(*columns), env.reach.tolist(), hits.tolist(), batch.steps.tolist(),
         batch.widened.tolist(), batch.aborted.tolist(), batch.handed_back.tolist(),

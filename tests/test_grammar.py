@@ -209,11 +209,18 @@ def _restriction(p, pin):
     return dict(spans.values()) or None
 
 
+# variables past the generated ones: w drawn only on the lanes whose coin
+# k came up, m and z never assigned, so each select, join, widening,
+# narrowing and equality test meets values every lane shares, lane arrays
+# and values both sides hold as one object, variable by variable
+IDLE = "int k, m; double w, z; k = coin_flip(); if (k == 1) { w = uniform(); }"
+
+
 # the example count is the profile's: 100 locally, 1,000 under the ci profile
 @settings(deadline=None, suppress_health_check=FAST.suppress_health_check)
-@given(programs() | loop_programs(), st.integers(0, 2**32), st.integers(0, 1))
-def test_lanes_match_scalar_trials(source, seed, pin):
-    p = parse(source)
+@given(programs() | loop_programs(), st.integers(0, 2**32), st.integers(0, 1), st.booleans())
+def test_lanes_match_scalar_trials(source, seed, pin, idle):
+    p = parse(source.replace(DECLS, f"{DECLS} {IDLE}", 1) if idle else source)
     seeds = [seed + k for k in range(6)]
     for config in LANE_CONFIGS:
         for restriction in (None, _restriction(p, pin)):

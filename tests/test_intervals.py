@@ -368,17 +368,26 @@ FACTORS += [s * e for e in EDGE_FACTORS for s in (1, -1)]
 
 def test_lattice_and_rounding_rules_agree_on_numbers_and_lane_arrays():
     # every pair of pairs of edge bounds, empty ones and ties among them,
-    # as tuples of numbers and as one environment row of lanes; the hull of
+    # as tuples of numbers and as one lane array of a variable; the hull of
     # points [a, a] and [b, b] is the INT scale rule's order of a and b
     for kind in Kind:
         bounds = EDGES[kind] + ([-0.0] if kind is Kind.INT else [])
         ivs = [(lo, hi) for lo in bounds for hi in bounds]
         pairs = [(a, b) for a in ivs for b in ivs]
-        x, y = (np.array([[_lanes_of(side)] for side in zip(*half)]) for half in zip(*pairs))
+        x, y = (np.array([_lanes_of(side) for side in zip(*half)]) for half in zip(*pairs))
         for rule in (_hull, _meet, _widened, _narrowed):
             numbers = [rule(a, b) for a, b in pairs]
             _same([lo for lo, _ in numbers] + [hi for _, hi in numbers], rule(x, y, _ARRAYS))
         assert _meet(x, x, _ARRAYS) is x  # a meet that tightens nothing
+        # a value with itself gives it back bit for bit, non-empty or the
+        # canonical empty, so `lanes` keeps a value both sides hold as one
+        # object and computes nothing
+        same = [(lo, hi) for lo, hi in ivs if lo <= hi] + [(INF, -INF)]
+        z = np.array([_lanes_of(side) for side in zip(*same)])
+        for rule in (_hull, _widened, _narrowed):
+            bits = [_bits(b) for iv in same for b in iv]
+            assert [_bits(b) for iv in same for b in rule(iv, iv)] == bits, rule.__name__
+            _same([lo for lo, _ in same] + [hi for _, hi in same], rule(z, z, _ARRAYS))
     # a tie keeps the first argument's zero sign
     assert [_bits(b) for b in _hull((0.0, -0.0), (-0.0, 0.0))] == [_bits(0.0), _bits(-0.0)]
     assert [_bits(b) for b in _meet((-0.0, 0.0), (0.0, -0.0))] == [_bits(-0.0), _bits(0.0)]

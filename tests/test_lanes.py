@@ -25,7 +25,7 @@ from absmc.intervals import (
     _product_is_exact,
 )
 from absmc.lang import Kind, parse
-from helpers import RecordingLanes, _intervals, run_lanes, summary
+from helpers import RecordingLanes, lane_values, run_lanes, summary
 
 INF = float("inf")
 MAX = sys.float_info.max
@@ -194,16 +194,12 @@ def _as_lanes(envs):
 
     reach = np.array([not e.is_bottom() for e in envs])
     ivs = [e.values or {"x": Interval.top(Kind.REAL), "y": Interval.top(Kind.REAL)} for e in envs]
-    bounds = [[[getattr(iv[name], side) for iv in ivs] for name in "xy"] for side in ("lo", "hi")]
-    return lanes._Env(reach, np.array(bounds, dtype=float), (None, None))
+    values = [[[iv[name].lo for iv in ivs], [iv[name].hi for iv in ivs]] for name in "xy"]
+    return lanes._Env(reach, tuple(np.array(bounds, dtype=float) for bounds in values))
 
 
 def _from_lanes(env):
-    lo, hi = env.bounds
-    columns = [
-        [shared] * len(env.reach) if shared is not None else _intervals(Kind.REAL, lo[r], hi[r])
-        for r, shared in enumerate(env.shared)
-    ]
+    columns = [lane_values(Kind.REAL, value, len(env.reach)) for value in env.values]
     return [
         AbstractEnv(dict(zip("xy", ivs)) if reach else None)
         for reach, ivs in zip(env.reach.tolist(), zip(*columns))
@@ -311,7 +307,7 @@ def test_one_lane_blocks_match_scalar_trials_bit_for_bit(figs, name):
 
 def test_a_fixpoint_entered_with_every_variable_shared_keeps_them_shared():
     # no variable differs between lanes, so the unrolled iterations, the
-    # fixpoint and its guard run on the scalar rules and touch no row
+    # fixpoint and its guard run on the scalar rules and make no lane array
     p = parse(
         "double n, x, i; know (n >= 0.0 && n <= 9.0); x = 0.0; i = 0.0;"
         " while (i < 100.0 - n) { x = x + 0.5; i = i + 1.0; } know (x > 1.0);"
@@ -321,12 +317,12 @@ def test_a_fixpoint_entered_with_every_variable_shared_keeps_them_shared():
         _lanes_equal_scalar(lang.to_source(p), config)
         block = lanes._Lanes(p, seeds, config, None)
         env, hits = block.run()
-        assert None not in env.shared
+        assert all(type(value) is Interval for value in env.values)
         assert (block.widened == 1).all() and hits.all()
 
 
 def test_a_shared_negative_zero_keeps_its_sign_in_a_row():
-    # x = -0.0 on every lane is written into x's row where the first branch
+    # x = -0.0 on every lane meets a lane array where the first branch
     # joins lanes of 0.0; the second branch is reachable both ways, so its
     # join meets each lane's zero against a shared 0.0 and keeps the first
     source = (
@@ -343,8 +339,8 @@ def test_a_shared_negative_zero_keeps_its_sign_in_a_row():
 
 
 def test_not_equal_cuts_lanes_by_a_shared_value_and_back():
-    # a shared x cut by a y that differs between lanes, then x, now in its
-    # row, by a shared 3, and y by x
+    # a shared x cut by a y that differs between lanes, then x, now a lane
+    # array, by a shared 3, and y by x
     source = (
         "int x, y; know (x >= 0 && x <= 3); y = 3 * coin_flip(); know (x != y);"
         " know (x != 3); know (y != x); know (x < 9);"
@@ -363,12 +359,9 @@ SHARED = [
 
 
 def _share(env, iv):
-    """``env`` with x held as ``iv`` on every lane; its row holds NaN, so
-    an operation that read it would show."""
+    """``env`` with x held as ``iv`` on every lane."""
 
-    bounds = env.bounds.copy()
-    bounds[:, 0] = np.nan
-    return lanes._Env(env.reach, bounds, (iv, None))
+    return lanes._Env(env.reach, (iv, env.values[1]))
 
 
 def _scalar_share(env, iv):
@@ -378,7 +371,7 @@ def _scalar_share(env, iv):
 @pytest.mark.parametrize("side", ["left", "right", "both"])
 def test_lattice_operations_of_shared_and_row_variables_match_the_scalar_ones(side):
     # every pair of ENVS with x shared on one side or both, the other side's
-    # x in its row; y stays in its row
+    # x a lane array; y stays a lane array
     pairs = list(itertools.product(ENVS, repeat=2))
     for iv in SHARED:
         ps = [p if side == "right" else _scalar_share(p, iv) for p, _ in pairs]
@@ -395,7 +388,7 @@ def test_lattice_operations_of_shared_and_row_variables_match_the_scalar_ones(si
             got = [_bits(e) for e in _from_lanes(out)]
             assert got == [_bits(scalar_op(p, q)) for p, q in zip(ps, qs)], lane_op.__name__
             if side == "both":
-                assert out.shared[0] is not None  # every lane reaches both sides
+                assert type(out.values[0]) is Interval  # every lane reaches both sides
         assert lanes._equal(a, b).tolist() == [p == q for p, q in zip(ps, qs)]
         mask = np.arange(len(pairs)) % 3 == 0
         got = [_bits(e) for e in _from_lanes(lanes._select(mask, a, b))]
@@ -405,7 +398,7 @@ def test_lattice_operations_of_shared_and_row_variables_match_the_scalar_ones(si
     mask = np.arange(len(envs)) % 2 == 0
     for x, y in itertools.product(SHARED[:2], repeat=2):
         out = lanes._select(mask, _share(_as_lanes(envs), x), _share(_as_lanes(envs), y))
-        assert (out.shared[0] is not None) == (x is y)
+        assert (type(out.values[0]) is Interval) == (x is y)
         got = [_bits(e) for e in _from_lanes(out)]
         assert got == [_bits(_scalar_share(e, x if m else y)) for e, m in zip(envs, mask)]
 
@@ -528,7 +521,7 @@ def test_a_shared_int_past_2_63_meets_lane_arrays(value):
     block = lanes._Lanes(p, lang.mix(np.arange(64, dtype=np.uint64)), TrialConfig(), None)
     env, hits = block.run()
     assert block.handed_back.all() and not hits.any()
-    assert env.bounds.dtype == np.float64
+    assert all(value.dtype == np.float64 for value in env.values if type(value) is not Interval)
     config = TrialConfig()
     outs = [analyze_trial(p, estimator.derive_seed(2, i), config) for i in range(20)]
     assert estimator._trial_chunk((p, config, None, 2, 0, 20)) == (sum(o.hit for o in outs), 0, 0)
@@ -592,3 +585,23 @@ def test_block_memory_does_not_grow_with_its_draws():
             tracemalloc.stop()
 
     assert kept(64) - kept(8) < 64 * 1024
+
+
+def test_block_memory_does_not_grow_with_variables_that_never_differ():
+    # 50 variables differ between the lanes of a 4,096-lane block; the
+    # others, declared and never assigned, are one shared value each
+    seeds = lang.mix(np.arange(4096, dtype=np.uint64))
+
+    def peak(variables):
+        names = [f"x{i}" for i in range(variables)]
+        body = " ".join(f"{x} = uniform();" for x in names[:50])
+        p = parse(f"double {', '.join(names)}; {body} know (x0 < 0.5);")
+        block = lanes._Lanes(p, seeds, TrialConfig(), None)
+        tracemalloc.start()
+        try:
+            block.run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) - peak(50) < 1024 * 1024
