@@ -35,13 +35,22 @@ lattice rules on a pair of bounds (`_hull`, `_meet`, `_widened`,
 upper) of numbers, or a (2, ...) array.  The operations that numbers and
 arrays spell differently come as ``xp``: `_NUMBERS` by default, numpy's
 from `lanes`, so this module imports no numpy.
+
+An `Interval` is immutable by contract: only its ``__init__`` sets
+``kind``, ``lo`` and ``hi``, and a test checks the package's source for
+any other write, so environments, lane blocks and reused fixpoint passes
+share interval objects.  Operations keep identity where they change
+nothing: a lattice operation whose rule gives back an operand's own
+bound objects returns that operand, and `AbstractEnv.join`, ``widen``
+and ``narrow`` keep a variable's object that both sides hold.  It is a
+plain slotted class: a frozen dataclass's ``__init__`` costs about three
+times as much.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -219,13 +228,27 @@ def _norm_bound(kind: Kind, x) -> int | float:
     return float(x)
 
 
-@dataclass(frozen=True, slots=True)
 class Interval:
-    """A closed interval of one scalar kind; construct via the factories."""
+    """A closed interval of one scalar kind; construct via the factories.
+    Immutable by contract: environments and lanes share one object."""
 
-    kind: Kind
-    lo: int | float
-    hi: int | float
+    __slots__ = ("kind", "lo", "hi")
+
+    def __init__(self, kind: Kind, lo: int | float, hi: int | float):
+        self.kind = kind
+        self.lo = lo
+        self.hi = hi
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.lo, self.hi) == (other.kind, other.lo, other.hi)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"Interval(kind={self.kind!r}, lo={self.lo!r}, hi={self.hi!r})"
 
     @staticmethod
     def make(kind: Kind, lo, hi) -> "Interval":
@@ -257,29 +280,26 @@ class Interval:
 
     def join(self, other: "Interval") -> "Interval":
         self._check_kind(other)
-        lo, hi = _hull((self.lo, self.hi), (other.lo, other.hi))
-        return Interval(self.kind, lo, hi)
+        return _interval_of(self, other, _hull((self.lo, self.hi), (other.lo, other.hi)))
 
     def meet(self, other: "Interval") -> "Interval":
         self._check_kind(other)
-        lo, hi = _meet((self.lo, self.hi), (other.lo, other.hi))
-        if lo > hi:
+        bounds = _meet((self.lo, self.hi), (other.lo, other.hi))
+        if bounds[0] > bounds[1]:
             return Interval.bottom(self.kind)
-        return Interval(self.kind, lo, hi)
+        return _interval_of(self, other, bounds)
 
     def widen(self, other: "Interval") -> "Interval":
         """Bounds of ``other`` strictly beyond ours become infinite."""
 
         self._check_kind(other)
-        lo, hi = _widened((self.lo, self.hi), (other.lo, other.hi))
-        return Interval(self.kind, lo, hi)
+        return _interval_of(self, other, _widened((self.lo, self.hi), (other.lo, other.hi)))
 
     def narrow(self, other: "Interval") -> "Interval":
         """Refine infinite bounds to ``other``'s; requires other <= self."""
 
         self._check_kind(other)
-        lo, hi = _narrowed((self.lo, self.hi), (other.lo, other.hi))
-        return Interval(self.kind, lo, hi)
+        return _interval_of(self, other, _narrowed((self.lo, self.hi), (other.lo, other.hi)))
 
     # arithmetic
 
@@ -328,6 +348,19 @@ class Interval:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _interval_of(a: Interval, b: Interval, bounds) -> Interval:
+    """The interval of a lattice rule's ``bounds`` on ``a`` and ``b``: ``a``
+    or ``b`` itself when it holds those very bound objects, so the result
+    of an operation that changes nothing is its operand."""
+
+    lo, hi = bounds
+    if lo is a.lo and hi is a.hi:
+        return a
+    if lo is b.lo and hi is b.hi:
+        return b
+    return Interval(a.kind, lo, hi)
 
 
 def _fmt(kind: Kind, x) -> str:
@@ -384,30 +417,34 @@ class AbstractEnv:
         values[name] = iv
         return AbstractEnv(values)
 
+    def _pair(self, other: "AbstractEnv", rule) -> "AbstractEnv":
+        """``rule`` variable by variable; a value both hold as one object is
+        kept, as every rule gives it back (no environment holds an empty)."""
+
+        theirs = other.values
+        return AbstractEnv(
+            {name: iv if iv is theirs[name] else rule(iv, theirs[name])
+             for name, iv in self.values.items()}
+        )
+
     def join(self, other: "AbstractEnv") -> "AbstractEnv":
         if self.values is None:
             return other
         if other.values is None:
             return self
-        return AbstractEnv(
-            {name: iv.join(other.values[name]) for name, iv in self.values.items()}
-        )
+        return self._pair(other, Interval.join)
 
     def widen(self, other: "AbstractEnv") -> "AbstractEnv":
         if self.values is None:
             return other
         if other.values is None:
             return self
-        return AbstractEnv(
-            {name: iv.widen(other.values[name]) for name, iv in self.values.items()}
-        )
+        return self._pair(other, Interval.widen)
 
     def narrow(self, other: "AbstractEnv") -> "AbstractEnv":
         if self.values is None or other.values is None:
             return AbstractEnv.unreachable()
-        return AbstractEnv(
-            {name: iv.narrow(other.values[name]) for name, iv in self.values.items()}
-        )
+        return self._pair(other, Interval.narrow)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AbstractEnv) and self.values == other.values

@@ -1,6 +1,10 @@
+import ast
+import copy
+import dataclasses
 import math
 import operator
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -439,3 +443,154 @@ def test_definitely_empty_matches_brute_force():
         ]
         assert [_definitely_empty(op, *bounds) for bounds in pairs] == truth
         assert _definitely_empty(op, *lanes).tolist() == truth
+
+
+# --- identity and immutability of intervals -------------------------------------
+
+# bound objects as the scalar engine holds them; each drawn as the listed object
+# or as a fresh object of the same value, so that equal bounds may or may not
+# be the same object
+IDENTITY_BOUNDS = {
+    Kind.INT: [-INF, -(2**60) - 1, -(2**53) - 1, -1, 0, 1, 2**53 + 1, 10**20, INF],
+    Kind.REAL: [-INF, -_MAX, -1.5, -0.0, 0.0, 2.0**-1074, 0.1, 1.5, INF],
+}
+
+
+def _fresh(x):
+    return type(x)(str(x))  # an equal number, a new object where the type allows
+
+
+@st.composite
+def identity_pair(draw):
+    kind = draw(st.sampled_from(list(Kind)))
+    bound = st.sampled_from(IDENTITY_BOUNDS[kind]).flatmap(
+        lambda x: st.sampled_from([x, _fresh(x)])
+    )
+
+    def interval():
+        if draw(st.integers(0, 5)) == 0:  # the canonical empty, shared or fresh
+            return draw(st.sampled_from([Interval.bottom(kind), Interval(kind, INF, -INF)]))
+        lo, hi = draw(bound), draw(bound)
+        return Interval(kind, *sorted((lo, hi)))
+
+    a = interval()
+    return a, draw(st.sampled_from([a, interval()]))
+
+
+def _signed(iv):
+    """An interval's bounds with their types and zero signs."""
+
+    return [(type(b), b, math.copysign(1.0, b)) for b in (iv.lo, iv.hi)]
+
+
+def _holds(r, iv):
+    return r.lo is iv.lo and r.hi is iv.hi
+
+
+LATTICE = {"join": _hull, "meet": _meet, "widen": _widened, "narrow": _narrowed}
+
+
+@given(identity_pair())
+@settings(max_examples=500)
+# narrowing takes the other's -inf, an object equal to this one's but not it
+@example((Interval(Kind.REAL, -INF, 1.5), Interval(Kind.REAL, float("-inf"), 0.1)))
+def test_lattice_results_keep_operand_identity(pair):
+    # each lattice operation gives the bounds of a fresh interval of its rule,
+    # zero signs and all, and is an operand exactly when the rule gave back
+    # that operand's bound objects; a meet that empties gives the canonical
+    # empty
+    a, b = pair
+    kind = a.kind
+    for name, rule in LATTICE.items():
+        r = getattr(a, name)(b)
+        fresh = Interval(kind, *rule((a.lo, a.hi), (b.lo, b.hi)))
+        if name == "meet" and fresh.is_bottom():
+            assert r is Interval.bottom(kind)
+            continue
+        assert _signed(r) == _signed(fresh), name
+        of_a, of_b = _holds(fresh, a), _holds(fresh, b)
+        assert (r is a or r is b) == (of_a or of_b), name
+        assert (r is not a or of_a) and (r is not b or of_b), name
+    # environments keep a value both sides hold, and apply the rule to the rest
+    x, y = AbstractEnv({"s": a, "v": a}), AbstractEnv({"s": a, "v": b})
+    for name in ("join", "widen", "narrow"):
+        out = getattr(x, name)(y).values
+        assert out["s"] is a, name
+        assert _signed(out["v"]) == _signed(getattr(a, name)(b)), name
+
+
+def _stores_to_bounds(tree):
+    """The lines that write ``.lo``, ``.hi`` or ``.kind`` of an object
+    outside `Interval.__init__`: an assignment or deletion target, or a
+    `setattr`, `delattr` or ``__setattr__`` call naming one of them."""
+
+    fields = {"lo", "hi", "kind"}
+    lines = []
+
+    def visit(node, inside_init):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            if node.attr in fields and not inside_init:
+                lines.append(node.lineno)
+        if isinstance(node, ast.Call) and len(node.args) >= 2:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            field = node.args[1]
+            named = not isinstance(field, ast.Constant) or field.value in fields
+            if name in ("setattr", "delattr", "__setattr__", "__delattr__") and named:
+                lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            init = inside_init or (
+                isinstance(node, ast.ClassDef) and node.name == "Interval"
+                and isinstance(child, ast.FunctionDef) and child.name == "__init__"
+            )
+            visit(child, init)
+
+    visit(tree, False)
+    return lines
+
+
+def test_no_code_writes_into_an_interval():
+    # lanes and the scalar pass reuse share Interval objects between
+    # environments, so only Interval.__init__ may set an interval's fields
+    sources = sorted((Path(__file__).parents[1] / "src" / "absmc").glob("*.py"))
+    assert any(p.name == "intervals.py" for p in sources)
+    for path in sources:
+        assert _stores_to_bounds(ast.parse(path.read_text(), str(path))) == [], path.name
+    caught = """
+class Interval:
+    def __init__(self, kind, lo, hi):
+        self.kind, self.lo, self.hi = kind, lo, hi
+    def widen(self, other):
+        self.lo = other.lo
+def f(iv, name):
+    iv.hi += 1
+    setattr(iv, "kind", None)
+    object.__setattr__(iv, "lo", 0)
+    setattr(iv, name, 0)
+    del iv.hi
+    for iv.lo in ():
+        pass
+"""
+    assert _stores_to_bounds(ast.parse(caught)) == [6, 8, 9, 10, 11, 12, 13]
+
+
+def test_interval_behaves_as_its_dataclass():
+    # the frozen dataclass Interval was, for what callers see of it
+    Reference = dataclasses.make_dataclass(
+        "Interval", [("kind", Kind), ("lo", object), ("hi", object)], frozen=True, slots=True
+    )
+    ivs = [Interval(kind, lo, hi) for kind, bounds in IDENTITY_BOUNDS.items()
+           for lo in bounds[:3] + bounds[-3:] for hi in (lo, bounds[-1])]
+    ivs += [Interval(Kind.INT, 0, 0.0), Interval(Kind.REAL, 0.0, 0), Interval.bottom(Kind.REAL)]
+    refs = [Reference(iv.kind, iv.lo, iv.hi) for iv in ivs]
+    for iv, ref in zip(ivs, refs):
+        assert repr(iv) == repr(ref)
+        assert hash(iv) == hash(ref)
+        for other, other_ref in zip(ivs, refs):
+            assert (iv == other) is (ref == other_ref)
+            assert (iv != other) is (ref != other_ref)
+        for stranger in (ref, (iv.kind, iv.lo, iv.hi), None, iv.lo):
+            assert (iv == stranger) is False and (iv != stranger) is True
+        twin = copy.copy(iv)
+        assert type(twin) is Interval and twin == iv and _holds(twin, iv)
+    assert repr(Interval(Kind.REAL, -0.0, INF)) == "Interval(kind=<Kind.REAL: 'double'>, lo=-0.0, hi=inf)"
