@@ -92,14 +92,20 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _load_program(args) -> lang.Program:
-    with open(args.input, "r", encoding="utf-8") as handle:
-        source = handle.read()
+    try:
+        with open(args.input, "r", encoding="utf-8") as handle:
+            source = handle.read()
+    except UnicodeDecodeError as e:  # an unreadable input file exits 2, as an OSError does
+        raise lang.LangError(f"{args.input}: {e}") from None
     return lang.parse(source, name=args.input, query=getattr(args, "query", None))
 
 
 def _load_restriction(program: lang.Program, path: str) -> estimator.RestrictionSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except ValueError as e:  # not JSON, or not UTF-8 text
+        raise estimator.RestrictionError(f"restriction file {path}: {e}") from None
     generators = raw.get("generators", raw) if isinstance(raw, dict) else raw
     shape = 'must map generator ordinals to {"lo": number, "hi": number}'
     if not isinstance(generators, dict):

@@ -297,19 +297,18 @@ class NondetSpec:
                 f" over the cap of {_MAX_COMBOS}; lower --grid"
             )
         points: dict[str, list[int | float]] = {}
+        last = self.grid - 1
         for name, (lo, hi) in self.ranges.items():
             if self.grid == 1:
                 pts = [lo]
             elif kinds[name] is Kind.INT:
-                span = int(hi) - int(lo) + 1
-                if span <= self.grid:
-                    pts = list(range(int(lo), int(hi) + 1))
-                else:
-                    pts = sorted(
-                        {int(round(lo + (hi - lo) * k / (self.grid - 1))) for k in range(self.grid)}
-                    )
+                lo, hi = int(lo), int(hi)
+                if hi - lo <= last:
+                    pts = list(range(lo, hi + 1))
+                else:  # rounded exactly, half to even: steps in float pass hi beyond 2**53
+                    steps = (lo + Fraction((hi - lo) * k, last) for k in range(self.grid))
+                    pts = sorted(set(map(round, steps)))
             else:
-                last = self.grid - 1
                 pts = [lo + (hi - lo) * k / last for k in range(self.grid)]
                 if not all(map(math.isfinite, pts)):  # hi - lo overflowed: weigh the ends
                     pts = [lo * (1 - k / last) + hi * (k / last) for k in range(self.grid)]

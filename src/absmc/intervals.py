@@ -540,7 +540,11 @@ def _refined(cur: Interval, op: str, b: Interval) -> Interval:
     """``cur`` narrowed to the values x with ``x op y`` for some y in b."""
 
     if op != "!=":
-        return cur.meet(Interval.make(cur.kind, *_constraint(op, b.lo, b.hi, cur.kind is Kind.INT)))
+        pair = (cur.lo, cur.hi)
+        bounds = _meet(pair, _constraint(op, b.lo, b.hi, cur.kind is Kind.INT))
+        if bounds[0] > bounds[1]:
+            return Interval.bottom(cur.kind)
+        return cur if bounds is pair else Interval(cur.kind, *bounds)
     if cur.kind is Kind.INT:
         return Interval.make(cur.kind, *_cut(cur.lo, cur.hi, b.lo, b.hi))
     return cur

@@ -25,11 +25,12 @@ fixpoint iterates it with its own join count and widened flag until it
 is stable; fixpoints draw nothing, so lanes need not agree on when they
 stop.
 
-A block resolves what it needs of each expression node once, when it is
-built (`_Lanes.plan`), and a mask that keeps every lane, or none, costs
-no array work: a select returns one side as it is, an unrolled iteration
-whose shared guard holds lets every running lane in as it is, and while
-every lane is live no mask is narrowed to the live lanes.
+A block reads what it needs of an expression off its nodes (a
+`lang.Binary` carries its kind), and a mask that keeps every lane, or
+none, costs no array work: a select returns one side as it is, an
+unrolled iteration whose shared guard holds lets every running lane in
+as it is, and while every lane is live no mask is narrowed to the live
+lanes.
 
 The rules of a trial are the scalar engine's: a draw is `lang.draw` on
 the seed array, and rounding, products, joins, widenings, narrowings and
@@ -211,39 +212,6 @@ class _Lanes:
         self.handed_back = np.zeros(n, dtype=bool)
         self.none = np.zeros(n, dtype=bool)  # the reach of no lane; never written
         self.word: list[int] = []
-        # what `expr` needs of each expression node, by id: see `_plan`
-        self.plan: dict[int, object] = {}
-        for s in lang.iter_stmts(program.body):
-            self._plan(s.expr if isinstance(s, lang.Assign) else s.cond)
-        self._plan(program.outcome)
-
-    def _plan(self, node: lang.Expr) -> Kind:
-        """Record the facts of ``node`` and the nodes under it in `plan`: a
-        variable's index in an environment's ``values``, a literal's
-        interval, a generator's full range, an operator's kind, and for a
-        product its kind and coefficient (None when the coefficient leaves
-        the domain).
-        The kind of ``node``: a variable's, a leaf's, or an operator's right
-        operand's."""
-
-        if isinstance(node, lang.Var):
-            self.plan[id(node)] = self.index[node.name]
-            return self.kinds[node.name]
-        if isinstance(node, lang.Lit):
-            self.plan[id(node)] = Interval.const(node.kind, node.value)
-            return node.kind
-        if isinstance(node, lang.Draw):
-            self.plan[id(node)] = GENERATOR_RANGE[node.kind]
-            return node.kind
-        self._plan(node.left)
-        kind = self._plan(node.right)
-        if node.op != "*":
-            self.plan[id(node)] = kind
-            return kind
-        c = node.left.value  # the left is the literal coefficient
-        inside = abs(c) < _EXACT_INT if kind is Kind.INT else not _outside_product_range(c)
-        self.plan[id(node)] = (kind, c if inside else None)
-        return kind
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -321,17 +289,17 @@ class _Lanes:
         ``mask`` when ``draws``, else take their full range."""
 
         if isinstance(node, lang.Var):
-            return env.values[self.plan[id(node)]]
+            return env.values[self.index[node.name]]
         if isinstance(node, lang.Lit):
-            return self.checked(self.plan[id(node)], mask)
+            return self.checked(Interval(node.kind, node.value, node.value), mask)
         if isinstance(node, lang.Draw):
             if not draws:
-                return self.plan[id(node)]
+                return GENERATOR_RANGE[node.kind]
             value = self.draw(node, mask)
             return np.array((value, value))
-        if node.op == "*":
-            kind, c = self.plan[id(node)]
-            return self.scale(kind, self.expr(node.right, env, mask, draws), c, mask)
+        if node.op == "*":  # the left is the literal coefficient
+            a = self.expr(node.right, env, mask, draws)
+            return self.scale(node.kind, a, node.left.value, mask)
         a = self.expr(node.left, env, mask, draws)
         b = self.expr(node.right, env, mask, draws)
         if type(a) is Interval and type(b) is Interval:
@@ -339,7 +307,7 @@ class _Lanes:
         a, b = _lift(a), _lift(b)
         if node.op == "-":
             b = -b[::-1]
-        return self.add(self.plan[id(node)], a, b, mask)
+        return self.add(node.kind, a, b, mask)
 
     def add(self, kind: Kind, a, b, mask):
         r = a + b
@@ -348,10 +316,10 @@ class _Lanes:
         return self._result(kind, _empty(a) | _empty(b), r, mask)
 
     def scale(self, kind: Kind, a, c, mask):
-        """``c * a`` for a literal coefficient ``c``, None when it leaves
-        the domain."""
+        """``c * a`` for a literal coefficient ``c``; one outside the domain
+        hands back the lanes of ``mask``."""
 
-        if c is None:
+        if abs(c) >= _EXACT_INT if kind is Kind.INT else _outside_product_range(c):
             self.hand_back(mask)
             return a
         if type(a) is Interval:
@@ -416,7 +384,7 @@ class _Lanes:
         integral = kind is Kind.INT
         if op == "!=" and not integral:
             return env
-        r = self.plan[id(var)]
+        r = self.index[var.name]
         cur = env.values[r]
         if type(cur) is Interval and type(b) is Interval:
             new = self.checked(_refined(cur, op, b), mask)

@@ -31,10 +31,11 @@ and operator around it.
 
 The expression AST has four nodes: the leaves `Var`, `Lit` and `Draw`,
 the last two keyed by their `Kind`, and one `Binary` node for every
-binary operator, keyed by the operator's text as `_PRECEDENCE` is.  A
-product keeps its literal coefficient on the left, whichever side the
-source wrote it on.  A generator's name, draw and range are read off its
-kind: `GENERATOR_NAME`, `draw_value` and ``intervals.GENERATOR_RANGE``.
+binary operator, keyed by the operator's text as `_PRECEDENCE` is and
+carrying the kind the parser checked.  A product keeps its literal
+coefficient on the left, whichever side the source wrote it on.  A
+generator's name, draw and range are read off its kind: `GENERATOR_NAME`,
+`draw_value` and ``intervals.GENERATOR_RANGE``.
 Draws are counter-based (Salmon et al., SC'11): a trial with seed s
 draws at key (site, iteration word) the bits ``mix(s ^ fold((site,
 *word)))``, a pure function of the key whichever engine, order or batch
@@ -180,14 +181,15 @@ RELOPS = ("<", "<=", ">", ">=", "==", "!=")
 
 @dataclass(frozen=True, slots=True)
 class Binary(Expr):
-    """``left op right`` for every binary operator of the language, the
-    arithmetic, relational and logical ones alike.  A product keeps its
-    literal coefficient on the left: general products are not part of
-    the language, which keeps interval arithmetic exact."""
+    """``left op right`` for every binary operator of the language, with
+    the kind of an arithmetic result (None for a condition; not compared).
+    A product keeps its literal coefficient on the left: general products
+    are not part of the language, which keeps interval arithmetic exact."""
 
     left: Expr
     op: str
     right: Expr
+    kind: Kind | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -448,7 +450,7 @@ class _Parser:
             got = f"{ek.value} expression" if ek else "a condition"
             raise LangError(f"cannot assign {got} to {kind.value} '{name}'", op.line, op.col)
         if op.text != "=":  # x += e is x = x + e; x++ is x += 1
-            expr = Binary(Var(name), op.text[0], expr)
+            expr = Binary(Var(name), op.text[0], expr, kind)
         return Assign(self._site(), name, expr)
 
     def condition(self) -> Expr:
@@ -497,7 +499,8 @@ class _Parser:
         if lkind is not rkind:
             what = "comparison mixes integer and real" if relational else "mixed integer and real"
             raise LangError(f"{what} operands", op.line, op.col)
-        return Binary(left, op.text, right), (None if relational else lkind)
+        kind = None if relational else lkind
+        return Binary(left, op.text, right, kind), kind
 
     def _operand(self) -> tuple[Expr, Kind | None, int]:
         t = self._advance()

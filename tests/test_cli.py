@@ -86,6 +86,15 @@ def test_analyze_parse_error_exit_2(tmp_path, capsys):
     assert "expected expression" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+def test_program_file_not_utf8_exit_2(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.amc"
+    bad.write_bytes(b"int x; /* \xff */ know (x < 3);")
+    code, out, err = run_cli(capsys, command, str(bad))
+    assert code == 2 and out == ""
+    assert one_line_error(err) and str(bad) in err and "utf-8" in err
+
+
 def test_analyze_query_override(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -158,6 +167,17 @@ def test_analyze_malformed_restriction_exit_1(tmp_path, capsys, spec):
     )
     assert code == 1 and out == ""
     assert one_line_error(err) and "generators" in err
+
+
+@pytest.mark.parametrize("content", [b"", b"{", b"\xff"], ids=["empty", "not JSON", "not UTF-8"])
+def test_analyze_unparsable_restriction_exit_1(tmp_path, capsys, content):
+    path = tmp_path / "restrict.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(
+        capsys, "analyze", FIG4, "--trials", "10", "--jobs", "1", "--restrict", str(path)
+    )
+    assert code == 1 and out == ""
+    assert one_line_error(err) and err.startswith(f"error: restriction file {path}: ")
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--epsilon", "--jobs"])

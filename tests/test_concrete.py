@@ -92,6 +92,25 @@ def test_nondet_spec_grid_spans_the_double_range():
     assert pts[0] == -1e308 and pts[-1] == 7e307
 
 
+@pytest.mark.parametrize(
+    "lo, hi", [(0, 18014398509481987), (0, 2**63 - 1), (-(2**63), 2**63 - 1), (-5, 2**60 + 3)]
+)
+@pytest.mark.parametrize("grid", [2, 3, 5, 64])
+def test_nondet_spec_int_grid_stays_in_range(lo, hi, grid):
+    # steps in float put the last point past hi beyond 2**53: 2**54 + 4 for
+    # 2**54 + 3, and 2**63 for 2**63 - 1
+    p = parse(f"int x; know (x >= {lo} && x <= {hi}); know (x == {hi});")
+    pts = NondetSpec.from_program(p, grid=grid).grid_points(p)["x"]
+    assert pts[0] == lo and pts[-1] == hi and len(pts) == grid
+    assert all(type(v) is int and lo <= v <= hi for v in pts) and pts == sorted(set(pts))
+
+
+def test_sampled_oracle_runs_an_int_range_to_2_63():
+    # the last grid point fits int64, and it is the one that hits
+    p = parse("int x; know (x >= 0 && x <= 9223372036854775807); know (x == 9223372036854775807);")
+    assert oracle_estimate(p, mode="sampled", n=100, seed=0).estimate == 1.0
+
+
 def test_nondet_spec_unbounded_rejected():
     p = parse("int x, y; y = x + 1; know(y<3);")
     with pytest.raises(OracleError, match="unbounded"):

@@ -28,6 +28,7 @@ from absmc.intervals import (
     _outside_product_range,
     _outward,
     _product_is_exact,
+    _refined,
     _sum_is_exact,
     _widened,
     filter_env,
@@ -517,6 +518,22 @@ def test_lattice_results_keep_operand_identity(pair):
         out = getattr(x, name)(y).values
         assert out["s"] is a, name
         assert _signed(out["v"]) == _signed(getattr(a, name)(b)), name
+
+
+@given(identity_pair())
+@settings(max_examples=300)
+def test_refined_meets_the_constraint_as_an_interval_meet_does(pair):
+    # a guard's refinement is the meet with the interval of its constraint,
+    # built or not: the same bounds, zero signs and all, the variable's own
+    # interval when the guard keeps it, and the canonical empty when it empties
+    cur, b = pair
+    for op in ("<", "<=", ">", ">=", "=="):
+        bounds = _constraint(op, b.lo, b.hi, cur.kind is Kind.INT)
+        meet = cur.meet(Interval.make(cur.kind, *bounds))
+        r = _refined(cur, op, b)
+        assert _signed(r) == _signed(meet), op
+        assert (r is cur) == (meet is cur), op
+        assert not r.is_bottom() or r is Interval.bottom(cur.kind), op
 
 
 def _stores_to_bounds(tree):

@@ -175,3 +175,83 @@ def test_last_know_anywhere_is_outcome():
     p = parse("int x; know(x>=0); x = 1;")
     assert p.outcome == Binary(Var("x"), ">=", Lit(0, Kind.INT))
     assert [type(s).__name__ for s in p.body] == ["Assign"]
+
+
+# ---------------------------------------------------------------------------
+# The kind a Binary carries
+# ---------------------------------------------------------------------------
+
+
+def _binaries(node):
+    """Every `Binary` of an expression or condition, outer first."""
+
+    if isinstance(node, Binary):
+        yield node
+        yield from _binaries(node.left)
+        yield from _binaries(node.right)
+
+
+def _kind_of(node, kinds):
+    """The kind of an expression worked out from its leaves; None for a condition."""
+
+    if isinstance(node, Var):
+        return kinds[node.name]
+    if not isinstance(node, Binary):
+        return node.kind
+    if node.op not in ("+", "-", "*"):
+        return None
+    left, right = _kind_of(node.left, kinds), _kind_of(node.right, kinds)
+    assert left is right
+    return left
+
+
+def _program_binaries(p):
+    """Every `Binary` of a program, statements in order, then the outcome."""
+
+    nodes = [s.expr if isinstance(s, Assign) else s.cond for s in lang.iter_stmts(p.body)]
+    return [b for node in [*nodes, p.outcome] for b in _binaries(node)]
+
+
+KIND_SOURCES = [
+    *(corpus.source(name) for name in corpus.NAMES),
+    "int x, y; x += y; x -= 3; x++; x--; x = 3 * y; x = y * 3; x = (x + (2 * (y - 1))) - -4;"
+    " know ((x < y || (y >= 0)) && x != (1 + y));",
+    "double u, v; u += uniform(); u -= v; u++; u--; v = 0.5 * (u + 1.0); v = (u - v) * 2.0;"
+    " know ((u + v) * 3.0 <= 1.0 || u == v && v > 0.0 - uniform());",
+]
+
+
+@pytest.mark.parametrize("source", KIND_SOURCES)
+def test_binary_carries_the_parsed_kind(source):
+    p = parse(source)
+    binaries = _program_binaries(p)
+    assert {b.kind is None for b in binaries} == {True, False}
+    for b in binaries:
+        assert b.kind is _kind_of(b, p.kinds())
+        assert (b.kind is None) == (b.op in (*lang.RELOPS, "&&", "||"))
+    # the kind takes no part in equality, and printing keeps it
+    q = parse(to_source(p))
+    assert q == p
+    assert [(b.op, b.kind) for b in _program_binaries(q)] == [(b.op, b.kind) for b in binaries]
+
+
+def test_query_and_condition_carry_kinds():
+    query = "x + 1 < 2 * y || u - 0.5 > u"
+    p = parse("int x, y; double u; know (x < y); know (x < 3);", query=query)
+    assert [(b.op, b.kind) for b in _binaries(p.outcome)] == [
+        ("||", None), ("<", None), ("+", Kind.INT), ("*", Kind.INT),
+        (">", None), ("-", Kind.REAL),
+    ]
+    kinds = {"u": Kind.REAL, "x": Kind.INT, "y": Kind.INT}
+    cond = lang.parse_condition("(u * 2.0) <= (0.5 - u) && x != y + 1", kinds)
+    assert [(b.op, b.kind) for b in _binaries(cond)] == [
+        ("&&", None), ("<=", None), ("*", Kind.REAL), ("-", Kind.REAL),
+        ("!=", None), ("+", Kind.INT),
+    ]
+
+
+def test_hand_built_binary_compares_equal_whatever_its_kind():
+    parsed = parse("int x; x = x + 1; know (x < 3);").body[0].expr
+    assert parsed.kind is Kind.INT
+    assert parsed == Binary(Var("x"), "+", Lit(1, Kind.INT))
+    assert hash(parsed) == hash(Binary(Var("x"), "+", Lit(1, Kind.INT)))
