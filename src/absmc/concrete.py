@@ -540,8 +540,30 @@ class _VectorRun:
                 bound = max(c * limit + d for c, d in pairs)
                 if bound <= _INT64_MAX:
                     return bound
-            raise OverflowError("integer overflow: sampled-oracle lanes hold int64")
+            # a magnitude bound cannot tell -2**63, which int64 holds, from 2**63
+            self._span(node, mask & self.alive)
+            return _INT64_MAX + 1
         return a * self.limit + b
+
+    def _span(self, node, mask):
+        """The least and greatest value of an INT ``node`` on the lanes of
+        ``mask`` (None for a REAL one or a condition, whose compared values
+        it checks); OverflowError if it, or a sum inside it, may leave int64."""
+
+        span = None
+        if isinstance(node, lang.Binary):
+            a, b = self._span(node.left, mask), self._span(node.right, mask)
+            if node.kind is Kind.INT:
+                ends = [_APPLY[node.op](x, y) for x in a for y in b]
+                span = min(ends), max(ends)
+        elif isinstance(node, lang.Var) and self.kinds[node.name] is Kind.INT:
+            v = self.env[node.name][mask]
+            span = (int(v.min()), int(v.max())) if v.size else (0, 0)
+        elif isinstance(node, (lang.Lit, lang.Draw)) and node.kind is Kind.INT:
+            span = (node.value,) * 2 if isinstance(node, lang.Lit) else (0, 1)
+        if span and not -_INT64_MAX - 1 <= span[0] <= span[1] <= _INT64_MAX:
+            raise OverflowError("integer overflow: sampled-oracle lanes hold int64")
+        return span
 
     def _magnitude(self, mask) -> int:
         ints = [v[mask] for v in self.env.values() if v.dtype == np.int64]

@@ -195,7 +195,8 @@ class Report:
 # Most seeds one lane block spans, whatever the chunk's length.  A block
 # holds each live environment's mask and the bounds of each variable that
 # differs between its lanes, differing variables x BLOCK x 16 plus BLOCK
-# bytes, and its per-lane counters; it keeps nothing per draw.
+# bytes, its per-lane counters, and a batch of draws per site of the loops
+# it unrolls, at most `lanes._BATCH` x 16 bytes whatever the unroll limit.
 BLOCK = 4096
 
 # A process pool's fixed cost in seconds: start-up, handing each worker

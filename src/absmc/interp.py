@@ -108,7 +108,8 @@ class TrialContext:
         if key in self.table:
             raise InterpError(f"duplicate choice key {key}")
         span = self.restriction.get(gen.site) if self.restriction else None
-        value = self.table[key] = lang.draw(self.seed, gen.site, self.word, gen.kind, span)
+        salt = lang.fold((gen.site, *self.word))
+        value = self.table[key] = lang.draw(self.seed, salt, gen.kind, span)
         if self.trace is not None:
             name = lang.GENERATOR_NAME[gen.kind]
             self.trace(f"draw site {gen.site} w={key[1]} {name} -> {value!r}")

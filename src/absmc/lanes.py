@@ -26,22 +26,26 @@ is stable; fixpoints draw nothing, so lanes need not agree on when they
 stop.
 
 A block reads what it needs of an expression off its nodes (a
-`lang.Binary` carries its kind), and a mask that keeps every lane, or
-none, costs no array work: a select returns one side as it is, an
-unrolled iteration whose shared guard holds lets every running lane in
-as it is, and while every lane is live no mask is narrowed to the live
-lanes.
+`lang.Binary` carries its kind).  A mask that keeps every lane, or none,
+costs no array work: a select returns one side as it is, an unrolled
+iteration whose shared guard holds lets every running lane in as it is,
+no mask is narrowed to the live lanes while every lane is live, and the
+block's all-lanes mask (`_Lanes.every`) is neither counted nor applied.
 
 The rules of a trial are the scalar engine's: a draw is `lang.draw` on
 the seed array, and rounding, products, joins, widenings, narrowings and
 guards are the rules on bounds of `intervals`, given numpy's operations
-(`_ARRAYS`).  The block keeps nothing of a draw once the expression that
-drew used it.  Lanes count their steps as `interp.TrialContext.tick`
-does and abort at the step budget.  `_Lanes.run` leaves the batch's
-arrays: final environments, hits, steps, widened loops, aborts and
-hand-backs, and `estimator` sums those of each block of
-`estimator.BLOCK` seeds.  A lane's verdict, steps, widenings, abort,
-final environment and draws equal the scalar engine's trial of its seed.
+(`_ARRAYS`).  Draws are counter-based, so in an unrolled loop the first
+draw at a site for word w draws words w to 2w - 1 in one `lang.draw`
+over a column of salts, at most to the unroll limit and `_BATCH` words x
+lanes; later words read their row, and the loop drops its batches when
+it stops unrolling.  Lanes count steps as `interp.TrialContext.tick`
+does, one array update per run of ticks on one mask, and abort at the
+step budget.  `_Lanes.run` leaves the batch's arrays: final
+environments, hits, steps, widened loops, aborts and hand-backs, and
+`estimator` sums those of each block of `estimator.BLOCK` seeds.  A
+lane's verdict, steps, widenings, abort, final environment and draws
+equal the scalar engine's trial of its seed.
 
 Lanes compute exactly what the scalar engine computes only inside a
 domain: INT bounds below 2**53 in magnitude, which float64 holds
@@ -67,6 +71,7 @@ from .intervals import _outward, _product_is_exact, _refined, _sum_is_exact, _wi
 from .lang import Kind
 
 _EXACT_INT = 2.0**53  # INT bounds at or past this magnitude go back to the scalar engine
+_BATCH = 1 << 13  # most words x lanes of one batch of draws, whatever the unroll limit
 
 _TOWARD = np.array(intervals._NUMBERS.toward)[:, None]  # for a value's (2, lanes)
 _EMPTY = -_TOWARD  # the canonical empty interval
@@ -90,18 +95,13 @@ class _Env:
         self.reach = reach
         self.values = values
 
-    def only(self, mask) -> _Env:
-        return _Env(self.reach & mask, self.values)
-
 
 def _lift(value):
     """The bounds of a value as an array: a shared `Interval` as (2, 1)
     for every lane.  Shared INT bounds lie below 2**53 in magnitude
     (`_Lanes.checked`), so they convert exactly."""
 
-    if type(value) is Interval:
-        return _constant(value.lo, value.hi)
-    return value
+    return _constant(value.lo, value.hi) if type(value) is Interval else value
 
 
 def _pair(a: _Env, b: _Env, shared, bounds):
@@ -135,10 +135,8 @@ def _select(mask, a: _Env, b: _Env) -> _Env:
     stays shared."""
 
     count = np.count_nonzero(mask)
-    if count == 0:
-        return b
-    if count == mask.size:
-        return a
+    if count in (0, mask.size):
+        return a if count else b
     values = _pair(a, b, _identical, lambda x, y, xp: xp.where(mask, x, y))
     return _Env(np.where(mask, a.reach, b.reach), values)
 
@@ -200,8 +198,7 @@ class _Lanes:
         self.restriction = restriction
         self.kinds = program.kinds()
         self.index = {name: i for i, name in enumerate(self.kinds)}
-        n = len(seeds)
-        self.n = n
+        self.n = n = len(seeds)
         self.seeds = seeds  # uint64
         self.steps = np.zeros(n, dtype=np.int64)
         self.ceiling = 0  # no live lane has taken more steps than this
@@ -211,7 +208,10 @@ class _Lanes:
         self.aborted = np.zeros(n, dtype=bool)
         self.handed_back = np.zeros(n, dtype=bool)
         self.none = np.zeros(n, dtype=bool)  # the reach of no lane; never written
+        self.every = np.ones(n, dtype=bool)  # the reach of every lane; never written
+        self.pending, self.ticks = None, 0  # ticks on one mask not yet in ``steps``
         self.word: list[int] = []
+        self.batches: list[dict] = []  # per unrolled loop: site -> (first word, batch)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -222,21 +222,33 @@ class _Lanes:
 
     def tick(self, mask):
         """One step on the live lanes of ``mask``; those it takes past the
-        step budget abort.  The lanes still running."""
+        step budget abort.  The lanes still running.  Ticks on one mask in
+        a row reach ``steps`` at once (`counted`); no caller writes a ticked mask."""
 
         mask = self._live(mask)
-        self.steps += mask
+        if mask is not self.pending:
+            self.counted(mask)
+        self.ticks += 1
         self.ceiling += 1
         budget = self.config.step_budget
         if self.ceiling > budget:
-            over = mask & (self.steps > budget)
+            steps = self.counted(mask)
+            over = mask & (steps > budget)
             if np.count_nonzero(over):
                 self.aborted |= over
                 self.live &= ~over
                 self.all_live = False
                 mask = mask & ~over
-            self.ceiling = int(self.steps.max(where=self.live, initial=0))
+            self.ceiling = int(steps.max(where=self.live, initial=0))
         return mask
+
+    def counted(self, pending=None):
+        """``steps``, with the pending ticks added; the next ones tick ``pending``."""
+
+        if self.ticks:
+            self.steps += self.pending if self.ticks == 1 else self.ticks * self.pending
+        self.pending, self.ticks = pending, 0
+        return self.steps
 
     def hand_back(self, bad) -> None:
         """Leave the lanes of ``bad`` to the scalar engine."""
@@ -273,13 +285,32 @@ class _Lanes:
         return value
 
     def draw(self, gen: lang.Draw, mask):
-        """A concrete draw of ``gen`` on each live lane of ``mask``, from
-        its own seed at the iteration word all lanes share; 0 on the other
-        lanes."""
+        """The bounds [v, v] of a concrete draw v of ``gen`` on each live
+        lane of ``mask``, from its own seed at the iteration word all lanes
+        share, read off a batch in an unrolled loop; [0, 0] elsewhere."""
 
+        if not self.word:
+            row = self._drawn(gen, [()])[0]
+        else:
+            *outer, w = self.word
+            first, batch = self.batches[-1].get(gen.site, (w, ()))
+            if w - first >= len(batch):
+                rows = min(w, self.config.unroll_limit + 1 - w, max(1, _BATCH // self.n))
+                words = [(*outer, v) for v in range(w, w + rows)]
+                first, batch = self.batches[-1][gen.site] = w, self._drawn(gen, words)
+            row = batch[w - first]
+        live = self._live(mask)
+        return row if live is self.every else np.where(live, row, 0.0)
+
+    def _drawn(self, gen: lang.Draw, words):
+        """The bounds [v, v] of ``gen``'s draws on every lane at each of
+        ``words``, (words, 2, lanes): one `lang.draw` over a column of salts."""
+
+        salts = np.array([lang.fold((gen.site, *word)) for word in words], dtype=np.uint64)
         span = self.restriction.get(gen.site) if self.restriction else None
-        value = lang.draw(self.seeds, gen.site, self.word, gen.kind, span)
-        return np.where(self._live(mask), value, 0.0)
+        batch = np.empty((len(words), 2, self.n))
+        batch[:, 0] = batch[:, 1] = lang.draw(self.seeds, salts[:, None], gen.kind, span)
+        return batch
 
     # -- expressions ------------------------------------------------------
 
@@ -293,15 +324,11 @@ class _Lanes:
         if isinstance(node, lang.Lit):
             return self.checked(Interval(node.kind, node.value, node.value), mask)
         if isinstance(node, lang.Draw):
-            if not draws:
-                return GENERATOR_RANGE[node.kind]
-            value = self.draw(node, mask)
-            return np.array((value, value))
+            return self.draw(node, mask) if draws else GENERATOR_RANGE[node.kind]
         if node.op == "*":  # the left is the literal coefficient
             a = self.expr(node.right, env, mask, draws)
             return self.scale(node.kind, a, node.left.value, mask)
-        a = self.expr(node.left, env, mask, draws)
-        b = self.expr(node.right, env, mask, draws)
+        a, b = self.expr(node.left, env, mask, draws), self.expr(node.right, env, mask, draws)
         if type(a) is Interval and type(b) is Interval:
             return self.checked(a.add(b) if node.op == "+" else a.sub(b), mask)
         a, b = _lift(a), _lift(b)
@@ -360,8 +387,7 @@ class _Lanes:
     def _refine_cmp(self, env: _Env, left, op: str, right, mask) -> _Env:
         if mask is not env.reach:
             mask = mask & env.reach
-        a = self.expr(left, env, mask, False)
-        b = self.expr(right, env, mask, False)
+        a, b = self.expr(left, env, mask, False), self.expr(right, env, mask, False)
         if type(a) is Interval and type(b) is Interval:
             # the same on every lane: all of them stay, or none
             if _definitely_empty(op, a.lo, a.hi, b.lo, b.hi):
@@ -387,8 +413,7 @@ class _Lanes:
         r = self.index[var.name]
         cur = env.values[r]
         if type(cur) is Interval and type(b) is Interval:
-            new = self.checked(_refined(cur, op, b), mask)
-            return self._assign(env, r, new)
+            return self._assign(env, r, self.checked(_refined(cur, op, b), mask))
         cur, b = _lift(cur), _lift(b)
         if op == "!=":
             new = np.array(_cut(cur[0], cur[1], b[0], b[1]))
@@ -420,7 +445,7 @@ class _Lanes:
     def block(self, stmts, env: _Env, fixing: bool) -> _Env:
         for s in stmts:
             mask = self._live(env.reach)
-            if not np.count_nonzero(mask):
+            if mask is not self.every and not np.count_nonzero(mask):
                 break
             env = self.stmt(s, env, mask, fixing)
         return env
@@ -447,9 +472,10 @@ class _Lanes:
             fix_mask = np.zeros(self.n, dtype=bool)
             run = mask
             self.word.append(1)
+            self.batches.append({})
             for _ in range(self.config.unroll_limit):
                 run = self.tick(run)
-                if not np.count_nonzero(run):
+                if run is not self.every and not np.count_nonzero(run):
                     break
                 enter = self.filter(env, s.cond, True, run)
                 leave = self.filter(env, s.cond, False, run)
@@ -466,6 +492,7 @@ class _Lanes:
                 env = self.block(s.body, enter, False)
                 self.word[-1] += 1
             self.word.pop()
+            self.batches.pop()
             fix_env = _select(run, env, fix_env)
             fix_mask |= run
         if np.count_nonzero(fix_mask):
@@ -478,12 +505,10 @@ class _Lanes:
 
         def step(acc: _Env, run) -> _Env:
             entry = self.filter(acc, s.cond, True, run)
-            return self.block(s.body, entry.only(run), True)
+            return self.block(s.body, _Env(entry.reach & run, entry.values), True)
 
-        acc = env
+        acc, run, joins = env, mask, 0
         widened = np.zeros(self.n, dtype=bool)
-        run = mask
-        joins = 0
         while True:
             run = self.tick(run)
             if not np.count_nonzero(run):
@@ -515,10 +540,10 @@ class _Lanes:
         handed back."""
 
         # every variable starts shared, at the top of its kind
-        tops = tuple(Interval.top(kind) for kind in self.kinds.values())
-        env = _Env(np.ones(self.n, dtype=bool), tops)
+        env = _Env(self.every, tuple(Interval.top(kind) for kind in self.kinds.values()))
         with np.errstate(all="ignore"):
             env = self.block(self.program.body, env, False)
             hits = self.filter(env, self.program.outcome, True, self._live(env.reach)).reach
+        self.counted()
         return env, self._live(hits) | self.aborted
 

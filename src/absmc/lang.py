@@ -169,11 +169,12 @@ def draw_value(bits, kind: Kind, span: tuple[float, float] | None = None):
     return u if span is None else span[0] + (span[1] - span[0]) * u
 
 
-def draw(seed, site: int, word, kind: Kind, span: tuple[float, float] | None = None):
-    """The draw at key (site, word) of a trial ``seed``, an int, or of a
-    uint64 array of lanes' seeds: the one draw rule of both engines."""
+def draw(seed, salt, kind: Kind, span: tuple[float, float] | None = None):
+    """The draw of a trial ``seed`` at the key whose salt is ``salt``,
+    ``fold((site, *word))``, ints or broadcasting uint64 arrays (lanes'
+    seeds, a column of salts): the one draw rule of both engines."""
 
-    return draw_value(mix(seed ^ fold((site, *word))), kind, span)
+    return draw_value(mix(seed ^ salt), kind, span)
 
 
 RELOPS = ("<", "<=", ">", ">=", "==", "!=")

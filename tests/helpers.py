@@ -29,7 +29,7 @@ class RecordingLanes(lanes._Lanes):
 
     def draw(self, gen, mask):
         values = super().draw(gen, mask)
-        self.draws.append((gen, tuple(self.word), mask & self.live, values))
+        self.draws.append((gen, tuple(self.word), mask & self.live, values[0]))
         return values
 
 

@@ -111,6 +111,21 @@ def test_sampled_oracle_runs_an_int_range_to_2_63():
     assert oracle_estimate(p, mode="sampled", n=100, seed=0).estimate == 1.0
 
 
+def test_sampled_oracle_runs_an_int_range_from_minus_2_63():
+    # the first grid point, -2**63, fits int64, though its magnitude does not
+    p = parse("int x; know (x >= -9223372036854775808 && x <= 0); know (x == 0);")
+    assert oracle_estimate(p, mode="sampled", n=100, seed=0).estimate == 1.0
+    p = parse("int x, y; know (x >= -9223372036854775808 && x <= 0); y = x + 5; know (y == 5);")
+    assert oracle_estimate(p, mode="sampled", n=100, seed=0).estimate == 1.0
+
+
+@pytest.mark.parametrize("value", ["x - 1", "0 - x", "x + x", "2 * x"])
+def test_sampled_oracle_rejects_a_sum_past_int64_from_minus_2_63(value):
+    p = parse(f"int x, y; know (x >= -9223372036854775808 && x <= 0); y = {value}; know (y == 0);")
+    with pytest.raises(OverflowError, match="integer overflow"):
+        oracle_estimate(p, mode="sampled", n=100, seed=0)
+
+
 def test_nondet_spec_unbounded_rejected():
     p = parse("int x, y; y = x + 1; know(y<3);")
     with pytest.raises(OracleError, match="unbounded"):

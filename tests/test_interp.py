@@ -60,7 +60,7 @@ def _seed_drawing(p, site, bits):
     return next(
         seed
         for seed in itertools.count()
-        if all(lang.draw(seed, site, (k,), Kind.INT) == b for k, b in enumerate(bits, 1))
+        if all(lang.draw(seed, lang.fold((site, k)), Kind.INT) == b for k, b in enumerate(bits, 1))
     )
 
 
@@ -192,7 +192,7 @@ def test_generator_records_singleton():
     assert iv == I(1, 1)
     # a site the restriction leaves draws from the seed (0 here) by lang's rule
     u = ctx.draw(lang.Draw(8, Kind.REAL)).lo
-    assert u == lang.draw(0, 8, (2,), Kind.REAL)
+    assert u == lang.draw(0, lang.fold((8, 2)), Kind.REAL)
     assert ctx.table == {(7, (2,)): 1, (8, (2,)): u}
 
 

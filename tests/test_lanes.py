@@ -78,6 +78,44 @@ def test_corpus_and_loops_match_scalar_trials(figs, config):
         _lanes_equal_scalar(lang.to_source(p), config)
 
 
+# Unrolled loops at the default unroll limit, 64 words: a site draws words
+# w to 2w - 1 in one batch, so batches of 1 to 32 words, the 64th word and,
+# in blocks wide enough, the cap on words x lanes all run
+UNROLLED = [
+    # loopgen's fig2 shape: every lane runs all 64 words, then the fixpoint
+    "double x, i; know (x>=0. && x<=1.); i=0.; while (i < 170.) { x += uniform(); i += 1.0; }"
+    " know (x<85.);",
+    # lanes leave the loop at different words
+    "double x; x = 0.0; while (x < 3.0) { x += uniform(); } know (x < 3.5);",
+    # nested unrolled loops drawing at both levels: the inner batches start
+    # again at each outer word
+    "int c, j, k; double x; k = 0; while (k < 9) { x += uniform(); j = 0;"
+    " while (j < 5) { c += coin_flip(); x += uniform(); j++; } k++; } know (x < 20.0);",
+    # a draw inside an if in the body: the lanes that draw change with the word
+    "int c, i; double x; i = 0; while (i < 40) { c = coin_flip(); if (c == 1) { x += uniform(); }"
+    " i++; } know (x < 10.0);",
+]
+UNROLLED_CONFIGS = [
+    TrialConfig(),
+    # the budget runs out in the middle of the unrolled words
+    TrialConfig(step_budget=100),
+]
+
+
+@pytest.mark.parametrize("width", [16, 700])
+@pytest.mark.parametrize("config", UNROLLED_CONFIGS, ids=["default", "budget 100"])
+@pytest.mark.parametrize("source", UNROLLED, ids=["fig2", "leave", "nested", "if"])
+def test_unrolled_draws_at_the_default_limit_match_scalar_trials(source, config, width):
+    p = parse(source)
+    outs = run_lanes(p, range(width), config)
+    assert config.unroll_limit == 64 and None not in outs
+    for seed in range(0, width, 16 if width > 64 else 1):  # every 16th lane of the wide block
+        scalar = analyze_trial(p, seed, config)
+        # every word's draw was recorded, each from its row of a batch
+        assert len(outs[seed].table) == len(scalar.table)
+        assert summary(outs[seed]) == summary(scalar)
+
+
 D = lang.MAX_DEPTH - 2
 
 
@@ -585,6 +623,27 @@ def test_block_memory_does_not_grow_with_its_draws():
             tracemalloc.stop()
 
     assert kept(64) - kept(8) < 64 * 1024
+
+
+def test_batch_memory_does_not_grow_with_the_unroll_limit(monkeypatch):
+    # a 20,000-word loop unrolled to its end draws in batches of at most
+    # `_BATCH` words x lanes, as one unrolled to 64 words does; `lang.fold`
+    # runs uncached, as its cache of 4,096 salts holds ~0.5 MB at 20,000
+    monkeypatch.setattr(lang, "fold", lang.fold.__wrapped__)
+    p = parse("int x, i; i = 0; while (i < 20000) { x += coin_flip(); i++; } know (x >= 4);")
+    seeds = lang.mix(np.arange(256, dtype=np.uint64))
+
+    def peak(unroll):
+        block = lanes._Lanes(p, seeds, TrialConfig(unroll_limit=unroll), None)
+        tracemalloc.start()
+        try:
+            block.run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # at most the batch a site replaces and its next, 16 bytes a word and lane each
+    assert peak(20_000) - peak(64) < 2 * lanes._BATCH * 16
 
 
 def test_block_memory_does_not_grow_with_variables_that_never_differ():

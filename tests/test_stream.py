@@ -39,7 +39,7 @@ def test_coin_and_uniform_draws_are_uniform(seeds):
     # one row per key, one column per seed, drawn as lanes draw them
     array = np.array(seeds, dtype=np.uint64)
     coins, uniforms = (
-        np.stack([lang.draw(array, site, word, kind) for site, word in KEYS])
+        np.stack([lang.draw(array, lang.fold((site, *word)), kind) for site, word in KEYS])
         for kind in (Kind.INT, Kind.REAL)
     )
     coins = coins.astype(np.int64)
@@ -78,11 +78,16 @@ def test_lane_mixer_equals_scalar_mixer(seeds, salt):
 def test_a_draw_is_the_documented_rule_on_ints_and_lanes(seeds, site, word):
     array = np.array(seeds, dtype=np.uint64)
     salt = lang.fold((site, *word))
+    # the words after ``word`` in its last loop, as a batch of draws takes them
+    words = [(*word[:-1], word[-1] + k) for k in range(3)] if word else [word]
+    salts = np.array([lang.fold((site, *w)) for w in words], dtype=np.uint64)
     spans = [(Kind.INT, None), (Kind.INT, (1, 1)), (Kind.REAL, None), (Kind.REAL, (0.5, 0.5))]
     for kind, span in spans:
-        scalar = [lang.draw(seed, site, word, kind, span) for seed in seeds]
+        scalar = [lang.draw(seed, salt, kind, span) for seed in seeds]
         assert scalar == [lang.draw_value(lang.mix(seed ^ salt), kind, span) for seed in seeds]
-        assert lang.draw(array, site, word, kind, span).tolist() == scalar
+        assert lang.draw(array, salt, kind, span).tolist() == scalar
+        batch = lang.draw(array, salts[:, None], kind, span).tolist()
+        assert batch == [[lang.draw(seed, s, kind, span) for seed in seeds] for s in salts.tolist()]
 
 
 def test_derive_seed_is_deterministic_for_any_master():
