@@ -1,44 +1,40 @@
-"""Randomized abstract interpretation trials: the scalar engine.
+"""Randomized abstract interpretation trials: the one abstract walk.
 
-One trial propagates an interval environment forward through the program.
-This engine runs one trial at a time and is the reference semantics.
-Random generators behave in two modes, tracked by the context's
-``randomize`` flag:
+A trial propagates an interval environment forward through the program.
+`eval_block`, `eval_stmt`, `eval_loop` and the fixpoint are written once,
+over masks of lanes, and an environment algebra supplies the rest:
 
-* outside any fixpoint computation, a generator draws a concrete value
-  at the key (site, iteration word), records it in the choice table
-  under that key, and evaluates to the singleton interval;
-* inside a fixpoint computation, a generator evaluates to its full range
-  and records nothing.
+* `TrialContext`, the scalar engine and reference semantics, runs one
+  trial: an environment is an `intervals.AbstractEnv`, a mask a bool;
+* `lanes._Lanes` runs a batch of seeds as numpy lanes, with the scalar
+  engine's outcome on each lane.
 
-The iteration word is the vector of 1-based iteration counters of the
-enclosing loops, outermost first, so each dynamic draw has its own key
-and can be replayed exactly by the concrete semantics; its value is
-`lang.draw` of the trial's seed at that key, which `lanes` calls too.
+An algebra supplies the masks ``every`` and ``none`` (a mask with no
+lane is ``none`` itself, where the walk tests it by identity), and
+``enter`` (a statement's step on the lanes an environment reaches),
+``tick``, ``reach``, ``any``, ``assign`` (an expression, drawing when
+randomized), ``filter``, ``restrict``, ``select``, ``join``, ``widen``,
+``narrow``, ``unstable`` (the lanes a fixpoint pass changed),
+``note_widened``, the iteration ``word`` with ``unrolling`` and
+``unrolled``, ``trace`` and ``key``.  The walk combines masks with
+``&``, ``|`` and ``^``, which bools and numpy masks share.
 
-Loops run in two phases.  Phase 1 (dynamic unrolling, only while
-``randomize`` is on) executes the body as long as the guard is definitely
-true, up to ``unroll_limit`` iterations, sampling generators concretely.
-Phase 2 computes an ascending fixpoint with generators at full range,
-joining ``widening_delay`` times before widening, then refines with
-``narrowing_passes`` descending iterations; the loop's result is the
-fixpoint filtered by the negated guard.
+Outside fixpoints (``randomize``) a generator draws `lang.draw` of the
+trial's seed at the key (site, iteration word), the 1-based iteration
+counters of the enclosing loops; inside, it takes its full range.  A
+loop unrolls the lanes whose guard is definitely true, up to
+``unroll_limit`` iterations under one word, and runs the others through
+an ascending fixpoint, each lane joining ``widening_delay`` times before
+widening until it is stable, then ``narrowing_passes`` descending
+passes; the result is filtered by the negated guard.  Every statement,
+unrolled iteration and pass is a step, and a lane past ``step_budget``
+aborts with verdict 1.
 
-Inside a fixpoint the body draws nothing, so a pass is a pure function
-of the environment it enters with.  A pass whose filtered entry equals
-the previous pass's (as the first narrowing pass's does, entering where
-the ascending passes stopped) reuses that pass's body result and replays
-the steps and widenings it cost, so counters and verdicts match a
-recomputation.  A traced trial recomputes every pass.
-
-This engine runs every traced trial and, in `estimator.run`, each
-chunk's probe and the trials `lanes` hands back; `lanes` runs the rest
-of a chunk many at once, with the same outcomes.
-
-A trial's verdict is 1 when the outcome event cannot be ruled out for
-some choice of the unconstrained inputs consistent with the recorded
-draws, and 0 when it is impossible.  Trials that exhaust their step
-budget abort conservatively with verdict 1.
+A fixpoint pass draws nothing, so it is a pure function of its entry.
+An algebra that gives the entry a ``key`` (the untraced scalar engine)
+reuses a pass whose entry equals the previous pass's, replaying its
+steps and widenings, so counters and verdicts match a recomputation.
+A verdict is 0 when the outcome is impossible, else 1.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import lang
-from .intervals import GENERATOR_RANGE, AbstractEnv, Interval, eval_range, filter_env
+from .intervals import AbstractEnv, Interval, eval_range, filter_env
 
 
 class InterpError(Exception):
@@ -78,32 +74,63 @@ class TrialConfig:
 ChoiceKey = tuple[int, tuple[int, ...]]
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialContext:
-    """Mutable state owned by exactly one trial."""
+    """The scalar algebra: mutable state owned by exactly one trial."""
 
     seed: int
     config: TrialConfig
     restriction: dict[int, tuple[float, float]] | None = None
     table: dict[ChoiceKey, int | float] = field(default_factory=dict)
-    randomize: bool = True
     word: list[int] = field(default_factory=list)
     steps: int = 0
     widened_loops: int = 0
     trace: Callable[[str], None] | None = None
 
-    def tick(self) -> None:
+    none, every = False, True
+    join = staticmethod(AbstractEnv.join)
+    widen = staticmethod(AbstractEnv.widen)
+    narrow = staticmethod(AbstractEnv.narrow)
+    any = staticmethod(bool)
+
+    def reach(self, env: AbstractEnv) -> bool:
+        return env.values is not None
+
+    def enter(self, env: AbstractEnv) -> bool:
+        # `tick` inlined: a trial enters every statement through here
+        if env.values is None:
+            return False
         self.steps += 1
         if self.steps > self.config.step_budget:
             raise StepBudgetExceeded(f"exceeded {self.config.step_budget} steps")
+        return True
+
+    def unstable(self, run: bool, nxt: AbstractEnv, acc: AbstractEnv) -> bool:
+        return False if nxt.values == acc.values else run
+
+    def tick(self, mask: bool) -> bool:
+        self.steps += 1
+        if self.steps > self.config.step_budget:
+            raise StepBudgetExceeded(f"exceeded {self.config.step_budget} steps")
+        return mask
+
+    def select(self, mask: bool, a: AbstractEnv, b: AbstractEnv) -> AbstractEnv:
+        return a if mask else b
+
+    def restrict(self, env: AbstractEnv, mask: bool) -> AbstractEnv:
+        return env if mask else AbstractEnv.unreachable()
+
+    def filter(self, env: AbstractEnv, cond: lang.Expr, polarity: bool, mask) -> AbstractEnv:
+        return filter_env(env, cond, polarity)
+
+    def assign(self, env: AbstractEnv, stmt: lang.Assign, mask, randomize: bool) -> AbstractEnv:
+        return env.assign(stmt.name, eval_range(stmt.expr, env, self.draw if randomize else None))
 
     def draw(self, gen: lang.Draw) -> Interval:
-        """Generator hook for `eval_range`: the full range inside fixpoints,
-        otherwise a concrete draw from the (restricted) support by the
-        `lang.draw` rule, recorded under its (site, iteration word) key."""
+        """Generator hook for `eval_range`: a concrete draw from the
+        (restricted) support by the `lang.draw` rule, recorded under its
+        (site, iteration word) key."""
 
-        if not self.randomize:
-            return GENERATOR_RANGE[gen.kind]
         key: ChoiceKey = (gen.site, tuple(self.word))
         if key in self.table:
             raise InterpError(f"duplicate choice key {key}")
@@ -114,6 +141,26 @@ class TrialContext:
             name = lang.GENERATOR_NAME[gen.kind]
             self.trace(f"draw site {gen.site} w={key[1]} {name} -> {value!r}")
         return Interval.const(gen.kind, value)
+
+    def unrolling(self) -> None:
+        self.word.append(1)
+
+    def unrolled(self) -> None:
+        self.word.pop()
+
+    def note_widened(self, mask: bool) -> None:
+        if mask:
+            self.widened_loops += 1
+
+    def key(self, entry: AbstractEnv):
+        """A fixpoint pass's entry as a key, or None: a traced trial prints
+        every pass, so it recomputes each one.  -0.0 == 0.0: a zero bound
+        enters the key as its repr, so a reused pass never returns a
+        result of the other zero."""
+
+        if self.trace is not None or entry.values is None:
+            return None
+        return [(iv.lo or repr(iv.lo), iv.hi or repr(iv.hi)) for iv in entry.values.values()]
 
 
 @dataclass
@@ -128,108 +175,131 @@ class TrialOutcome:
     steps: int = 0
 
 
-def eval_block(stmts, env: AbstractEnv, ctx: TrialContext) -> AbstractEnv:
+def eval_block(stmts, env, alg, randomize: bool):
     for s in stmts:
-        if env.is_bottom():
-            return env
-        env = eval_stmt(s, env, ctx)
+        mask = alg.enter(env)
+        if mask is alg.none:
+            break
+        env = eval_stmt(s, env, alg, mask, randomize)
     return env
 
 
-def eval_stmt(stmt: lang.Stmt, env: AbstractEnv, ctx: TrialContext) -> AbstractEnv:
-    ctx.tick()
-    if env.is_bottom():
-        return env
-    if isinstance(stmt, lang.Assign):
-        out = env.assign(stmt.name, eval_range(stmt.expr, env, ctx.draw))
-    elif isinstance(stmt, lang.Know):
-        out = filter_env(env, stmt.cond, True)
-    elif isinstance(stmt, lang.If):
-        then_env = eval_block(stmt.then, filter_env(env, stmt.cond, True), ctx)
-        else_env = eval_block(stmt.orelse, filter_env(env, stmt.cond, False), ctx)
-        out = then_env.join(else_env)
-    elif isinstance(stmt, lang.While):
-        out = eval_loop(stmt, env, ctx)
+def eval_stmt(stmt: lang.Stmt, env, alg, mask, randomize: bool):
+    """``stmt`` on the lanes of ``mask``, which reach it and have taken its step."""
+
+    kind = type(stmt)
+    if kind is lang.Assign:
+        out = alg.assign(env, stmt, mask, randomize)
+    elif kind is lang.Know:
+        out = alg.filter(env, stmt.cond, True, mask)
+    elif kind is lang.If:
+        # both guards first, then ``then`` before ``else``: the scalar draw order
+        then_env = alg.filter(env, stmt.cond, True, mask)
+        else_env = alg.filter(env, stmt.cond, False, mask)
+        then_env = eval_block(stmt.then, then_env, alg, randomize)
+        out = alg.join(then_env, eval_block(stmt.orelse, else_env, alg, randomize))
+    elif kind is lang.While:
+        out = eval_loop(stmt, env, alg, mask, randomize)
     else:
-        raise InterpError(f"unknown statement node {type(stmt).__name__}")
-    if ctx.trace is not None:
-        ctx.trace(f"site {stmt.site} {type(stmt).__name__}: {out.render()}")
+        raise InterpError(f"unknown statement node {kind.__name__}")
+    if alg.trace is not None:
+        alg.trace(f"site {stmt.site} {kind.__name__}: {out.render()}")
     return out
 
 
-def eval_loop(stmt: lang.While, env: AbstractEnv, ctx: TrialContext) -> AbstractEnv:
-    # Phase 1: unroll while the guard is definitely true, drawing fresh
-    # concrete values each iteration.
-    if ctx.randomize:
-        ctx.word.append(1)
-        try:
-            for _ in range(ctx.config.unroll_limit):
-                ctx.tick()
-                enter = filter_env(env, stmt.cond, True)
-                leave = filter_env(env, stmt.cond, False)
-                if enter.is_bottom():
-                    return leave
-                if not leave.is_bottom():
+def eval_loop(stmt: lang.While, env, alg, mask, randomize: bool):
+    out = env
+    fix_env, fix_mask = env, mask
+    if randomize:
+        # phase 1: unroll the lanes whose guard is definitely true, one
+        # iteration word for all of them, drawing fresh concrete values
+        fix_mask, run = alg.none, mask
+        alg.unrolling()
+        for _ in range(alg.config.unroll_limit):
+            run = alg.tick(run)
+            if run is alg.none:
+                break
+            enter = alg.filter(env, stmt.cond, True, run)
+            leave = alg.filter(env, stmt.cond, False, run)
+            entered, left = alg.reach(enter), alg.reach(leave)
+            # a guard that holds on every running lane lets them in as they are
+            if not (run is entered and left is alg.none):
+                stay = run & entered
+                out = alg.select(run ^ stay, leave, out)  # the guard fails: done
+                undecided = stay & left
+                fix_env = alg.select(undecided, env, fix_env)
+                fix_mask = fix_mask | undecided
+                run = stay ^ undecided
+                if not alg.any(run):
                     break
-                env = eval_block(stmt.body, enter, ctx)
-                ctx.word[-1] += 1
-        finally:
-            ctx.word.pop()
-    return _fixpoint(stmt, env, ctx)
+                enter = alg.restrict(enter, run)
+            env = eval_block(stmt.body, enter, alg, True)
+            alg.word[-1] += 1
+        alg.unrolled()
+        fix_env = alg.select(run, env, fix_env)
+        fix_mask = fix_mask | run
+    # phase 2: the fixpoint of the lanes the unrolling left undecided
+    if fix_mask is alg.every:
+        return _fixpoint(stmt, fix_env, alg, fix_mask)
+    if alg.any(fix_mask):
+        out = alg.select(fix_mask, _fixpoint(stmt, fix_env, alg, fix_mask), out)
+    return out
 
 
-def _fixpoint(stmt: lang.While, env: AbstractEnv, ctx: TrialContext) -> AbstractEnv:
+def _fixpoint(stmt: lang.While, env, alg, mask):
+    """The loop's fixpoint on every lane of ``mask``, each lane iterating
+    until it is stable, filtered by the negated guard."""
+
+    cond, body, config = stmt.cond, stmt.body, alg.config
     # the last computed pass: entry key, body result, steps and widenings
     last = None
 
-    def step(acc: AbstractEnv) -> AbstractEnv:
-        """One pass: tick, filter by the guard, evaluate the body."""
-
+    def step(acc, run):  # one pass on the lanes of run
         nonlocal last
-        ctx.tick()
-        entry = filter_env(acc, stmt.cond, True)
-        # a traced trial prints every pass, so it recomputes each one
-        if ctx.trace is not None or entry.is_bottom():
-            return eval_block(stmt.body, entry, ctx)
-        # -0.0 == 0.0: a zero bound enters the key as its repr, so a reused
-        # pass never returns a result of the other zero
-        key = [b if b else repr(b) for iv in entry.values.values() for b in (iv.lo, iv.hi)]
+        entry = alg.filter(acc, cond, True, run)
+        if run is not every:
+            entry = alg.restrict(entry, run)
+        key = alg.key(entry)
+        if key is None:
+            return eval_block(body, entry, alg, False)
         # past the step budget the pass runs for real, to abort at its step
-        if last is not None and last[0] == key and ctx.steps + last[2] <= ctx.config.step_budget:
-            ctx.steps += last[2]
-            ctx.widened_loops += last[3]
+        if last is not None and last[0] == key and alg.steps + last[2] <= config.step_budget:
+            alg.steps += last[2]
+            alg.widened_loops += last[3]
             return last[1]
-        steps, widened_loops = ctx.steps, ctx.widened_loops
-        out = eval_block(stmt.body, entry, ctx)
-        last = (key, out, ctx.steps - steps, ctx.widened_loops - widened_loops)
+        steps, widened_loops = alg.steps, alg.widened_loops
+        out = eval_block(body, entry, alg, False)
+        last = (key, out, alg.steps - steps, alg.widened_loops - widened_loops)
         return out
 
-    saved = ctx.randomize
-    ctx.randomize = False
-    try:
-        acc = env
-        joins = 0
-        widened = False
-        while True:
-            nxt = acc.join(step(acc))
-            if nxt == acc:
-                break
-            if joins >= ctx.config.widening_delay:
-                acc = acc.widen(nxt)
-                widened = True
-            else:
-                acc = nxt
-            joins += 1
-        for _ in range(ctx.config.narrowing_passes):
-            nacc = acc.narrow(env.join(step(acc)))
-            if nacc == acc:
-                break
-            acc = nacc
-        if widened:
-            ctx.widened_loops += 1
-        return filter_env(acc, stmt.cond, False)
-    finally:
-        ctx.randomize = saved
+    none, every = alg.none, alg.every
+    acc, run, joins, widened = env, mask, 0, none
+    while True:
+        run = alg.tick(run)
+        if run is none:
+            break
+        nxt = alg.join(acc, step(acc, run))
+        run = alg.unstable(run, nxt, acc)
+        if run is none:
+            break
+        if joins >= config.widening_delay:
+            nxt = alg.widen(acc, nxt)
+            widened = widened | run
+        acc = nxt if run is every else alg.select(run, nxt, acc)
+        joins += 1
+    run = mask
+    for _ in range(config.narrowing_passes):
+        run = alg.tick(run)
+        if run is none:
+            break
+        nacc = alg.narrow(acc, alg.join(env, step(acc, run)))
+        run = alg.unstable(run, nacc, acc)
+        if run is none:
+            break
+        acc = nacc if run is every else alg.select(run, nacc, acc)
+    if widened is not none:
+        alg.note_widened(widened)
+    return alg.filter(acc, cond, False, mask)
 
 
 def analyze_trial(
@@ -249,7 +319,7 @@ def analyze_trial(
     cfg = config or TrialConfig()
     ctx = TrialContext(seed, cfg, restriction, trace=trace)
     try:
-        env = eval_block(program.body, AbstractEnv.tops(program.kinds()), ctx)
+        env = eval_block(program.body, AbstractEnv.tops(program.kinds()), ctx, True)
         hit = 0 if filter_env(env, program.outcome, True).is_bottom() else 1
         aborted = False
     except StepBudgetExceeded:

@@ -1,60 +1,33 @@
-"""Batched interval trials: a batch of seeds run at once as numpy lanes.
+"""Batched interval trials: the lane algebra of `interp`'s walk.
 
-The same semantics as `interp` (the scalar engine, which stays the
-reference), evaluated for many trials at once.  An environment (`_Env`)
-is a per-lane reachability mask and one value per variable, as the
-scalar `intervals.AbstractEnv` holds one.  A value every lane shares (a
-literal, a generator's full range, a loop counter, a guard on it, or
-anything computed from shared values alone) is one `intervals.Interval`,
-computed by the scalar engine's own operations.  A value that differs
-between lanes is an array of its bounds, (2, lanes) lower over upper, so
-each operation runs once for both bounds.  A guard on shared values
-keeps every lane or none.  A select, join, widening or narrowing works
-variable by variable: a variable both sides hold as one object keeps it,
-two shared values go through the `Interval` rule (a select keeps one
-shared only when both hold the same bounds, compared bit for bit so
-that -0.0 and 0.0 stay apart), and any other pair through the rule on
-bounds.  The empty interval is ``[+inf, -inf]`` as in `intervals`.
+`_Lanes` runs the walk for a batch of seeds at once, one numpy lane
+each, with the scalar engine's outcome on every lane: verdict, steps,
+widenings, abort, final environment and draws.  A mask is a bool array
+over the lanes; ``every`` and ``none`` are masks nothing writes, and a
+mask that keeps every lane or none costs no array work.
 
-A statement runs on the lanes that reach it: ``know`` and ``if`` filter
-the mask, both branches of an ``if`` run on the lanes where they are
-reachable (``then`` first, so each lane draws in the scalar order) and
-are joined.  Loops unroll with per-lane enter and leave masks under one
-iteration word shared by all lanes, then every lane that reaches the
-fixpoint iterates it with its own join count and widened flag until it
-is stable; fixpoints draw nothing, so lanes need not agree on when they
-stop.
+An environment (`_Env`) is a reach mask and one value per variable: an
+`intervals.Interval` that every lane shares (computed by the scalar
+rules), or the bounds that differ between lanes, (2, lanes) lower over
+upper.  A select, join, widening or narrowing works variable by
+variable: one object on both sides is kept, two shared values take the
+`Interval` rule (a select keeps one only when the bounds agree bit for
+bit, -0.0 apart from 0.0), any other pair the rule on bounds of
+`intervals`, given numpy's operations (`_ARRAYS`).
 
-A block reads what it needs of an expression off its nodes (a
-`lang.Binary` carries its kind).  A mask that keeps every lane, or none,
-costs no array work: a select returns one side as it is, an unrolled
-iteration whose shared guard holds lets every running lane in as it is,
-no mask is narrowed to the live lanes while every lane is live, and the
-block's all-lanes mask (`_Lanes.every`) is neither counted nor applied.
+A draw is `lang.draw` on the seed array.  In an unrolled loop the first
+draw at a site for word w draws words w to 2w - 1 at once, at most to
+the unroll limit and `_BATCH` words x lanes; later words read their row,
+a site frees its old batch before it draws the next, and a loop drops
+its batches when it stops unrolling.  Steps count one array update per
+run of ticks on one mask.
 
-The rules of a trial are the scalar engine's: a draw is `lang.draw` on
-the seed array, and rounding, products, joins, widenings, narrowings and
-guards are the rules on bounds of `intervals`, given numpy's operations
-(`_ARRAYS`).  Draws are counter-based, so in an unrolled loop the first
-draw at a site for word w draws words w to 2w - 1 in one `lang.draw`
-over a column of salts, at most to the unroll limit and `_BATCH` words x
-lanes; later words read their row, and the loop drops its batches when
-it stops unrolling.  Lanes count steps as `interp.TrialContext.tick`
-does, one array update per run of ticks on one mask, and abort at the
-step budget.  `_Lanes.run` leaves the batch's arrays: final
-environments, hits, steps, widened loops, aborts and hand-backs, and
-`estimator` sums those of each block of `estimator.BLOCK` seeds.  A
-lane's verdict, steps, widenings, abort, final environment and draws
-equal the scalar engine's trial of its seed.
-
-Lanes compute exactly what the scalar engine computes only inside a
-domain: INT bounds below 2**53 in magnitude, which float64 holds
-exactly, and REAL product factors within `intervals._PRODUCT_RANGE`,
-where TwoProduct decides exactness.  A lane that leaves the domain, or
-meets a NaN, is handed back: the caller runs the scalar engine from its
-seed.  A shared INT result of magnitude 2**53 or more hands back the
-lanes that computed it (`_Lanes.checked`), so a shared value converts to
-float64 exactly when it meets a value that differs between lanes.
+Lanes compute exactly what the scalar engine computes inside a domain:
+INT bounds below 2**53 in magnitude and REAL product factors within
+`intervals._PRODUCT_RANGE`.  A lane that leaves it, or meets a NaN, is
+handed back for the scalar engine to run from its seed; a shared INT
+past 2**53 hands back its lanes (`_Lanes.checked`), so a shared value
+converts to float64 exactly.
 """
 from __future__ import annotations
 
@@ -63,7 +36,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import intervals, lang
+from . import interp, intervals, lang
 from .interp import TrialConfig
 from .intervals import _MIRROR, _NEGATED, GENERATOR_RANGE, INF, Interval, _constraint, _cut
 from .intervals import _definitely_empty, _empty, _hull, _meet, _narrowed, _outside_product_range
@@ -190,7 +163,14 @@ def _equal(a: _Env, b: _Env):
 
 
 class _Lanes:
-    """One batch of trials, run together by `run`."""
+    """One batch of trials, run together by `run`: the lane algebra of
+    `interp`'s walk."""
+
+    trace = None  # lanes print no trace
+    select = staticmethod(_select)
+    join = staticmethod(_join)
+    widen = staticmethod(_widen)
+    narrow = staticmethod(_narrow)
 
     def __init__(self, program: lang.Program, seeds, config: TrialConfig, restriction):
         self.program = program
@@ -221,11 +201,15 @@ class _Lanes:
         return mask if self.all_live else mask & self.live
 
     def tick(self, mask):
-        """One step on the live lanes of ``mask``; those it takes past the
-        step budget abort.  The lanes still running.  Ticks on one mask in
-        a row reach ``steps`` at once (`counted`); no caller writes a ticked mask."""
+        """One step on the live lanes of ``mask``, which holds a lane; those
+        it takes past the step budget abort.  The lanes still running, or
+        ``none``.  Ticks on one mask in a row reach ``steps`` at once
+        (`counted`); no caller writes a ticked mask."""
 
-        mask = self._live(mask)
+        if not self.all_live:
+            mask = mask & self.live
+            if not np.count_nonzero(mask):
+                return self.none
         if mask is not self.pending:
             self.counted(mask)
         self.ticks += 1
@@ -239,6 +223,8 @@ class _Lanes:
                 self.live &= ~over
                 self.all_live = False
                 mask = mask & ~over
+                if not np.count_nonzero(mask):
+                    return self.none
             self.ceiling = int(steps.max(where=self.live, initial=0))
         return mask
 
@@ -293,11 +279,13 @@ class _Lanes:
             row = self._drawn(gen, [()])[0]
         else:
             *outer, w = self.word
-            first, batch = self.batches[-1].get(gen.site, (w, ()))
+            batches = self.batches[-1]
+            first, batch = batches.pop(gen.site, (w, ()))
             if w - first >= len(batch):
+                del batch  # freed before the next batch is drawn
                 rows = min(w, self.config.unroll_limit + 1 - w, max(1, _BATCH // self.n))
-                words = [(*outer, v) for v in range(w, w + rows)]
-                first, batch = self.batches[-1][gen.site] = w, self._drawn(gen, words)
+                first, batch = w, self._drawn(gen, [(*outer, v) for v in range(w, w + rows)])
+            batches[gen.site] = first, batch
             row = batch[w - first]
         live = self._live(mask)
         return row if live is self.every else np.where(live, row, 0.0)
@@ -428,7 +416,7 @@ class _Lanes:
                 return _Env(_keep(env.reach, _empty(cur)), env.values)
         return self._assign(env, r, new)
 
-    # -- statements -------------------------------------------------------
+    # -- the walk's algebra -----------------------------------------------
 
     def _assign(self, env: _Env, r: int, value) -> _Env:
         """``env`` with variable ``r`` set to ``value``, a shared `Interval`
@@ -442,95 +430,45 @@ class _Lanes:
             reach = _keep(env.reach, _empty(value))
         return _Env(reach, tuple(values))
 
-    def block(self, stmts, env: _Env, fixing: bool) -> _Env:
-        for s in stmts:
-            mask = self._live(env.reach)
-            if mask is not self.every and not np.count_nonzero(mask):
-                break
-            env = self.stmt(s, env, mask, fixing)
-        return env
+    def assign(self, env: _Env, stmt: lang.Assign, mask, randomize: bool) -> _Env:
+        return self._assign(env, self.index[stmt.name], self.expr(stmt.expr, env, mask, randomize))
 
-    def stmt(self, s: lang.Stmt, env: _Env, mask, fixing: bool) -> _Env:
-        mask = self.tick(mask)
-        if isinstance(s, lang.Assign):
-            return self._assign(env, self.index[s.name], self.expr(s.expr, env, mask, not fixing))
-        if isinstance(s, lang.Know):
-            return self.filter(env, s.cond, True, mask)
-        if isinstance(s, lang.If):
-            then_env = self.filter(env, s.cond, True, mask)
-            else_env = self.filter(env, s.cond, False, mask)
-            then_env = self.block(s.then, then_env, fixing)
-            return _join(then_env, self.block(s.orelse, else_env, fixing))
-        return self.loop(s, env, mask, fixing)
+    def reach(self, env: _Env):
+        return env.reach
 
-    def loop(self, s: lang.While, env: _Env, mask, fixing: bool) -> _Env:
-        out = env
-        fix_env, fix_mask = env, mask
-        if not fixing:
-            # unroll while the guard is definitely true, one iteration
-            # word for all lanes
-            fix_mask = np.zeros(self.n, dtype=bool)
-            run = mask
-            self.word.append(1)
-            self.batches.append({})
-            for _ in range(self.config.unroll_limit):
-                run = self.tick(run)
-                if run is not self.every and not np.count_nonzero(run):
-                    break
-                enter = self.filter(env, s.cond, True, run)
-                leave = self.filter(env, s.cond, False, run)
-                # a shared guard that holds lets every running lane in as it is
-                if not (run is env.reach is enter.reach and leave.reach is self.none):
-                    out = _select(run & ~enter.reach, leave, out)
-                    undecided = run & enter.reach & leave.reach
-                    fix_env = _select(undecided, env, fix_env)
-                    fix_mask |= undecided
-                    run = run & enter.reach & ~leave.reach
-                    if not np.count_nonzero(run):
-                        break
-                    enter = _Env(run, enter.values)
-                env = self.block(s.body, enter, False)
-                self.word[-1] += 1
-            self.word.pop()
-            self.batches.pop()
-            fix_env = _select(run, env, fix_env)
-            fix_mask |= run
-        if np.count_nonzero(fix_mask):
-            out = _select(fix_mask, self.fixpoint(s, fix_env, fix_mask), out)
-        return out
+    def enter(self, env: _Env):
+        """The live lanes ``env`` reaches after a step on each, or ``none``."""
 
-    def fixpoint(self, s: lang.While, env: _Env, mask) -> _Env:
-        """`interp._fixpoint` on every lane of ``mask`` at once, each lane
-        iterating until it is stable."""
+        mask = self._live(env.reach)
+        if mask is not self.every and not np.count_nonzero(mask):
+            return self.none
+        return self.tick(mask)
 
-        def step(acc: _Env, run) -> _Env:
-            entry = self.filter(acc, s.cond, True, run)
-            return self.block(s.body, _Env(entry.reach & run, entry.values), True)
+    def unstable(self, run, nxt: _Env, acc: _Env):
+        """The lanes of ``run`` where ``nxt`` differs from ``acc``, or ``none``."""
 
-        acc, run, joins = env, mask, 0
-        widened = np.zeros(self.n, dtype=bool)
-        while True:
-            run = self.tick(run)
-            if not np.count_nonzero(run):
-                break
-            nxt = _join(acc, step(acc, run))
-            run = run & ~_equal(nxt, acc)
-            if joins >= self.config.widening_delay:
-                acc = _select(run, _widen(acc, nxt), acc)
-                widened |= run
-            else:
-                acc = _select(run, nxt, acc)
-            joins += 1
-        run = mask
-        for _ in range(self.config.narrowing_passes):
-            run = self.tick(run)
-            if not np.count_nonzero(run):
-                break
-            nacc = _narrow(acc, _join(env, step(acc, run)))
-            run = run & ~_equal(nacc, acc)
-            acc = _select(run, nacc, acc)
-        self.widened += self._live(widened)
-        return self.filter(acc, s.cond, False, self._live(mask))
+        run = run & ~_equal(nxt, acc)
+        return run if np.count_nonzero(run) else self.none
+
+    def any(self, mask):
+        return mask is self.every or np.count_nonzero(mask)
+
+    def restrict(self, env: _Env, mask) -> _Env:
+        return _Env(env.reach & mask, env.values)
+
+    def unrolling(self) -> None:
+        self.word.append(1)
+        self.batches.append({})
+
+    def unrolled(self) -> None:
+        self.word.pop()
+        self.batches.pop()
+
+    def key(self, entry: _Env) -> None:
+        """Lanes reuse no fixpoint pass."""
+
+    def note_widened(self, mask) -> None:
+        self.widened += self._live(mask)
 
     # -- trials -----------------------------------------------------------
 
@@ -542,7 +480,7 @@ class _Lanes:
         # every variable starts shared, at the top of its kind
         env = _Env(self.every, tuple(Interval.top(kind) for kind in self.kinds.values()))
         with np.errstate(all="ignore"):
-            env = self.block(self.program.body, env, False)
+            env = interp.eval_block(self.program.body, env, self, True)
             hits = self.filter(env, self.program.outcome, True, self._live(env.reach)).reach
         self.counted()
         return env, self._live(hits) | self.aborted

@@ -2,8 +2,9 @@
 
 A refactor of the trial engine or of the concrete semantics must leave
 these values unchanged; only a deliberate change of the draw scheme may
-re-baseline them.  The corpus Reports live in ``tests/golden/``, which
-this test reads and never writes.
+re-baseline them.  The corpus Reports and the ``--trace`` output of
+trial 0 live in ``tests/golden/``, which this test reads and never
+writes.
 """
 
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from absmc import corpus
+from absmc.cli import main
 from absmc.concrete import oracle_estimate
 from absmc.estimator import run
 from absmc.interp import TrialConfig
@@ -46,6 +48,62 @@ def test_golden_corpus_report(figs, name):
     expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert d == expected
     assert json.dumps(d, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+# The loopgen fig1 and fig4 shapes of seed 1 (perfbench/loopgen.py): an
+# unconstrained trip count, and a branching inner loop nested in such a
+# loop, so the trace shows every fixpoint pass, nested ones among them.
+TRACED_LOOPS = {
+    "loops_fig1": """int x, i, n;
+know (x>=0 && x<=2);
+know (n>=0 && n<=100);
+i=0;
+while (i < n)
+{
+  x += coin_flip();
+  i++;
+}
+know (x>=58);
+""",
+    "loops_fig4": """int k, m, j;
+double x, z;
+know (x>=0.02 && x<=0.1);
+know (m>=0 && m<=5);
+k=0;
+while (k < m)
+{
+  j=0;
+  while (j < 3)
+  {
+    z=uniform(); z+=z;
+    if (x+z<2.)
+    {
+      x += uniform();
+    } else
+    {
+      x -= uniform();
+    }
+    j++;
+  }
+  k++;
+}
+know (x>0.9 && x<1.1);
+""",
+}
+
+
+@pytest.mark.parametrize("name", [*corpus.NAMES, *TRACED_LOOPS])
+def test_golden_trace(capsys, tmp_path, name):
+    # trial 0 of seed 0, traced: its draws, unrolled iterations and every
+    # fixpoint pass, one line each
+    if name in TRACED_LOOPS:
+        path = tmp_path / f"{name}.amc"
+        path.write_text(TRACED_LOOPS[name], encoding="utf-8")
+    else:
+        path = corpus.path(name)
+    assert main(["analyze", str(path), "--trials", "10", "--jobs", "1", "--trace"]) == 0
+    err = capsys.readouterr().err
+    assert err == (GOLDEN / f"{name}.trace").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("unroll, hits", [(3, 864), (4, 670)])

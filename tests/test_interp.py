@@ -12,6 +12,7 @@ from absmc.interp import (
     TrialConfig,
     TrialContext,
     analyze_trial,
+    eval_block,
     eval_loop,
     eval_stmt,
 )
@@ -22,10 +23,18 @@ I = lambda lo, hi: Interval.make(Kind.INT, lo, hi)  # noqa: E731
 R = lambda lo, hi: Interval.make(Kind.REAL, lo, hi)  # noqa: E731
 
 
-def ctx_with(randomize=True, **cfg):
-    ctx = TrialContext(0, TrialConfig(**cfg))
-    ctx.randomize = randomize
-    return ctx
+def ctx_with(**cfg):
+    return TrialContext(0, TrialConfig(**cfg))
+
+
+def stmt_on(stmt, env, ctx, randomize=True):
+    """``stmt`` run by the walk on the scalar algebra, as `eval_block` runs it."""
+
+    return eval_stmt(stmt, env, ctx, ctx.enter(env), randomize)
+
+
+def loop_on(loop, env, ctx, randomize=True):
+    return eval_loop(loop, env, ctx, ctx.enter(env), randomize)
 
 
 # --- whole trials on corpus programs -----------------------------------------
@@ -116,7 +125,7 @@ def test_trial_determinism(figs):
 def test_assign_transfer():
     p = parse("int x, y, z; x = y + z; know(x<100);")
     env = AbstractEnv({"x": Interval.top(Kind.INT), "y": I(1, 2), "z": I(3, 3)})
-    out = eval_stmt(p.body[0], env, ctx_with())
+    out = stmt_on(p.body[0], env, ctx_with())
     assert out.get("x") == I(4, 5)
     assert out.get("y") == I(1, 2)
 
@@ -124,7 +133,7 @@ def test_assign_transfer():
 def test_know_filters():
     p = parse("int x; know(x>=0 && x<=2); know(x<100);")
     env = AbstractEnv.tops({"x": Kind.INT})
-    out = eval_stmt(p.body[0], env, ctx_with())
+    out = stmt_on(p.body[0], env, ctx_with())
     assert out.get("x") == I(0, 2)
 
 
@@ -137,14 +146,14 @@ def test_if_joins_branches():
 
     p = parse("int x; if (x < 0) { x += 1; } know(x<100);")
     env = AbstractEnv({"x": I(-1, 1)})
-    out = eval_stmt(p.body[0], env, ctx_with())
+    out = stmt_on(p.body[0], env, ctx_with())
     assert out.get("x") == I(0, 1)
 
 
 def test_infeasible_branch_is_skipped():
     p = parse("int x; if (x < 0) { x = 90; } know(x<100);")
     env = AbstractEnv({"x": I(1, 5)})
-    out = eval_stmt(p.body[0], env, ctx_with())
+    out = stmt_on(p.body[0], env, ctx_with())
     assert out.get("x") == I(1, 5)
 
 
@@ -152,7 +161,7 @@ def test_loop_widen_then_narrow():
     p = parse("int x; x = 0; while (x < 10) { x += 1; } know(x<100);")
     loop = p.body[1]
     env = AbstractEnv({"x": I(0, 0)})
-    out = eval_loop(loop, env, ctx_with(unroll_limit=0))
+    out = loop_on(loop, env, ctx_with(unroll_limit=0))
     assert out.get("x") == I(10, 10)
 
 
@@ -160,7 +169,7 @@ def test_loop_unrolled_when_definite():
     p = parse("int x; x = 0; while (x < 10) { x += 1; } know(x<100);")
     loop = p.body[1]
     ctx = ctx_with()
-    out = eval_loop(loop, AbstractEnv({"x": I(0, 0)}), ctx)
+    out = loop_on(loop, AbstractEnv({"x": I(0, 0)}), ctx)
     assert out.get("x") == I(10, 10)
     assert ctx.widened_loops == 0
 
@@ -169,7 +178,7 @@ def test_loop_false_guard_runs_zero_iterations():
     p = parse("int x; while (x < 0) { x += 1; } know(x<100);")
     loop = p.body[0]
     ctx = ctx_with()
-    out = eval_loop(loop, AbstractEnv({"x": I(0, 5)}), ctx)
+    out = loop_on(loop, AbstractEnv({"x": I(0, 5)}), ctx)
     assert out.get("x") == I(0, 5)
     assert ctx.table == {}
 
@@ -197,9 +206,12 @@ def test_generator_records_singleton():
 
 
 def test_generator_full_range_inside_fixpoint():
-    ctx = ctx_with(randomize=False)
-    assert ctx.draw(lang.Draw(7, Kind.INT)) == I(0, 1)
-    assert ctx.draw(lang.Draw(8, Kind.REAL)) == R(0.0, 1.0)
+    # the walk inside a fixpoint: not randomized
+    p = parse("int c; double u; c = coin_flip(); u = uniform(); know (u < 2.0);")
+    ctx = ctx_with()
+    out = eval_block(p.body[:2], AbstractEnv.tops(p.kinds()), ctx, False)
+    assert out.get("c") == I(0, 1)
+    assert out.get("u") == R(0.0, 1.0)
     assert ctx.table == {}
 
 
@@ -210,7 +222,7 @@ def test_duplicate_choice_key_rejected():
         ctx.draw(lang.Draw(7, Kind.INT))
 
 
-def test_nested_fixpoint_keeps_randomize_off(figs):
+def test_nested_fixpoint_keeps_randomize_off(figs, monkeypatch):
     # an uncertain outer loop forces the inner loop through the fixpoint
     # path; generators inside must not record
     src = """
@@ -222,6 +234,20 @@ def test_nested_fixpoint_keeps_randomize_off(figs):
     know (x < 100);
     """
     p = parse(src)
+    outer, inner = p.body[0], p.body[0].body[1]
+    loops = []
+    real = interp.eval_loop
+
+    def recorded(stmt, env, alg, mask, randomize):
+        loops.append((stmt, randomize))
+        return real(stmt, env, alg, mask, randomize)
+
+    monkeypatch.setattr(interp, "eval_loop", recorded)
+    ctx, env = ctx_with(), AbstractEnv.tops(p.kinds())
+    interp.eval_loop(outer, env, ctx, ctx.enter(env), True)
+    assert loops[0] == (outer, True) and len(loops) > 1
+    assert all(loop == (inner, False) for loop in loops[1:])
+    assert ctx.table == {}
     out = analyze_trial(p, 5)
     assert out.table == {}  # outer guard is uncertain from the start
     assert out.hit == 1
@@ -281,9 +307,9 @@ def bodies(monkeypatch):
     calls = []
     real = interp.eval_block
 
-    def counted(stmts, env, ctx):
+    def counted(stmts, env, alg, randomize):
         calls.append(stmts)
-        return real(stmts, env, ctx)
+        return real(stmts, env, alg, randomize)
 
     monkeypatch.setattr(interp, "eval_block", counted)
     return calls
@@ -337,8 +363,8 @@ def test_pass_reuse_keeps_the_sign_of_zero(monkeypatch, bodies):
     loop = p.body[0]
     for zero in (-0.0, 0.0):
         env = AbstractEnv({"x": R(zero, 1.0), "y": R(0.0, 0.0)})
-        out = eval_loop(loop, env, _loop_ctx(False))
-        assert out.render() == eval_loop(loop, env, _loop_ctx(True)).render()
+        out = loop_on(loop, env, _loop_ctx(False))
+        assert out.render() == loop_on(loop, env, _loop_ctx(True)).render()
         assert out.render().startswith(f"x=[{zero!r}, ")
 
     # a guard filter that gives x a zero lower bound on each pass: when the
@@ -359,7 +385,7 @@ def test_pass_reuse_keeps_the_sign_of_zero(monkeypatch, bodies):
         counts = []
         for traced in (True, False):
             bodies.clear()
-            eval_loop(loop, AbstractEnv({"x": R(0.0, 1.0), "y": R(0.0, 0.0)}), _loop_ctx(traced))
+            loop_on(loop, AbstractEnv({"x": R(0.0, 1.0), "y": R(0.0, 0.0)}), _loop_ctx(traced))
             counts.append(len(bodies))
         recomputed, untraced = counts
         assert untraced == recomputed if alternate else untraced < recomputed
@@ -477,9 +503,7 @@ def test_body_transfer_monotone(lo, width, grow_lo, grow_hi):
     big_env = AbstractEnv(
         {"x": I(lo - grow_lo, lo + width + grow_hi), "y": Interval.top(Kind.INT)}
     )
-    ctx = ctx_with(randomize=False)
-    small_out = eval_stmt(p.body[0], small_env, ctx)
-    small_out = eval_stmt(p.body[1], small_out, ctx)
-    big_out = eval_stmt(p.body[0], big_env, ctx)
-    big_out = eval_stmt(p.body[1], big_out, ctx)
+    ctx = ctx_with()
+    small_out = eval_block(p.body[:2], small_env, ctx, False)
+    big_out = eval_block(p.body[:2], big_env, ctx, False)
     assert small_out.join(big_out) == big_out

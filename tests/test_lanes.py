@@ -642,8 +642,9 @@ def test_batch_memory_does_not_grow_with_the_unroll_limit(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    # at most the batch a site replaces and its next, 16 bytes a word and lane each
-    assert peak(20_000) - peak(64) < 2 * lanes._BATCH * 16
+    # a site frees its old batch before it draws the next, so the two
+    # peaks differ by much less than one batch of 16 bytes a word and lane
+    assert peak(20_000) - peak(64) < lanes._BATCH * 16 // 4
 
 
 def test_block_memory_does_not_grow_with_variables_that_never_differ():
