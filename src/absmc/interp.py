@@ -12,12 +12,14 @@ over masks of lanes, and an environment algebra supplies the rest:
 An algebra supplies the masks ``every`` and ``none`` (a mask with no
 lane is ``none`` itself, where the walk tests it by identity), and
 ``enter`` (a statement's step on the lanes an environment reaches),
-``tick``, ``reach``, ``any``, ``assign`` (an expression, drawing when
-randomized), ``filter``, ``restrict``, ``select``, ``join``, ``widen``,
-``narrow``, ``unstable`` (the lanes a fixpoint pass changed),
-``note_widened``, the iteration ``word`` with ``unrolling`` and
-``unrolled``, ``trace`` and ``key``.  The walk combines masks with
-``&``, ``|`` and ``^``, which bools and numpy masks share.
+``tick``, ``any``, ``assign`` (an expression, drawing when randomized),
+``filter``, ``restrict`` (to lanes the environment reaches), ``select``,
+``join``, ``widen``, ``narrow``, ``unstable`` (the lanes a fixpoint pass
+changed), ``note_widened``, ``eval_loop`` (the one it runs),
+``trace``, ``key`` and the iteration ``word``, a list the walk pushes to
+and pops.  An environment's ``reach`` is its mask of lanes.  The walk
+combines masks with ``&``, ``|`` and ``^``, which bools and numpy masks
+share.
 
 Outside fixpoints (``randomize``) a generator draws `lang.draw` of the
 trial's seed at the key (site, iteration word), the 1-based iteration
@@ -93,17 +95,13 @@ class TrialContext:
     narrow = staticmethod(AbstractEnv.narrow)
     any = staticmethod(bool)
 
-    def reach(self, env: AbstractEnv) -> bool:
-        return env.values is not None
+    @property
+    def eval_loop(self):
+        # looked up on every loop, so a wrapper of `eval_loop` sees scalar trials
+        return eval_loop
 
     def enter(self, env: AbstractEnv) -> bool:
-        # `tick` inlined: a trial enters every statement through here
-        if env.values is None:
-            return False
-        self.steps += 1
-        if self.steps > self.config.step_budget:
-            raise StepBudgetExceeded(f"exceeded {self.config.step_budget} steps")
-        return True
+        return env.values is not None and self.tick(True)
 
     def unstable(self, run: bool, nxt: AbstractEnv, acc: AbstractEnv) -> bool:
         return False if nxt.values == acc.values else run
@@ -142,15 +140,8 @@ class TrialContext:
             self.trace(f"draw site {gen.site} w={key[1]} {name} -> {value!r}")
         return Interval.const(gen.kind, value)
 
-    def unrolling(self) -> None:
-        self.word.append(1)
-
-    def unrolled(self) -> None:
-        self.word.pop()
-
     def note_widened(self, mask: bool) -> None:
-        if mask:
-            self.widened_loops += 1
+        self.widened_loops += 1
 
     def key(self, entry: AbstractEnv):
         """A fixpoint pass's entry as a key, or None: a traced trial prints
@@ -199,7 +190,7 @@ def eval_stmt(stmt: lang.Stmt, env, alg, mask, randomize: bool):
         then_env = eval_block(stmt.then, then_env, alg, randomize)
         out = alg.join(then_env, eval_block(stmt.orelse, else_env, alg, randomize))
     elif kind is lang.While:
-        out = eval_loop(stmt, env, alg, mask, randomize)
+        out = alg.eval_loop(stmt, env, alg, mask, randomize)
     else:
         raise InterpError(f"unknown statement node {kind.__name__}")
     if alg.trace is not None:
@@ -214,14 +205,14 @@ def eval_loop(stmt: lang.While, env, alg, mask, randomize: bool):
         # phase 1: unroll the lanes whose guard is definitely true, one
         # iteration word for all of them, drawing fresh concrete values
         fix_mask, run = alg.none, mask
-        alg.unrolling()
+        alg.word.append(1)
         for _ in range(alg.config.unroll_limit):
             run = alg.tick(run)
             if run is alg.none:
                 break
             enter = alg.filter(env, stmt.cond, True, run)
             leave = alg.filter(env, stmt.cond, False, run)
-            entered, left = alg.reach(enter), alg.reach(leave)
+            entered, left = enter.reach, leave.reach
             # a guard that holds on every running lane lets them in as they are
             if not (run is entered and left is alg.none):
                 stay = run & entered
@@ -235,7 +226,7 @@ def eval_loop(stmt: lang.While, env, alg, mask, randomize: bool):
                 enter = alg.restrict(enter, run)
             env = eval_block(stmt.body, enter, alg, True)
             alg.word[-1] += 1
-        alg.unrolled()
+        alg.word.pop()
         fix_env = alg.select(run, env, fix_env)
         fix_mask = fix_mask | run
     # phase 2: the fixpoint of the lanes the unrolling left undecided
@@ -258,7 +249,7 @@ def _fixpoint(stmt: lang.While, env, alg, mask):
         nonlocal last
         entry = alg.filter(acc, cond, True, run)
         if run is not every:
-            entry = alg.restrict(entry, run)
+            entry = alg.restrict(entry, run & entry.reach)
         key = alg.key(entry)
         if key is None:
             return eval_block(body, entry, alg, False)

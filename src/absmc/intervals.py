@@ -398,6 +398,10 @@ class AbstractEnv:
     def is_bottom(self) -> bool:
         return self.values is None
 
+    @property
+    def reach(self) -> bool:  # the mask of one lane in `interp`'s walk
+        return self.values is not None
+
     def get(self, name: str) -> Interval:
         if self.values is None:
             raise DomainError("lookup in unreachable environment")

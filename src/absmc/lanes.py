@@ -17,10 +17,10 @@ bit, -0.0 apart from 0.0), any other pair the rule on bounds of
 
 A draw is `lang.draw` on the seed array.  In an unrolled loop the first
 draw at a site for word w draws words w to 2w - 1 at once, at most to
-the unroll limit and `_BATCH` words x lanes; later words read their row,
-a site frees its old batch before it draws the next, and a loop drops
-its batches when it stops unrolling.  Steps count one array update per
-run of ticks on one mask.
+the unroll limit and `_BATCH` words x lanes; later words under the same
+enclosing iterations read their row, and a site frees its old batch
+before it draws the next.  Steps count one array update per run of
+ticks on one mask.
 
 Lanes compute exactly what the scalar engine computes inside a domain:
 INT bounds below 2**53 in magnitude and REAL product factors within
@@ -167,6 +167,9 @@ class _Lanes:
     `interp`'s walk."""
 
     trace = None  # lanes print no trace
+    # the walk's own loop: a wrapper of `interp.eval_loop` times scalar trials only
+    eval_loop = staticmethod(interp.eval_loop)
+    any = staticmethod(np.count_nonzero)
     select = staticmethod(_select)
     join = staticmethod(_join)
     widen = staticmethod(_widen)
@@ -191,7 +194,7 @@ class _Lanes:
         self.every = np.ones(n, dtype=bool)  # the reach of every lane; never written
         self.pending, self.ticks = None, 0  # ticks on one mask not yet in ``steps``
         self.word: list[int] = []
-        self.batches: list[dict] = []  # per unrolled loop: site -> (first word, batch)
+        self.batches = {}  # site -> (enclosing iterations, first word, batch)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -279,13 +282,12 @@ class _Lanes:
             row = self._drawn(gen, [()])[0]
         else:
             *outer, w = self.word
-            batches = self.batches[-1]
-            first, batch = batches.pop(gen.site, (w, ()))
-            if w - first >= len(batch):
+            at, first, batch = self.batches.pop(gen.site, (outer, w, ()))
+            if at != outer or w - first >= len(batch):
                 del batch  # freed before the next batch is drawn
                 rows = min(w, self.config.unroll_limit + 1 - w, max(1, _BATCH // self.n))
                 first, batch = w, self._drawn(gen, [(*outer, v) for v in range(w, w + rows)])
-            batches[gen.site] = first, batch
+            self.batches[gen.site] = outer, first, batch
             row = batch[w - first]
         live = self._live(mask)
         return row if live is self.every else np.where(live, row, 0.0)
@@ -433,9 +435,6 @@ class _Lanes:
     def assign(self, env: _Env, stmt: lang.Assign, mask, randomize: bool) -> _Env:
         return self._assign(env, self.index[stmt.name], self.expr(stmt.expr, env, mask, randomize))
 
-    def reach(self, env: _Env):
-        return env.reach
-
     def enter(self, env: _Env):
         """The live lanes ``env`` reaches after a step on each, or ``none``."""
 
@@ -450,19 +449,10 @@ class _Lanes:
         run = run & ~_equal(nxt, acc)
         return run if np.count_nonzero(run) else self.none
 
-    def any(self, mask):
-        return mask is self.every or np.count_nonzero(mask)
-
     def restrict(self, env: _Env, mask) -> _Env:
-        return _Env(env.reach & mask, env.values)
+        """``env`` on the lanes of ``mask``, which it reaches."""
 
-    def unrolling(self) -> None:
-        self.word.append(1)
-        self.batches.append({})
-
-    def unrolled(self) -> None:
-        self.word.pop()
-        self.batches.pop()
+        return _Env(mask, env.values)
 
     def key(self, entry: _Env) -> None:
         """Lanes reuse no fixpoint pass."""

@@ -94,6 +94,14 @@ UNROLLED = [
     # a draw inside an if in the body: the lanes that draw change with the word
     "int c, i; double x; i = 0; while (i < 40) { c = coin_flip(); if (c == 1) { x += uniform(); }"
     " i++; } know (x < 10.0);",
+    # a site's batch belongs to the outer words it was drawn under: an
+    # inner loop of one word draws its word 1 at every outer word, and
+    # one that draws from its word 4 on does so inside the batch the
+    # previous outer word drew at 4
+    "int j, k; double x; k = 0; while (k < 6) { j = 0;"
+    " while (j < 1) { x += uniform(); j++; } k++; } know (x < 3.0);",
+    "int j, k; double x; k = 0; while (k < 6) { j = 0;"
+    " while (j < 6) { if (j > 2) { x += uniform(); } j++; } k++; } know (x < 9.0);",
 ]
 UNROLLED_CONFIGS = [
     TrialConfig(),
@@ -104,7 +112,9 @@ UNROLLED_CONFIGS = [
 
 @pytest.mark.parametrize("width", [16, 700])
 @pytest.mark.parametrize("config", UNROLLED_CONFIGS, ids=["default", "budget 100"])
-@pytest.mark.parametrize("source", UNROLLED, ids=["fig2", "leave", "nested", "if"])
+@pytest.mark.parametrize(
+    "source", UNROLLED, ids=["fig2", "leave", "nested", "if", "inner one word", "inner late draw"]
+)
 def test_unrolled_draws_at_the_default_limit_match_scalar_trials(source, config, width):
     p = parse(source)
     outs = run_lanes(p, range(width), config)

@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/ab.py A_TREE B_TREE [--rounds N] [--seconds S] [--json PATH]
+    python3 tools/ab.py A_TREE B_TREE [--rounds N] [--seconds S]
 
 A_TREE and B_TREE are checkouts (each holds ``src/absmc``).  Both trees'
 `absmc` load into this one process under distinct package names, so that
@@ -17,7 +17,8 @@ The ops take their programs and sizes from ``perfbench/``, which this
 script reads and never changes: the seed-1 programs of
 ``perfbench/loopgen.py`` and the op sizes ``CORPUS_TRIALS`` and
 ``LOOP_TRIALS`` of ``perfbench/workloads.py``.  An op also checks that the
-two trees give the same result; a difference is printed, not fatal.
+two trees give the same result; the script exits 1 when some op's differ.
+The last line of its output is the summary as JSON.
 """
 
 from __future__ import annotations
@@ -133,7 +134,6 @@ def main(argv=None) -> int:
     parser.add_argument("b", type=Path, help="tree B (change)")
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=0.1, help="time per op, tree and round")
-    parser.add_argument("--json", type=Path, help="also write the summary here")
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.seconds <= 0:
         parser.error("--rounds must be >= 1 and --seconds > 0")
@@ -173,11 +173,8 @@ def main(argv=None) -> int:
             f"  B wins {wins}/{args.rounds}, loses {losses}  ({calls} calls){note}",
             flush=True,
         )
-    out = {"a": str(args.a), "b": str(args.b), "rounds": args.rounds, "ops": summary}
-    if args.json:
-        args.json.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
-    print(json.dumps(out))
-    return 0
+    print(json.dumps({"a": str(args.a), "b": str(args.b), "rounds": args.rounds, "ops": summary}))
+    return 0 if all(op["same"] for op in summary.values()) else 1
 
 
 if __name__ == "__main__":
