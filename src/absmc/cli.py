@@ -198,8 +198,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_curves(args) -> int:
-    if args.points < 2:
-        raise _UsageError("--points must be >= 2")
+    if not 2 <= args.points <= 1_000_000:  # a table of more rows would print for hours
+        raise _UsageError("--points must be between 2 and 1000000")
     if args.kind == "speed":
         if not 0 < args.t_min < args.t_max <= 1:
             raise _UsageError("need 0 < --t-min < --t-max <= 1")

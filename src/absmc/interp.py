@@ -12,14 +12,14 @@ over masks of lanes, and an environment algebra supplies the rest:
 An algebra supplies the masks ``every`` and ``none`` (a mask with no
 lane is ``none`` itself, where the walk tests it by identity), and
 ``enter`` (a statement's step on the lanes an environment reaches),
-``tick``, ``any``, ``assign`` (an expression, drawing when randomized),
-``filter``, ``restrict`` (to lanes the environment reaches), ``select``,
-``join``, ``widen``, ``narrow``, ``unstable`` (the lanes a fixpoint pass
-changed), ``note_widened``, ``eval_loop`` (the one it runs),
-``trace``, ``key`` and the iteration ``word``, a list the walk pushes to
-and pops.  An environment's ``reach`` is its mask of lanes.  The walk
-combines masks with ``&``, ``|`` and ``^``, which bools and numpy masks
-share.
+``tick``, ``any``, ``assign`` and ``filter`` (through the one
+expression and guard walks, `intervals.eval_range` and `filter_env`),
+``restrict`` (to lanes the environment reaches), ``select``, ``join``,
+``widen``, ``narrow``, ``unstable`` (the lanes a fixpoint pass changed),
+``note_widened``, ``eval_loop`` (the one it runs), ``trace``, ``key``
+and the iteration ``word``, a list the walk pushes to and pops.  An
+environment's ``reach`` is its mask of lanes.  The walk combines masks
+with ``&``, ``|`` and ``^``, which bools and numpy masks share.
 
 Outside fixpoints (``randomize``) a generator draws `lang.draw` of the
 trial's seed at the key (site, iteration word), the 1-based iteration
@@ -124,7 +124,7 @@ class TrialContext:
     def assign(self, env: AbstractEnv, stmt: lang.Assign, mask, randomize: bool) -> AbstractEnv:
         return env.assign(stmt.name, eval_range(stmt.expr, env, self.draw if randomize else None))
 
-    def draw(self, gen: lang.Draw) -> Interval:
+    def draw(self, gen: lang.Draw, mask: bool = True) -> Interval:
         """Generator hook for `eval_range`: a concrete draw from the
         (restricted) support by the `lang.draw` rule, recorded under its
         (site, iteration word) key."""

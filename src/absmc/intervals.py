@@ -21,10 +21,14 @@ Lattice operations follow the classic scheme:
 
 Guard filtering (`filter_env`) refines an environment by a condition.
 Comparisons of shape ``var op e`` and ``e op var`` refine the variable
-against the interval of ``e``; other shapes refine nothing, which is
+against the value of ``e``; other shapes refine nothing, which is
 sound.  Decisions about definite emptiness use exact comparison
 semantics; only the refined intervals weaken strict real inequalities
-to their closed form (the boundary has measure zero).
+to their closed form (the boundary has measure zero).  `filter_env` and
+`eval_range` are both engines' one guard walk and expression walk, over
+a value algebra ``alg`` and a ``mask`` of lanes: `_SCALAR` and True on
+an `AbstractEnv`, or a `lanes._Lanes` block, whose values are an
+`Interval` every lane shares (``type(v) is Interval``) or lane bounds.
 
 The rules on bounds are written once for the scalar engine and `lanes`,
 and take Python numbers and numpy arrays of bounds alike: outward
@@ -382,14 +386,15 @@ GENERATOR_RANGE = {Kind.INT: Interval(Kind.INT, 0, 1), Kind.REAL: Interval(Kind.
 class AbstractEnv:
     """Either unreachable (bottom) or a total map variable -> Interval."""
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "reach")
 
     def __init__(self, values: dict[str, Interval] | None):
         self.values = values
+        self.reach = values is not None  # the mask of one lane in `interp`'s walk
 
-    @classmethod
-    def unreachable(cls) -> "AbstractEnv":
-        return cls(None)
+    @staticmethod
+    def unreachable() -> "AbstractEnv":
+        return _UNREACHABLE
 
     @classmethod
     def tops(cls, kinds: dict[str, Kind]) -> "AbstractEnv":
@@ -397,10 +402,6 @@ class AbstractEnv:
 
     def is_bottom(self) -> bool:
         return self.values is None
-
-    @property
-    def reach(self) -> bool:  # the mask of one lane in `interp`'s walk
-        return self.values is not None
 
     def get(self, name: str) -> Interval:
         if self.values is None:
@@ -462,28 +463,44 @@ class AbstractEnv:
         return " ".join(f"{name}={iv.render()}" for name, iv in self.values.items())
 
 
+_UNREACHABLE = AbstractEnv(None)
+
 # ---------------------------------------------------------------------------
 # Expression ranges and guard filtering
 # ---------------------------------------------------------------------------
 
 
-def eval_range(expr: lang.Expr, env: AbstractEnv, draw=None) -> Interval:
-    """Interval of an expression's possible values.  Generators contribute
-    their full range, unless a ``draw`` hook is given: then each generator
-    node evaluates to ``draw(node)``, in left-to-right order."""
+_SCALAR = SimpleNamespace(
+    get=AbstractEnv.get, bind=AbstractEnv.assign, join=AbstractEnv.join, none=False,
+    checked=lambda value, mask: value,
+    add=lambda kind, op, a, b, mask: a.add(b) if op == "+" else a.sub(b),
+    scale=lambda kind, a, c, mask: a.scale(c),
+    drop=lambda env, empty: _UNREACHABLE if empty else env,
+)
 
-    if isinstance(expr, lang.Lit):
-        return Interval.const(expr.kind, expr.value)
-    if isinstance(expr, lang.Var):
-        return env.get(expr.name)
-    if isinstance(expr, lang.Binary):
+
+def eval_range(expr: lang.Expr, env, draw=None, alg=_SCALAR, mask=True):
+    """Interval of an expression's possible values, or its value under
+    the value algebra ``alg`` on the lanes of ``mask``.  Generators
+    contribute their full range, unless a ``draw`` hook is given: then
+    each generator node evaluates to ``draw(node, mask)``, in
+    left-to-right order."""
+
+    node = type(expr)
+    if node is lang.Var:
+        return alg.get(env, expr.name)
+    if node is lang.Lit:
+        return alg.checked(Interval(expr.kind, expr.value, expr.value), mask)
+    if node is lang.Binary:
         if expr.op == "*":  # the left is the literal coefficient
-            return eval_range(expr.right, env, draw).scale(expr.left.value)
-        left, right = eval_range(expr.left, env, draw), eval_range(expr.right, env, draw)
-        return left.add(right) if expr.op == "+" else left.sub(right)
-    if isinstance(expr, lang.Draw):
-        return GENERATOR_RANGE[expr.kind] if draw is None else draw(expr)
-    raise DomainError(f"unknown expression node {type(expr).__name__}")
+            right = eval_range(expr.right, env, draw, alg, mask)
+            return alg.scale(expr.kind, right, expr.left.value, mask)
+        left = eval_range(expr.left, env, draw, alg, mask)
+        right = eval_range(expr.right, env, draw, alg, mask)
+        return alg.add(expr.kind, expr.op, left, right, mask)
+    if node is lang.Draw:
+        return GENERATOR_RANGE[expr.kind] if draw is None else draw(expr, mask)
+    raise DomainError(f"unknown expression node {node.__name__}")
 
 
 _NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
@@ -554,45 +571,50 @@ def _refined(cur: Interval, op: str, b: Interval) -> Interval:
     return cur
 
 
-def _refine_var(env: AbstractEnv, name: str, op: str, b: Interval) -> AbstractEnv:
-    nv = _refined(env.get(name), op, b)
-    if nv.is_bottom():
-        return AbstractEnv.unreachable()
-    return env.assign(name, nv)
+def _refine_var(env, name: str, op: str, b, alg, mask):
+    cur = alg.get(env, name)
+    if type(cur) is Interval and type(b) is Interval:
+        return alg.bind(env, name, alg.checked(_refined(cur, op, b), mask))
+    return alg.refine(env, name, op, cur, b, mask)
 
 
 _MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 
 
-def _refine_cmp(env: AbstractEnv, left: lang.Expr, op: str, right: lang.Expr) -> AbstractEnv:
-    li = eval_range(left, env)
-    ri = eval_range(right, env)
-    if _definitely_empty(op, li.lo, li.hi, ri.lo, ri.hi):
-        return AbstractEnv.unreachable()
-    out = env
-    if isinstance(left, lang.Var):
-        out = _refine_var(out, left.name, op, ri)
-        if out.is_bottom():
-            return out
-    if isinstance(right, lang.Var):
-        out = _refine_var(out, right.name, _MIRROR[op], li)
-    return out
+def _refine_cmp(env, left: lang.Expr, op: str, right: lang.Expr, alg, mask):
+    if mask is not env.reach:
+        mask = mask & env.reach
+    a = eval_range(left, env, None, alg, mask)
+    b = eval_range(right, env, None, alg, mask)
+    alo, ahi = (a.lo, a.hi) if type(a) is Interval else a  # or lanes' (2, lanes)
+    blo, bhi = (b.lo, b.hi) if type(b) is Interval else b
+    empty = _definitely_empty(op, alo, ahi, blo, bhi)
+    if empty is not False:  # a mask of lanes, or True
+        env = alg.drop(env, empty)
+    if isinstance(left, lang.Var) and env.reach is not alg.none:
+        env = _refine_var(env, left.name, op, b, alg, mask)
+    if isinstance(right, lang.Var) and env.reach is not alg.none:
+        env = _refine_var(env, right.name, _MIRROR[op], a, alg, mask)
+    return env
 
 
-def filter_env(env: AbstractEnv, cond: lang.Expr, polarity: bool = True) -> AbstractEnv:
+def filter_env(env, cond: lang.Expr, polarity: bool = True, alg=_SCALAR, mask=True):
     """Sound refinement of ``env`` by ``cond`` (or its negation when
     polarity is false); every concrete environment satisfying the
-    condition stays inside the result."""
+    condition stays inside the result.  Under the value algebra ``alg``,
+    values are computed on the lanes of ``mask``."""
 
-    if env.is_bottom():
+    if env.reach is alg.none:
         return env
     op = cond.op
     if op in _NEGATED:
-        return _refine_cmp(env, cond.left, op if polarity else _NEGATED[op], cond.right)
+        return _refine_cmp(env, cond.left, op if polarity else _NEGATED[op], cond.right, alg, mask)
     if op not in ("&&", "||"):
         raise DomainError(f"unknown condition operator {op!r}")
     # a conjunction (&& or a negated ||) refines by both sides in turn,
     # a disjunction joins the refinements by each side
     if (op == "&&") == polarity:
-        return filter_env(filter_env(env, cond.left, polarity), cond.right, polarity)
-    return filter_env(env, cond.left, polarity).join(filter_env(env, cond.right, polarity))
+        env = filter_env(env, cond.left, polarity, alg, mask)
+        return filter_env(env, cond.right, polarity, alg, mask)
+    either = filter_env(env, cond.left, polarity, alg, mask)
+    return alg.join(either, filter_env(env, cond.right, polarity, alg, mask))

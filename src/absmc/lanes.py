@@ -1,6 +1,6 @@
-"""Batched interval trials: the lane algebra of `interp`'s walk.
+"""Batched interval trials: the lane algebra of `interp`'s and `intervals`' walks.
 
-`_Lanes` runs the walk for a batch of seeds at once, one numpy lane
+`_Lanes` runs the walks for a batch of seeds at once, one numpy lane
 each, with the scalar engine's outcome on every lane: verdict, steps,
 widenings, abort, final environment and draws.  A mask is a bool array
 over the lanes; ``every`` and ``none`` are masks nothing writes, and a
@@ -38,9 +38,8 @@ import numpy as np
 
 from . import interp, intervals, lang
 from .interp import TrialConfig
-from .intervals import _MIRROR, _NEGATED, GENERATOR_RANGE, INF, Interval, _constraint, _cut
-from .intervals import _definitely_empty, _empty, _hull, _meet, _narrowed, _outside_product_range
-from .intervals import _outward, _product_is_exact, _refined, _sum_is_exact, _widened
+from .intervals import INF, Interval, _constraint, _cut, _empty, _hull, _meet, _narrowed
+from .intervals import _outside_product_range, _outward, _product_is_exact, _sum_is_exact, _widened
 from .lang import Kind
 
 _EXACT_INT = 2.0**53  # INT bounds at or past this magnitude go back to the scalar engine
@@ -120,13 +119,6 @@ def _constant(lo, hi):
     fresh pages on every 4,096-lane block."""
 
     return np.array([[lo], [hi]], dtype=np.float64)
-
-
-def _keep(reach, empty):
-    """The lanes of ``reach`` outside ``empty``: ``reach`` itself when
-    ``empty`` holds no lane."""
-
-    return reach & ~empty if np.count_nonzero(empty) else reach
 
 
 def _joined(a: _Env, b: _Env, values) -> _Env:
@@ -302,31 +294,39 @@ class _Lanes:
         batch[:, 0] = batch[:, 1] = lang.draw(self.seeds, salts[:, None], gen.kind, span)
         return batch
 
-    # -- expressions ------------------------------------------------------
+    # -- the value algebra of `intervals.filter_env` and `eval_range` -----
 
-    def expr(self, node: lang.Expr, env: _Env, mask, draws: bool):
-        """The value of an expression: an `Interval` when every lane shares
-        it, else its bounds on every lane; generators draw on the lanes of
-        ``mask`` when ``draws``, else take their full range."""
+    def get(self, env: _Env, name: str):
+        return env.values[self.index[name]]
 
-        if isinstance(node, lang.Var):
-            return env.values[self.index[node.name]]
-        if isinstance(node, lang.Lit):
-            return self.checked(Interval(node.kind, node.value, node.value), mask)
-        if isinstance(node, lang.Draw):
-            return self.draw(node, mask) if draws else GENERATOR_RANGE[node.kind]
-        if node.op == "*":  # the left is the literal coefficient
-            a = self.expr(node.right, env, mask, draws)
-            return self.scale(node.kind, a, node.left.value, mask)
-        a, b = self.expr(node.left, env, mask, draws), self.expr(node.right, env, mask, draws)
+    def bind(self, env: _Env, name: str, value) -> _Env:
+        """``env`` with variable ``name`` set to ``value``, unreachable on
+        the lanes where it is empty."""
+
+        values = list(env.values)
+        values[self.index[name]] = value
+        empty = value.lo > value.hi if type(value) is Interval else _empty(value)
+        return self.drop(_Env(env.reach, tuple(values)), empty)
+
+    def drop(self, env: _Env, empty) -> _Env:
+        """``env`` without the lanes of ``empty``, a mask or a bool for every
+        lane; its reach is ``none`` when no lane is left."""
+
+        if empty is True:
+            return _Env(self.none, env.values)
+        if empty is False or not np.count_nonzero(empty):
+            return env
+        reach = env.reach & ~empty
+        return _Env(reach if np.count_nonzero(reach) else self.none, env.values)
+
+    def add(self, kind: Kind, op: str, a, b, mask):
+        """``a + b``, or ``a - b`` when ``op`` is ``-``."""
+
         if type(a) is Interval and type(b) is Interval:
-            return self.checked(a.add(b) if node.op == "+" else a.sub(b), mask)
+            return self.checked(a.add(b) if op == "+" else a.sub(b), mask)
         a, b = _lift(a), _lift(b)
-        if node.op == "-":
+        if op == "-":
             b = -b[::-1]
-        return self.add(node.kind, a, b, mask)
-
-    def add(self, kind: Kind, a, b, mask):
         r = a + b
         if kind is Kind.REAL:
             r = _outward(r, a, b, _sum_is_exact, _TOWARD, _ARRAYS)
@@ -361,49 +361,13 @@ class _Lanes:
         self.check(kind, r, mask)
         return r
 
-    # -- guards -----------------------------------------------------------
+    def refine(self, env: _Env, name: str, op: str, cur, b, mask) -> _Env:
+        """`intervals._refine_var` where ``cur`` or ``b`` differs between lanes."""
 
-    def filter(self, env: _Env, cond: lang.Expr, polarity: bool, mask) -> _Env:
-        """`intervals.filter_env` on the lanes of ``mask``."""
-
-        op, left, right = cond.op, cond.left, cond.right
-        if op in _NEGATED:
-            return self._refine_cmp(env, left, op if polarity else _NEGATED[op], right, mask)
-        if (op == "&&") == polarity:
-            return self.filter(self.filter(env, left, polarity, mask), right, polarity, mask)
-        either = self.filter(env, left, polarity, mask)
-        return _join(either, self.filter(env, right, polarity, mask))
-
-    def _refine_cmp(self, env: _Env, left, op: str, right, mask) -> _Env:
-        if mask is not env.reach:
-            mask = mask & env.reach
-        a, b = self.expr(left, env, mask, False), self.expr(right, env, mask, False)
-        if type(a) is Interval and type(b) is Interval:
-            # the same on every lane: all of them stay, or none
-            if _definitely_empty(op, a.lo, a.hi, b.lo, b.hi):
-                return _Env(self.none, env.values)
-            out = env
-        else:
-            a, b = _lift(a), _lift(b)
-            empty = _definitely_empty(op, a[0], a[1], b[0], b[1])
-            out = _Env(_keep(env.reach, empty), env.values)
-            if not np.count_nonzero(out.reach):
-                return out
-        if isinstance(left, lang.Var):
-            out = self._refine_var(out, left, op, b, mask)
-        if isinstance(right, lang.Var):
-            out = self._refine_var(out, right, _MIRROR[op], a, mask)
-        return out
-
-    def _refine_var(self, env: _Env, var: lang.Var, op: str, b, mask) -> _Env:
-        kind = self.kinds[var.name]
+        kind = self.kinds[name]
         integral = kind is Kind.INT
         if op == "!=" and not integral:
             return env
-        r = self.index[var.name]
-        cur = env.values[r]
-        if type(cur) is Interval and type(b) is Interval:
-            return self._assign(env, r, self.checked(_refined(cur, op, b), mask))
         cur, b = _lift(cur), _lift(b)
         if op == "!=":
             new = np.array(_cut(cur[0], cur[1], b[0], b[1]))
@@ -415,25 +379,18 @@ class _Lanes:
                 self.check(kind, c, mask & env.reach)
             new = _meet(cur, c, _ARRAYS)
             if new is cur:  # no bound of c lies inside cur's
-                return _Env(_keep(env.reach, _empty(cur)), env.values)
-        return self._assign(env, r, new)
+                return self.drop(env, _empty(cur))
+        return self.bind(env, name, new)
 
     # -- the walk's algebra -----------------------------------------------
 
-    def _assign(self, env: _Env, r: int, value) -> _Env:
-        """``env`` with variable ``r`` set to ``value``, a shared `Interval`
-        or bounds on every lane; a lane where it is empty is unreachable."""
-
-        values = list(env.values)
-        values[r] = value
-        if type(value) is Interval:
-            reach = self.none if value.is_bottom() else env.reach
-        else:
-            reach = _keep(env.reach, _empty(value))
-        return _Env(reach, tuple(values))
+    def filter(self, env: _Env, cond: lang.Expr, polarity: bool, mask) -> _Env:
+        # not `interp.filter_env`: a wrapper of it times scalar trials only
+        return intervals.filter_env(env, cond, polarity, self, mask)
 
     def assign(self, env: _Env, stmt: lang.Assign, mask, randomize: bool) -> _Env:
-        return self._assign(env, self.index[stmt.name], self.expr(stmt.expr, env, mask, randomize))
+        draw = self.draw if randomize else None
+        return self.bind(env, stmt.name, intervals.eval_range(stmt.expr, env, draw, self, mask))
 
     def enter(self, env: _Env):
         """The live lanes ``env`` reaches after a step on each, or ``none``."""

@@ -641,6 +641,17 @@ def test_curves_bad_range_exit_1(capsys):
 
 
 @pytest.mark.parametrize("kind", ["speed", "exceed"])
+@pytest.mark.parametrize("points", ["1", "1000001", str(10**20)])
+def test_curves_refuse_points_outside_the_limit_before_any_row(capsys, kind, points):
+    # 10**20 points would print for hours: the exceed table spins through
+    # every k after its distinct rows, and the speed table writes each
+    code, out, err = run_cli(capsys, "curves", "--kind", kind, "--n-min", "1", "--n-max", "3",
+                             "--points", points)
+    assert code == 1 and out == ""
+    assert one_line_error(err) and "--points must be between 2 and 1000000" in err
+
+
+@pytest.mark.parametrize("kind", ["speed", "exceed"])
 def test_curves_stream_their_rows(kind):
     # each row is printed as it is computed: 20,000 rows (every n distinct
     # in the exceed table) held at once would take megabytes

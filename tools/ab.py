@@ -9,9 +9,11 @@ A_TREE and B_TREE are checkouts (each holds ``src/absmc``).  Both trees'
 the two run on the same interpreter, allocator and CPU state.  Each round
 times every named op on both trees, for the same number of calls, in an
 order that alternates round by round.  Per op it prints the median of the
-per-round ratios A time / B time (above 1: B is faster), the range of the
-ratios, and B's wins and losses.  Running it with A = B gives the A/A
-noise floor a claim must clear.
+per-round ratios A time / B time (above 1: B is faster), a 95% bootstrap
+interval of that median (resampled from a fixed seed, so a run's text is
+reproducible from its ratios), the range of the ratios, and B's wins and
+losses.  Running it with A = B gives the A/A noise floor a claim must
+clear.
 
 The ops take their programs and sizes from ``perfbench/``, which this
 script reads and never changes: the seed-1 programs of
@@ -27,6 +29,7 @@ import argparse
 import ast
 import importlib.util
 import json
+import random
 import statistics
 import sys
 import time
@@ -121,6 +124,16 @@ def ops_of(pkg, loops: dict[str, str], corpus_trials: dict, loop_trials: dict) -
     }
 
 
+def _bootstrap(ratios: list[float]) -> tuple[float, float]:
+    """A 95% bootstrap interval of the median of ``ratios``: the 2.5% and
+    97.5% points of the medians of 2,000 resamples, drawn with replacement
+    by ``random.Random(0)``."""
+
+    rng = random.Random(0)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(2000))
+    return medians[50], medians[1949]
+
+
 def _time(op, calls: int) -> float:
     started = time.perf_counter()
     for _ in range(calls):
@@ -158,8 +171,10 @@ def main(argv=None) -> int:
             ratios.append(ta / tb)
         wins = sum(x > 1 for x in ratios)
         losses = sum(x < 1 for x in ratios)
+        low, high = _bootstrap(ratios)
         summary[name] = {
             "median": round(statistics.median(ratios), 4),
+            "ci95": [round(low, 4), round(high, 4)],
             "min": round(min(ratios), 4),
             "max": round(max(ratios), 4),
             "wins": wins,
@@ -169,7 +184,8 @@ def main(argv=None) -> int:
         }
         note = "" if same else "  RESULTS DIFFER"
         print(
-            f"{name:26s} A/B {summary[name]['median']:.3f}  [{min(ratios):.3f}, {max(ratios):.3f}]"
+            f"{name:26s} A/B {summary[name]['median']:.3f}  95% CI [{low:.3f}, {high:.3f}]"
+            f"  range [{min(ratios):.3f}, {max(ratios):.3f}]"
             f"  B wins {wins}/{args.rounds}, loses {losses}  ({calls} calls){note}",
             flush=True,
         )
