@@ -12,8 +12,8 @@ over masks of lanes, and an environment algebra supplies the rest:
 An algebra supplies the masks ``every`` and ``none`` (a mask with no
 lane is ``none`` itself, where the walk tests it by identity), and
 ``enter`` (a statement's step on the lanes an environment reaches),
-``tick``, ``any``, ``assign`` and ``filter`` (through the one
-expression and guard walks, `intervals.eval_range` and `filter_env`),
+``tick``, ``any``, ``assign``, ``filter`` and ``split`` (both polarities,
+through the walks `intervals.eval_range`, `filter_env` and `split_env`),
 ``restrict`` (to lanes the environment reaches), ``select``, ``join``,
 ``widen``, ``narrow``, ``unstable`` (the lanes a fixpoint pass changed),
 ``note_widened``, ``eval_loop`` (the one it runs), ``trace``, ``key``
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import lang
-from .intervals import AbstractEnv, Interval, eval_range, filter_env
+from .intervals import AbstractEnv, Interval, eval_range, filter_env, split_env
 
 
 class InterpError(Exception):
@@ -121,6 +121,9 @@ class TrialContext:
     def filter(self, env: AbstractEnv, cond: lang.Expr, polarity: bool, mask) -> AbstractEnv:
         return filter_env(env, cond, polarity)
 
+    def split(self, env: AbstractEnv, cond: lang.Expr, mask) -> tuple[AbstractEnv, AbstractEnv]:
+        return split_env(env, cond)
+
     def assign(self, env: AbstractEnv, stmt: lang.Assign, mask, randomize: bool) -> AbstractEnv:
         return env.assign(stmt.name, eval_range(stmt.expr, env, self.draw if randomize else None))
 
@@ -185,8 +188,7 @@ def eval_stmt(stmt: lang.Stmt, env, alg, mask, randomize: bool):
         out = alg.filter(env, stmt.cond, True, mask)
     elif kind is lang.If:
         # both guards first, then ``then`` before ``else``: the scalar draw order
-        then_env = alg.filter(env, stmt.cond, True, mask)
-        else_env = alg.filter(env, stmt.cond, False, mask)
+        then_env, else_env = alg.split(env, stmt.cond, mask)
         then_env = eval_block(stmt.then, then_env, alg, randomize)
         out = alg.join(then_env, eval_block(stmt.orelse, else_env, alg, randomize))
     elif kind is lang.While:
@@ -210,8 +212,7 @@ def eval_loop(stmt: lang.While, env, alg, mask, randomize: bool):
             run = alg.tick(run)
             if run is alg.none:
                 break
-            enter = alg.filter(env, stmt.cond, True, run)
-            leave = alg.filter(env, stmt.cond, False, run)
+            enter, leave = alg.split(env, stmt.cond, run)
             entered, left = enter.reach, leave.reach
             # a guard that holds on every running lane lets them in as they are
             if not (run is entered and left is alg.none):

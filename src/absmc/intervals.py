@@ -19,26 +19,26 @@ Lattice operations follow the classic scheme:
 * narrowing refines only infinite bounds, so descending iteration
   terminates while staying above the limit.
 
-Guard filtering (`filter_env`) refines an environment by a condition.
-Comparisons of shape ``var op e`` and ``e op var`` refine the variable
-against the value of ``e``; other shapes refine nothing, which is
-sound.  Decisions about definite emptiness use exact comparison
-semantics; only the refined intervals weaken strict real inequalities
-to their closed form (the boundary has measure zero).  `filter_env` and
-`eval_range` are both engines' one guard walk and expression walk, over
-a value algebra ``alg`` and a ``mask`` of lanes: `_SCALAR` and True on
-an `AbstractEnv`, or a `lanes._Lanes` block, whose values are an
-`Interval` every lane shares (``type(v) is Interval``) or lane bounds.
+Guard filtering (`filter_env`) refines an environment by a condition,
+and `split_env` by both polarities, from one evaluation of a comparison's
+operands.  ``var op e`` and ``e op var`` refine the variable against the
+value of ``e`` (a refinement that keeps its interval binds nothing); other
+shapes refine nothing, which is sound.  Definite emptiness is decided
+exactly; only refined intervals weaken strict real inequalities to their
+closed form (the boundary has measure zero).  These and `eval_range` are
+both engines' one guard walk and expression walk, over a value algebra
+``alg`` and a ``mask`` of lanes: `_SCALAR` and True on an `AbstractEnv`,
+or a `lanes._Lanes` block, whose values are shared `Interval`s or bounds.
 
 The rules on bounds are written once for the scalar engine and `lanes`,
 and take Python numbers and numpy arrays of bounds alike: outward
-rounding (`_outward` with `_sum_is_exact` or `_product_is_exact`), the
-lattice rules on a pair of bounds (`_hull`, `_meet`, `_widened`,
-`_narrowed`, their ties decided by `_outside`) and the guard rules
-(`_definitely_empty`, `_constraint`, `_cut`).  A pair is a tuple (lower,
-upper) of numbers, or a (2, ...) array.  The operations that numbers and
-arrays spell differently come as ``xp``: `_NUMBERS` by default, numpy's
-from `lanes`, so this module imports no numpy.
+rounding (`_outward`, which nudges only the inexact bounds by Fast2Sum's
+`_sum_is_exact` or TwoProduct's `_product_is_exact`), the lattice rules
+on a pair of bounds (`_hull`, `_meet`, `_widened`, `_narrowed`, ties
+decided by `_outside`) and the guard rules (`_definitely_empty`,
+`_constraint`, `_cut`).  A pair is a tuple (lower, upper) of numbers, or
+a (2, ...) array.  Operations that numbers and arrays spell differently
+come as ``xp`` (`_NUMBERS` by default, numpy's from `lanes`: no numpy here).
 
 An `Interval` is immutable by contract: only its ``__init__`` sets
 ``kind``, ``lo`` and ``hi``, and a test checks the package's source for
@@ -84,16 +84,15 @@ def _where(c, a, b):
 
 # ``xp`` on numbers; ``toward`` is where each bound of a pair rounds and widens
 _NUMBERS = SimpleNamespace(
-    where=_where, isinf=math.isinf, nextafter=math.nextafter, copysign=math.copysign,
-    any=bool, all=bool, toward=(-INF, INF),
+    where=_where, isinf=math.isinf, copysign=math.copysign, any=bool, all=bool,
+    nudge=lambda r, toward, exact: r if exact else math.nextafter(r, toward), toward=(-INF, INF),
 )
 
 
 def _sum_is_exact(a: float, b: float, s: float) -> bool:
-    # TwoSum error term; zero iff a + b == s exactly (`&`, not `and`: arrays too)
-    bv = s - a
-    av = s - bv
-    return ((a - av) == 0.0) & ((b - bv) == 0.0)
+    # Fast2Sum: s - a is exact when |a| >= |b| (and s - b otherwise), so it
+    # equals b iff a + b == s exactly (`&`, not `and`: arrays too)
+    return (s - a == b) & (s - b == a)
 
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
@@ -138,7 +137,7 @@ def _outward(r, a, b, exact, toward, xp=_NUMBERS):
     exact = exact(a, b, r)
     if xp.all(exact):
         return r  # an exact sum or product is finite
-    out = xp.where(exact, r, xp.nextafter(r, toward))
+    out = xp.nudge(r, toward, exact)
     infinite = xp.isinf(r)  # finite operands whose result overflowed, or infinite ones
     if not xp.any(infinite):
         return out
@@ -574,18 +573,15 @@ def _refined(cur: Interval, op: str, b: Interval) -> Interval:
 def _refine_var(env, name: str, op: str, b, alg, mask):
     cur = alg.get(env, name)
     if type(cur) is Interval and type(b) is Interval:
-        return alg.bind(env, name, alg.checked(_refined(cur, op, b), mask))
+        new = _refined(cur, op, b)
+        return env if new is cur else alg.bind(env, name, alg.checked(new, mask))
     return alg.refine(env, name, op, cur, b, mask)
 
 
 _MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 
 
-def _refine_cmp(env, left: lang.Expr, op: str, right: lang.Expr, alg, mask):
-    if mask is not env.reach:
-        mask = mask & env.reach
-    a = eval_range(left, env, None, alg, mask)
-    b = eval_range(right, env, None, alg, mask)
+def _refine_cmp(env, left: lang.Expr, op: str, right: lang.Expr, a, b, alg, mask):
     alo, ahi = (a.lo, a.hi) if type(a) is Interval else a  # or lanes' (2, lanes)
     blo, bhi = (b.lo, b.hi) if type(b) is Interval else b
     empty = _definitely_empty(op, alo, ahi, blo, bhi)
@@ -608,7 +604,11 @@ def filter_env(env, cond: lang.Expr, polarity: bool = True, alg=_SCALAR, mask=Tr
         return env
     op = cond.op
     if op in _NEGATED:
-        return _refine_cmp(env, cond.left, op if polarity else _NEGATED[op], cond.right, alg, mask)
+        if mask is not env.reach:
+            mask = mask & env.reach
+        left, right = cond.left, cond.right
+        a, b = eval_range(left, env, None, alg, mask), eval_range(right, env, None, alg, mask)
+        return _refine_cmp(env, left, op if polarity else _NEGATED[op], right, a, b, alg, mask)
     if op not in ("&&", "||"):
         raise DomainError(f"unknown condition operator {op!r}")
     # a conjunction (&& or a negated ||) refines by both sides in turn,
@@ -618,3 +618,17 @@ def filter_env(env, cond: lang.Expr, polarity: bool = True, alg=_SCALAR, mask=Tr
         return filter_env(env, cond.right, polarity, alg, mask)
     either = filter_env(env, cond.left, polarity, alg, mask)
     return alg.join(either, filter_env(env, cond.right, polarity, alg, mask))
+
+
+def split_env(env, cond: lang.Expr, alg=_SCALAR, mask=True):
+    """`filter_env` of ``cond`` and of its negation, a comparison's operands
+    evaluated once; `&&` and `||` filter each polarity (one joins refinements of ``env``)."""
+
+    if cond.op not in _NEGATED or env.reach is alg.none:
+        return filter_env(env, cond, True, alg, mask), filter_env(env, cond, False, alg, mask)
+    if mask is not env.reach:
+        mask = mask & env.reach
+    left, right = cond.left, cond.right
+    a, b = eval_range(left, env, None, alg, mask), eval_range(right, env, None, alg, mask)
+    then_env = _refine_cmp(env, left, cond.op, right, a, b, alg, mask)
+    return then_env, _refine_cmp(env, left, _NEGATED[cond.op], right, a, b, alg, mask)

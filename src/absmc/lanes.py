@@ -47,10 +47,11 @@ _BATCH = 1 << 13  # most words x lanes of one batch of draws, whatever the unrol
 
 _TOWARD = np.array(intervals._NUMBERS.toward)[:, None]  # for a value's (2, lanes)
 _EMPTY = -_TOWARD  # the canonical empty interval
-# ``xp`` of `intervals`' rules on arrays
+# ``xp`` of `intervals`' rules on arrays; `nudge` writes a copy, as `_outward` reads ``r`` after it
 _ARRAYS = SimpleNamespace(
-    where=np.where, isinf=np.isinf, nextafter=np.nextafter, copysign=np.copysign,
-    any=np.count_nonzero, all=lambda x: np.count_nonzero(x) == x.size, toward=_TOWARD,
+    where=np.where, isinf=np.isinf, copysign=np.copysign, any=np.count_nonzero,
+    all=lambda x: np.count_nonzero(x) == x.size, toward=_TOWARD,
+    nudge=lambda r, toward, exact: np.nextafter(r, toward, out=r.copy(), where=~exact),
 )
 _ZERO = Interval.const(Kind.INT, 0)  # stands in for a shared INT past 2**53
 
@@ -270,26 +271,27 @@ class _Lanes:
         lane of ``mask``, from its own seed at the iteration word all lanes
         share, read off a batch in an unrolled loop; [0, 0] elsewhere."""
 
+        span = self.restriction.get(gen.site) if self.restriction else None
         if not self.word:
-            row = self._drawn(gen, [()])[0]
+            row = np.empty((2, self.n))
+            row[0] = row[1] = lang.draw(self.seeds, lang.fold((gen.site,)), gen.kind, span)
         else:
             *outer, w = self.word
             at, first, batch = self.batches.pop(gen.site, (outer, w, ()))
             if at != outer or w - first >= len(batch):
                 del batch  # freed before the next batch is drawn
                 rows = min(w, self.config.unroll_limit + 1 - w, max(1, _BATCH // self.n))
-                first, batch = w, self._drawn(gen, [(*outer, v) for v in range(w, w + rows)])
+                first, batch = w, self._drawn(gen, [(*outer, v) for v in range(w, w + rows)], span)
             self.batches[gen.site] = outer, first, batch
             row = batch[w - first]
         live = self._live(mask)
         return row if live is self.every else np.where(live, row, 0.0)
 
-    def _drawn(self, gen: lang.Draw, words):
-        """The bounds [v, v] of ``gen``'s draws on every lane at each of
-        ``words``, (words, 2, lanes): one `lang.draw` over a column of salts."""
+    def _drawn(self, gen: lang.Draw, words, span):
+        """The bounds [v, v] of ``gen``'s draws on every lane at each of the
+        loop ``words``, (words, 2, lanes): one `lang.draw` over a column of salts."""
 
         salts = np.array([lang.fold((gen.site, *word)) for word in words], dtype=np.uint64)
-        span = self.restriction.get(gen.site) if self.restriction else None
         batch = np.empty((len(words), 2, self.n))
         batch[:, 0] = batch[:, 1] = lang.draw(self.seeds, salts[:, None], gen.kind, span)
         return batch
@@ -387,6 +389,9 @@ class _Lanes:
     def filter(self, env: _Env, cond: lang.Expr, polarity: bool, mask) -> _Env:
         # not `interp.filter_env`: a wrapper of it times scalar trials only
         return intervals.filter_env(env, cond, polarity, self, mask)
+
+    def split(self, env: _Env, cond: lang.Expr, mask) -> tuple[_Env, _Env]:
+        return intervals.split_env(env, cond, self, mask)
 
     def assign(self, env: _Env, stmt: lang.Assign, mask, randomize: bool) -> _Env:
         draw = self.draw if randomize else None

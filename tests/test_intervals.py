@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import math
 import operator
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -425,6 +426,55 @@ def test_lattice_and_rounding_rules_agree_on_numbers_and_lane_arrays():
     assert _outward(-(2.0**600) * 2.0**600, -(2.0**600), 2.0**600, _product_is_exact, INF) == -_MAX
     assert _outward(1.5 + 1.5, 1.5, 1.5, _sum_is_exact, INF) == 3.0
     assert _outward(0.1 + 0.2, 0.1, 0.2, _sum_is_exact, INF) == math.nextafter(0.1 + 0.2, INF)
+
+
+# finite edges of a REAL sum: signed zeros, subnormals, the neighbours of
+# 2**53, the largest doubles, and operands that nearly cancel
+SUM_EDGES = [0.0, -0.0, 5e-324, -5e-324, 3 * 2.0**-1074, 2.0**-1022, -(2.0**-1022), 1.0, -1.0]
+SUM_EDGES += [2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**53 + 2), 0.1, -0.1, 0.30000000000000004]
+SUM_EDGES += [1 + 2.0**-52, -(1 + 2.0**-52), -(1 - 2.0**-53), 1e308, _MAX, -_MAX]
+SUM_EDGES += [math.nextafter(_MAX, 0), -math.nextafter(_MAX, 0)]
+
+
+def test_sum_exactness_matches_fractions():
+    # Fast2Sum on numbers and on lane arrays: a finite sum is exact iff the
+    # rationals agree; an overflow, an infinite operand or a NaN never is
+    rng = random.Random(3)
+    spread = [rng.uniform(-1, 1) * 2.0 ** rng.randint(-1074, 1023) for _ in range(60)]
+    pairs = [(a, b) for a in SUM_EDGES + spread for b in SUM_EDGES + spread]
+    a, b = (np.array(side) for side in zip(*pairs))
+    with np.errstate(all="ignore"):
+        s = a + b
+        on_arrays = _sum_is_exact(a, b, s).tolist()
+    truth = [
+        math.isfinite(t) and Fraction(p) + Fraction(q) == Fraction(t)
+        for (p, q), t in zip(pairs, s.tolist())
+    ]
+    assert [_sum_is_exact(p, q, p + q) for p, q in pairs] == truth == on_arrays
+    assert 0 < sum(truth) < len(truth)
+    nan = float("nan")
+    never = [(INF, 1.0), (-INF, -INF), (INF, -INF), (nan, 1.0), (0.0, nan), (_MAX, _MAX)]
+    for p, q in never + [(-_MAX, -1e308)]:
+        assert not _sum_is_exact(p, q, p + q), (p, q)
+        with np.errstate(all="ignore"):
+            assert not _sum_is_exact(np.array(p), np.array(q), np.array(p) + q), (p, q)
+
+
+def test_array_outward_keeps_the_bits_of_exact_lanes():
+    # the nudge writes only inexact lanes: an exact sum keeps its bits on
+    # both rows, a signed zero among them, and ``r`` itself is left as it was
+    pairs = [(-0.0, -0.0), (0.0, -0.0), (1.5, -1.5), (-0.0, 0.0), (1.0, 2.0), (0.1, 0.2)]
+    pairs.append((2.0**53, 1.0))
+    a, b = (np.array((side, side)) for side in zip(*pairs))
+    r = a + b
+    before = r.copy()
+    exact = _sum_is_exact(a, b, r)
+    got = _outward(r, a, b, _sum_is_exact, _TOWARD, _ARRAYS)
+    assert exact[0].tolist() == [True] * 5 + [False] * 2
+    assert got[exact].view(np.uint64).tolist() == r[exact].view(np.uint64).tolist()
+    assert got[~exact].tolist() == np.nextafter(r, _TOWARD)[~exact].tolist()
+    assert r.view(np.uint64).tolist() == before.view(np.uint64).tolist()
+    assert [_bits(x) for x in got[:, :4].ravel()] == [_bits(x) for x in (-0.0, 0.0, 0.0, 0.0)] * 2
 
 
 OPS = dict(

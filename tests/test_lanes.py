@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from absmc import estimator, interp, lanes, lang
+from absmc import estimator, interp, intervals, lanes, lang
 from absmc.interp import TrialConfig, analyze_trial
 from absmc.intervals import (
     _PRODUCT_RANGE,
@@ -26,6 +26,7 @@ from absmc.intervals import (
     _outside_product_range,
     _product_is_exact,
     filter_env,
+    split_env,
 )
 from absmc.lang import Kind, parse
 from helpers import RecordingLanes, lane_values, run_lanes, summary
@@ -557,6 +558,84 @@ def test_lane_guards_match_the_scalar_guard_on_each_lane(lane_env, cond, polarit
         if mask[i] and not block.handed_back[i]:
             got = AbstractEnv(dict(zip(GUARD_KINDS, ivs)) if out.reach[i] else None)
             assert _bits(got) == _bits(filter_env(scalar_env, cond, polarity)), i
+
+
+def _lane_bits(block, env):
+    """A lane environment bit for bit: whether its reach is the block's
+    ``none``, the reach, and each value, shared or on each lane."""
+
+    values = [repr(v) if type(v) is Interval else (v.shape, v.tobytes()) for v in env.values]
+    return env.reach is block.none, env.reach.tolist(), values
+
+
+@given(
+    _lane_env(),
+    _GUARDS,
+    st.lists(st.booleans(), min_size=GUARD_LANES, max_size=GUARD_LANES),
+)
+def test_split_matches_a_filter_of_each_polarity(lane_env, cond, mask):
+    # both polarities from one evaluation of a comparison's operands (and
+    # from two filters of a compound guard) equal the filter of each, bit
+    # for bit: on a lane block, reach and hand-backs included, and on the
+    # scalar engine, lane by lane
+    env, envs = lane_env
+    program = lang.Program(tuple(GUARD_KINDS.items()), (), None)
+    seeds = np.arange(GUARD_LANES, dtype=np.uint64)
+    split, filtered = (lanes._Lanes(program, seeds, TrialConfig(), None) for _ in range(2))
+    with np.errstate(all="ignore"):
+        both = split.split(env, cond, np.array(mask))
+        each = [filtered.filter(env, cond, polarity, np.array(mask)) for polarity in (True, False)]
+    assert [_lane_bits(split, e) for e in both] == [_lane_bits(filtered, e) for e in each]
+    assert split.handed_back.tolist() == filtered.handed_back.tolist()
+    for scalar_env in envs:
+        want = [_bits(filter_env(scalar_env, cond, polarity)) for polarity in (True, False)]
+        assert [_bits(e) for e in split_env(scalar_env, cond)] == want
+
+
+def test_a_guard_evaluates_each_operand_once_for_both_branches(monkeypatch):
+    # an `if` evaluates its comparison's operands once, and an unrolled
+    # loop once an iteration (three in, one out), on either engine
+    p = parse(
+        "double x; int i; x = uniform(); if (x < 0.5) { x = 1.0; } else { x = 2.0; }"
+        " i = 0; while (i < 3) { i = i + 1; } know (x > 1.5);"
+    )
+    guards = {p.body[1].cond: 1, p.body[3].cond: 4}
+    calls, depth = [], [0]
+    evaluate = intervals.eval_range
+
+    def counted(expr, *args):
+        if not depth[0]:  # a top-level call, not the walk's recursion
+            calls.append(expr)
+        depth[0] += 1
+        try:
+            return evaluate(expr, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(intervals, "eval_range", counted)
+    seeds = np.arange(8, dtype=np.uint64)
+    for run in (lambda: analyze_trial(p, 0), lanes._Lanes(p, seeds, TrialConfig(), None).run):
+        calls.clear()
+        run()
+        for cond, times in guards.items():
+            counts = [sum(e is side for e in calls) for side in (cond.left, cond.right)]
+            assert counts == [times, times]
+
+
+def test_a_kept_refinement_returns_the_environment_itself():
+    # a guard that keeps every interval binds nothing: the scalar engine and
+    # a lane block, with x shared or on each lane, give back ``env``
+    cond = lang.Binary(lang.Var("x"), "<", lang.Lit(10.0, Kind.REAL))
+    x = Interval(Kind.REAL, 0.0, 5.0)
+    env = AbstractEnv({"x": x})
+    assert filter_env(env, cond) is env
+    assert filter_env(env, lang.Binary(lang.Lit(10.0, Kind.REAL), ">", lang.Var("x"))) is env
+    assert filter_env(env, lang.Binary(lang.Var("x"), "<", lang.Lit(3.0, Kind.REAL))) != env
+    program = lang.Program((("x", Kind.REAL),), (), None)
+    block = lanes._Lanes(program, np.arange(4, dtype=np.uint64), TrialConfig(), None)
+    for value in (x, np.array([[0.0, 1.0, 2.0, 3.0], [5.0, 5.0, 6.0, 9.0]])):
+        lane_env = lanes._Env(block.every, (value,))
+        assert block.filter(lane_env, cond, True, block.every) is lane_env
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,11 @@ def ops_of(pkg, loops: dict[str, str], corpus_trials: dict, loop_trials: dict) -
 
     return {
         "scalar_trial.loops.fig1": scalar(programs["fig1.loop0"]),
+        "scalar_trial.loops.fig2": scalar(programs["fig2.loop0"]),
         "scalar_trial.loops.fig4": scalar(programs["fig4.loop0"]),
         "lane_block.loops.fig2": block(programs["fig2.loop0"], loop_trials["fig2"]),
         "lane_block.corpus.fig2": block(figs["fig2"], corpus_trials["fig2"]),
+        "lane_block.corpus.fig4": block(figs["fig4"], corpus_trials["fig4"]),
         "run.loops": runs([(p, loop_trials[name.split(".")[0]]) for name, p in programs.items()]),
         "run.corpus": runs([(figs[name], corpus_trials[name]) for name in figs]),
     }
